@@ -248,9 +248,37 @@ pub struct TrainedVerifier {
 /// path caps the summary prefix it featurizes to stay genuinely cheap.
 const NGG_FAST_TOKENS: usize = 256;
 
+/// Char budget for the same prefix. A token is a maximal alphabetic run
+/// of any length, so the token cap alone lets one huge "word" on a
+/// hostile page through whole, into an n-gram interner whose hash is
+/// unkeyed. The longest 256-token prefix on the small, medium and paper
+/// corpora at three seeds is 2,339 chars.
+const NGG_FAST_CHARS: usize = 4096;
+
 /// Training documents sampled per class when calibrating the NGG
 /// threshold at fit time.
 const NGG_CALIBRATION_DOCS: usize = 16;
+
+/// A crawl's text, summarized and preprocessed: the input of both the
+/// text model and the fast path's NGG opinion.
+fn crawl_tokens(crawl: &pharmaverify_crawl::CrawlResult) -> Vec<String> {
+    preprocess(&summarize_crawl(crawl).text)
+}
+
+/// The fast path's NGG input: the first [`NGG_FAST_TOKENS`] tokens
+/// joined by spaces, cut to at most [`NGG_FAST_CHARS`] chars.
+fn ngg_fast_input(tokens: &[String]) -> String {
+    let mut input = tokens
+        .iter()
+        .take(NGG_FAST_TOKENS)
+        .map(String::as_str)
+        .collect::<Vec<_>>()
+        .join(" ");
+    if let Some((cut, _)) = input.char_indices().nth(NGG_FAST_CHARS) {
+        input.truncate(cut);
+    }
+    input
+}
 
 impl TrainedVerifier {
     /// Fits a verifier on an extracted labelled corpus: the text model on
@@ -456,17 +484,10 @@ impl TrainedVerifier {
         seed_url: &str,
     ) -> Result<Verdict, VerifyError> {
         let crawl = self.crawl_site(host, seed_url)?;
-        let (text_score, predicted) = self.text_component(&crawl);
-        // NGG second opinion on a capped token prefix of the summary.
-        let summary = summarize_crawl(&crawl);
-        let tokens = preprocess(&summary.text);
-        let capped = tokens
-            .iter()
-            .take(NGG_FAST_TOKENS)
-            .map(String::as_str)
-            .collect::<Vec<_>>()
-            .join(" ");
-        let ngg_rank = self.ngg.features(&capped).text_rank();
+        let tokens = crawl_tokens(&crawl);
+        let (text_score, predicted) = self.text_component(&tokens);
+        // NGG second opinion on a capped prefix of the same tokens.
+        let ngg_rank = self.ngg.features(&ngg_fast_input(&tokens)).text_rank();
         let ngg_says_legit = if self.ngg_legit_high {
             ngg_rank >= self.ngg_threshold
         } else {
@@ -573,11 +594,10 @@ impl TrainedVerifier {
         Ok(crawl)
     }
 
-    /// Text component: summarize, preprocess, subsample, vectorize, score.
-    fn text_component(&self, crawl: &pharmaverify_crawl::CrawlResult) -> (f64, bool) {
-        let summary = summarize_crawl(crawl);
-        let tokens = preprocess(&summary.text);
-        let doc = subsample_opt(&tokens, self.subsample, self.seed);
+    /// Text component of a crawl's [`crawl_tokens`]: subsample,
+    /// vectorize, score.
+    fn text_component(&self, tokens: &[String]) -> (f64, bool) {
+        let doc = subsample_opt(tokens, self.subsample, self.seed);
         let x = if self.text_uses_counts {
             self.tfidf.term_counts(&doc)
         } else {
@@ -594,7 +614,7 @@ impl TrainedVerifier {
         crawl: &pharmaverify_crawl::CrawlResult,
         overlay: &mut SpliceOverlay<'_>,
     ) -> Verdict {
-        let (text_score, predicted) = self.text_component(crawl);
+        let (text_score, predicted) = self.text_component(&crawl_tokens(crawl));
         let links: Vec<(String, f64)> = crawl
             .outbound_endpoints()
             .into_iter()
@@ -643,7 +663,7 @@ impl TrainedVerifier {
         crawl: &pharmaverify_crawl::CrawlResult,
         overlay: &mut SpliceOverlay<'_>,
     ) -> Verdict {
-        let (text_score, predicted) = self.text_component(crawl);
+        let (text_score, predicted) = self.text_component(&crawl_tokens(crawl));
         let links: Vec<(String, f64)> = crawl
             .outbound_endpoints()
             .into_iter()
@@ -1067,6 +1087,26 @@ mod tests {
             .verify_text_only(&snap.web, &snap.sites[1].seed_url)
             .unwrap();
         assert_same_verdict(&a, &b);
+    }
+
+    #[test]
+    fn megabyte_token_gets_a_fast_verdict_on_a_capped_ngg_input() {
+        let (verifier, _web) = verifier_and_web();
+        let mut web = pharmaverify_crawl::InMemoryWeb::new();
+        // One alphabetic run of ~1.2 MB, mixing 1- and 2-byte chars.
+        let word = "pharmacé".repeat(1 << 17);
+        web.add_page("http://one-word.com/", format!("<p>{word}</p>"));
+        let verdict = verifier
+            .verify_text_only(&web, "http://one-word.com/")
+            .unwrap();
+        assert_eq!(verdict.source, VerdictSource::TextOnly);
+        assert_eq!(verdict.domain, "one-word.com");
+        let crawl = verifier.crawl_site(&web, "http://one-word.com/").unwrap();
+        let tokens = crawl_tokens(&crawl);
+        assert_eq!(tokens, [word]);
+        let input = ngg_fast_input(&tokens);
+        assert_eq!(input.chars().count(), NGG_FAST_CHARS);
+        assert!(tokens[0].starts_with(&input));
     }
 
     #[test]

@@ -5,8 +5,13 @@
 //! start within the next `Dwin` character positions — the "sliding window"
 //! co-occurrence of §4.1.2 — and each co-occurrence adds 1 to the directed
 //! edge's weight.
+//!
+//! Construction interns the grams, collects every in-window pair as one
+//! packed `u64`, sorts the pairs once and counts each run of equal pairs
+//! into its edge's weight. Counts are small integers, exact in `f64`.
 
-use crate::graph::NGramGraph;
+use crate::graph::{edge_key, edge_of, NGramGraph};
+use crate::intern::GramTable;
 use crate::{NGRAM_RANK, WINDOW};
 
 /// Builds [`NGramGraph`]s from text with configurable rank and window.
@@ -63,7 +68,7 @@ impl NGramGraphBuilder {
     /// produce an empty graph; a text with exactly one n-gram produces a
     /// single vertex and no edges.
     pub fn build(&self, text: &str) -> NGramGraph {
-        let mut graph = NGramGraph::new();
+        let mut grams = GramTable::default();
         // Byte offsets of char boundaries let us slice n-grams without
         // allocating per window.
         let boundaries: Vec<usize> = text
@@ -73,21 +78,24 @@ impl NGramGraphBuilder {
             .collect();
         let n_chars = boundaries.len() - 1;
         if n_chars < self.rank {
-            return graph;
+            return NGramGraph::freeze(grams, []);
         }
         let n_grams = n_chars - self.rank + 1;
-        let mut ids: Vec<u32> = Vec::with_capacity(n_grams);
-        for start in 0..n_grams {
-            let slice = &text[boundaries[start]..boundaries[start + self.rank]];
-            ids.push(graph.intern(slice));
-        }
+        let ids: Vec<u32> = (0..n_grams)
+            .map(|start| grams.intern(&text[boundaries[start]..boundaries[start + self.rank]]))
+            .collect();
+        let mut pairs: Vec<u64> =
+            Vec::with_capacity(n_grams.saturating_mul(self.window.min(n_grams)));
         for (pos, &from) in ids.iter().enumerate() {
             let end = (pos + self.window).min(n_grams - 1);
-            for &to in &ids[pos + 1..=end] {
-                graph.bump_edge(from, to, 1.0);
-            }
+            pairs.extend(ids[pos + 1..=end].iter().map(|&to| edge_key(from, to)));
         }
-        graph
+        pairs.sort_unstable();
+        let edges = pairs.chunk_by(|a, b| a == b).map(|run| {
+            let (from, to) = edge_of(run[0]);
+            (from, to, run.len() as f64)
+        });
+        NGramGraph::freeze(grams, edges)
     }
 }
 

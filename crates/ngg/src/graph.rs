@@ -1,45 +1,87 @@
-//! The n-gram graph data structure.
+//! The frozen n-gram graph.
 //!
-//! Vertices are character n-grams, interned to dense `u32` ids. Edges are
-//! directed `(from, to)` pairs with `f64` weights, stored in an ordered
-//! map: iteration order must be deterministic because class-graph merging
-//! interns grams in edge-iteration order and the similarity measures sum
-//! `f64` weights over it — with a hash map both would vary run to run
-//! with the hasher's random state. Lookups go from O(1) to O(log E),
-//! which is invisible next to the graph-construction cost.
+//! Vertices are character n-grams, interned to dense `u32` ids in order
+//! of first appearance. Edges are stored as rows: the out-edges of gram
+//! `f` sit at `offsets[f]..offsets[f + 1]` of `targets`/`weights`,
+//! sorted by target, so the edge order is `(from, to)` — deterministic,
+//! because class-graph merging interns grams in edge order and the
+//! similarity measures sum `f64` weights over it. A graph is immutable
+//! once built; [`crate::NGramGraphBuilder`] and [`crate::ClassGraph`]
+//! produce them.
+//!
+//! An edge lookup is a binary search in its source's row. Comparing a
+//! ~2,000-char document graph against the two class graphs of the
+//! medium corpus (101k and 396k edges) takes up to ~10,000 probes, which
+//! cost more than building the document graph when edges lived in a
+//! `BTreeMap<(u32, u32), f64>`. On the performance ledger's traced
+//! `fed-cold` run (2-vCPU Xeon VM), rows took the NGG opinion
+//! (`ngg.fast_opinion_ms_p50`) from 3.62 ms to 0.79 ms and
+//! `verify_text_only` (`core.verify_text_only_ms_p50`) from 4.28 ms to
+//! 1.33 ms; class-graph construction per `eval-small` run
+//! (`ngg.class_graphs.build_s`) went from 2.02 s to 0.46 s.
 
-use std::collections::BTreeMap;
-use std::collections::HashMap;
+use crate::intern::GramTable;
+
+/// Packs edge `(from, to)` into one `u64` whose integer order is the
+/// `(from, to)` edge order.
+pub(crate) fn edge_key(from: u32, to: u32) -> u64 {
+    u64::from(from) << 32 | u64::from(to)
+}
+
+/// Unpacks an [`edge_key`].
+pub(crate) fn edge_of(key: u64) -> (u32, u32) {
+    ((key >> 32) as u32, key as u32)
+}
 
 /// A weighted directed graph over interned character n-grams.
-#[derive(Debug, Clone, Default)]
+#[derive(Debug, Clone)]
 pub struct NGramGraph {
-    grams: Vec<Box<str>>,
-    index: HashMap<Box<str>, u32>,
-    edges: BTreeMap<(u32, u32), f64>,
+    grams: GramTable,
+    /// Row boundaries, `node_count() + 1` of them.
+    offsets: Vec<usize>,
+    targets: Vec<u32>,
+    weights: Vec<f64>,
 }
 
 impl NGramGraph {
-    /// Creates an empty graph.
-    pub fn new() -> Self {
-        Self::default()
-    }
-
-    /// Interns an n-gram, returning its id.
-    pub fn intern(&mut self, gram: &str) -> u32 {
-        if let Some(&id) = self.index.get(gram) {
-            return id;
+    /// Freezes `edges` over the grams of `grams`. The edges must come
+    /// sorted by `(from, to)` with no pair repeated, and name interned
+    /// ids only.
+    pub(crate) fn freeze<I>(mut grams: GramTable, edges: I) -> Self
+    where
+        I: IntoIterator<Item = (u32, u32, f64)>,
+    {
+        let edges = edges.into_iter();
+        let n = grams.len();
+        let mut offsets = Vec::with_capacity(n + 1);
+        let mut targets = Vec::with_capacity(edges.size_hint().0);
+        let mut weights = Vec::with_capacity(edges.size_hint().0);
+        offsets.push(0);
+        for (from, to, weight) in edges {
+            debug_assert!((to as usize) < n);
+            while offsets.len() <= from as usize {
+                offsets.push(targets.len());
+            }
+            debug_assert!(offsets.len() == from as usize + 1);
+            debug_assert!(targets.len() == offsets[from as usize] || targets.last() < Some(&to));
+            targets.push(to);
+            weights.push(weight);
         }
-        let id = self.grams.len() as u32;
-        let boxed: Box<str> = gram.into();
-        self.grams.push(boxed.clone());
-        self.index.insert(boxed, id);
-        id
+        offsets.resize(n + 1, targets.len());
+        grams.shrink_to_fit();
+        targets.shrink_to_fit();
+        weights.shrink_to_fit();
+        NGramGraph {
+            grams,
+            offsets,
+            targets,
+            weights,
+        }
     }
 
     /// The id of `gram`, if present.
     pub fn gram_id(&self, gram: &str) -> Option<u32> {
-        self.index.get(gram).copied()
+        self.grams.get(gram)
     }
 
     /// The n-gram with the given id.
@@ -47,37 +89,40 @@ impl NGramGraph {
     /// # Panics
     /// Panics if `id` is out of range.
     pub fn gram(&self, id: u32) -> &str {
-        &self.grams[id as usize]
+        self.grams.gram(id)
     }
 
-    /// Adds `delta` to the weight of edge `(from, to)` (creating it at 0).
-    pub fn bump_edge(&mut self, from: u32, to: u32, delta: f64) {
-        *self.edges.entry((from, to)).or_insert(0.0) += delta;
+    /// The out-edges of `from`: targets in ascending id order, and their
+    /// weights.
+    ///
+    /// # Panics
+    /// Panics if `from` is out of range.
+    pub(crate) fn row(&self, from: u32) -> (&[u32], &[f64]) {
+        let span = self.offsets[from as usize]..self.offsets[from as usize + 1];
+        (&self.targets[span.clone()], &self.weights[span])
     }
 
-    /// Sets the weight of edge `(from, to)` exactly.
-    pub fn set_edge(&mut self, from: u32, to: u32, weight: f64) {
-        self.edges.insert((from, to), weight);
+    /// The weight of the edge between two interned ids, `None` when
+    /// absent.
+    pub fn edge_weight(&self, from: u32, to: u32) -> Option<f64> {
+        if from as usize >= self.node_count() {
+            return None;
+        }
+        let (targets, weights) = self.row(from);
+        targets.binary_search(&to).ok().map(|k| weights[k])
     }
 
-    /// The weight of the edge between two interned ids, 0.0 when absent.
-    pub fn edge_weight(&self, from: u32, to: u32) -> f64 {
-        self.edges.get(&(from, to)).copied().unwrap_or(0.0)
-    }
-
-    /// The weight of the edge between two n-grams *by name*, 0.0 when
+    /// The weight of the edge between two n-grams *by name*, `None` when
     /// either endpoint or the edge is absent. This is the lookup used when
     /// comparing edges across two different graphs, whose ids differ.
     pub fn edge_weight_by_name(&self, from: &str, to: &str) -> Option<f64> {
-        let f = self.index.get(from)?;
-        let t = self.index.get(to)?;
-        self.edges.get(&(*f, *t)).copied()
+        self.edge_weight(self.gram_id(from)?, self.gram_id(to)?)
     }
 
     /// Number of edges — the graph cardinality `|G|` used by all the
     /// similarity measures.
     pub fn edge_count(&self) -> usize {
-        self.edges.len()
+        self.targets.len()
     }
 
     /// Number of distinct n-gram vertices.
@@ -87,39 +132,31 @@ impl NGramGraph {
 
     /// True when the graph has no edges.
     pub fn is_empty(&self) -> bool {
-        self.edges.is_empty()
+        self.targets.is_empty()
     }
 
-    /// Iterates edges as `(from_gram, to_gram, weight)`.
+    /// Iterates edges as `(from_gram, to_gram, weight)` in `(from, to)` id
+    /// order.
     pub fn iter_edges(&self) -> impl Iterator<Item = (&str, &str, f64)> {
-        self.edges
-            .iter()
-            .map(move |(&(f, t), &w)| (self.gram(f), self.gram(t), w))
+        self.iter_edge_ids()
+            .map(move |(f, t, w)| (self.gram(f), self.gram(t), w))
     }
 
     /// Iterates edges as interned `(from_id, to_id, weight)` triples, in
-    /// the same deterministic order as [`NGramGraph::iter_edges`].
+    /// the same order as [`NGramGraph::iter_edges`].
     pub fn iter_edge_ids(&self) -> impl Iterator<Item = (u32, u32, f64)> + '_ {
-        self.edges.iter().map(|(&(f, t), &w)| (f, t, w))
+        (0..self.node_count() as u32).flat_map(move |from| {
+            let (targets, weights) = self.row(from);
+            targets
+                .iter()
+                .zip(weights)
+                .map(move |(&to, &w)| (from, to, w))
+        })
     }
 
-    /// The weight of edge `(from, to)`, `None` when absent — unlike
-    /// [`NGramGraph::edge_weight`], distinguishes a missing edge from a
-    /// stored zero weight.
-    pub fn edge_weight_checked(&self, from: u32, to: u32) -> Option<f64> {
-        self.edges.get(&(from, to)).copied()
-    }
-
-    /// Total of all edge weights.
+    /// Total of all edge weights, summed in edge order.
     pub fn total_weight(&self) -> f64 {
-        self.edges.values().sum()
-    }
-
-    /// Multiplies every edge weight by `factor` (class-graph averaging).
-    pub fn scale_weights(&mut self, factor: f64) {
-        for w in self.edges.values_mut() {
-            *w *= factor;
-        }
+        self.weights.iter().sum()
     }
 }
 
@@ -127,63 +164,62 @@ impl NGramGraph {
 mod tests {
     use super::*;
 
-    #[test]
-    fn intern_is_idempotent() {
-        let mut g = NGramGraph::new();
-        let a = g.intern("phar");
-        let b = g.intern("phar");
-        assert_eq!(a, b);
-        assert_eq!(g.node_count(), 1);
-        assert_eq!(g.gram(a), "phar");
+    /// `aaaa → bbbb` (1.5), `bbbb → aaaa` (0.5), `bbbb → cccc` (2.0);
+    /// `dddd` is isolated.
+    fn sample() -> NGramGraph {
+        let mut grams = GramTable::default();
+        for g in ["aaaa", "bbbb", "cccc", "dddd"] {
+            grams.intern(g);
+        }
+        NGramGraph::freeze(grams, [(0, 1, 1.5), (1, 0, 0.5), (1, 2, 2.0)])
     }
 
     #[test]
-    fn bump_accumulates() {
-        let mut g = NGramGraph::new();
-        let a = g.intern("phar");
-        let b = g.intern("harm");
-        g.bump_edge(a, b, 1.0);
-        g.bump_edge(a, b, 2.0);
-        assert_eq!(g.edge_weight(a, b), 3.0);
-        assert_eq!(g.edge_count(), 1);
+    fn rows_answer_lookups() {
+        let g = sample();
+        assert_eq!(g.node_count(), 4);
+        assert_eq!(g.edge_count(), 3);
+        assert_eq!(g.edge_weight(0, 1), Some(1.5));
+        assert_eq!(g.edge_weight(1, 2), Some(2.0));
+        assert_eq!(g.edge_weight(1, 3), None);
+        assert_eq!(g.edge_weight(3, 0), None);
+        assert_eq!(g.edge_weight(9, 0), None);
+        assert_eq!(g.gram(2), "cccc");
+        assert_eq!(g.gram_id("dddd"), Some(3));
     }
 
     #[test]
     fn edges_are_directed() {
-        let mut g = NGramGraph::new();
-        let a = g.intern("abcd");
-        let b = g.intern("bcde");
-        g.bump_edge(a, b, 1.0);
-        assert_eq!(g.edge_weight(b, a), 0.0);
-        assert_eq!(g.edge_weight(a, b), 1.0);
-    }
-
-    #[test]
-    fn lookup_by_name_across_graphs() {
-        let mut g1 = NGramGraph::new();
-        let x = g1.intern("xxxx");
-        let y = g1.intern("yyyy");
-        g1.bump_edge(x, y, 2.0);
-
-        let mut g2 = NGramGraph::new();
-        let y2 = g2.intern("yyyy"); // different id order
-        let x2 = g2.intern("xxxx");
-        g2.bump_edge(x2, y2, 5.0);
-
-        assert_eq!(g2.edge_weight_by_name("xxxx", "yyyy"), Some(5.0));
-        assert_eq!(g2.edge_weight_by_name("yyyy", "xxxx"), None);
-        assert_eq!(g2.edge_weight_by_name("zzzz", "xxxx"), None);
+        let g = sample();
+        assert_eq!(g.edge_weight(2, 1), None);
+        assert_eq!(g.edge_weight_by_name("bbbb", "cccc"), Some(2.0));
+        assert_eq!(g.edge_weight_by_name("cccc", "bbbb"), None);
+        assert_eq!(g.edge_weight_by_name("zzzz", "aaaa"), None);
     }
 
     #[test]
     fn iter_and_totals() {
-        let mut g = NGramGraph::new();
-        let a = g.intern("aaaa");
-        let b = g.intern("bbbb");
-        g.bump_edge(a, b, 1.5);
-        g.bump_edge(b, a, 0.5);
-        assert_eq!(g.total_weight(), 2.0);
-        assert_eq!(g.iter_edges().count(), 2);
+        let g = sample();
+        let edges: Vec<_> = g.iter_edges().collect();
+        assert_eq!(
+            edges,
+            [
+                ("aaaa", "bbbb", 1.5),
+                ("bbbb", "aaaa", 0.5),
+                ("bbbb", "cccc", 2.0)
+            ]
+        );
+        assert_eq!(g.total_weight(), 4.0);
         assert!(!g.is_empty());
+    }
+
+    #[test]
+    fn empty_graph() {
+        let g = NGramGraph::freeze(GramTable::default(), []);
+        assert!(g.is_empty());
+        assert_eq!(g.node_count(), 0);
+        assert_eq!(g.iter_edges().count(), 0);
+        assert_eq!(g.edge_weight(0, 0), None);
+        assert_eq!(g.total_weight(), 0.0);
     }
 }

@@ -9,7 +9,8 @@
 //! Following the paper (and Giannakopoulos et al., WIMS 2012) we use
 //! `Lmin = Lmax = Dwin = 4`.
 //!
-//! * [`graph`] — the interned n-gram graph and its edge store;
+//! * [`graph`] — the frozen n-gram graph: interned grams and sorted
+//!   edge rows;
 //! * [`builder`] — document → graph extraction;
 //! * [`merge`] — class-graph construction by averaging document graphs;
 //! * [`similarity`] — the CS / SS / VS / NVS measures of §4.1.2;
@@ -20,6 +21,7 @@
 pub mod builder;
 pub mod features;
 pub mod graph;
+mod intern;
 pub mod merge;
 pub mod similarity;
 
@@ -27,10 +29,7 @@ pub use builder::NGramGraphBuilder;
 pub use features::{ngg_feature_names, NggClassGraphs, NggFeatures};
 pub use graph::NGramGraph;
 pub use merge::ClassGraph;
-pub use similarity::{
-    containment_similarity, normalized_value_similarity, size_similarity, value_similarity,
-    GraphSimilarities,
-};
+pub use similarity::GraphSimilarities;
 
 /// The n-gram rank used throughout the paper (`Lmin = Lmax = 4`).
 pub const NGRAM_RANK: usize = 4;

@@ -14,15 +14,22 @@
 //! Internally the builder accumulates plain edge-weight *sums* — merging
 //! a document costs O(document edges), not O(class-graph edges) — and the
 //! division by the document count happens once, when the averaged graph
-//! is materialized.
+//! is frozen.
 
-use crate::graph::NGramGraph;
+use std::collections::HashMap;
+
+use crate::graph::{edge_key, edge_of, NGramGraph};
+use crate::intern::{GramHashState, GramTable};
 
 /// A class graph built by averaging document graphs.
 #[derive(Debug, Clone, Default)]
 pub struct ClassGraph {
-    /// Edge-weight sums over all merged documents.
-    sums: NGramGraph,
+    /// Class gram ids, assigned in merge order as grams first appear in
+    /// a document's edge order.
+    grams: GramTable,
+    /// Edge-weight sums over all merged documents, keyed by
+    /// [`edge_key`] of class ids.
+    sums: HashMap<u64, f64, GramHashState>,
     merged: usize,
 }
 
@@ -39,10 +46,23 @@ impl ClassGraph {
 
     /// Merges one document graph. O(edges of `doc`).
     pub fn merge(&mut self, doc: &NGramGraph) {
-        for (f, t, w) in doc.iter_edges() {
-            let from = self.sums.intern(f);
-            let to = self.sums.intern(t);
-            self.sums.bump_edge(from, to, w);
+        // Each document gram is looked up in the class once, on first
+        // use in edge order, so class ids come out as if every edge
+        // endpoint were interned in turn.
+        let mut class_ids: Vec<Option<u32>> = vec![None; doc.node_count()];
+        let mut class_id = |grams: &mut GramTable, id: u32| {
+            *class_ids[id as usize].get_or_insert_with(|| grams.intern(doc.gram(id)))
+        };
+        for from in 0..doc.node_count() as u32 {
+            let (targets, weights) = doc.row(from);
+            if targets.is_empty() {
+                continue;
+            }
+            let class_from = class_id(&mut self.grams, from);
+            for (&to, &w) in targets.iter().zip(weights) {
+                let key = edge_key(class_from, class_id(&mut self.grams, to));
+                *self.sums.entry(key).or_insert(0.0) += w;
+            }
         }
         self.merged += 1;
     }
@@ -54,19 +74,27 @@ impl ClassGraph {
         }
     }
 
-    /// Materializes the averaged class graph: every edge weight is the
-    /// mean of that edge's weight across the merged documents.
-    pub fn average(&self) -> NGramGraph {
-        let mut avg = self.sums.clone();
-        if self.merged > 1 {
-            avg.scale_weights(1.0 / self.merged as f64);
-        }
-        avg
-    }
-
-    /// Consumes the builder, returning the averaged graph.
+    /// Consumes the builder, returning the averaged graph: every edge
+    /// weight is the mean of that edge's weight across the merged
+    /// documents.
     pub fn into_graph(self) -> NGramGraph {
-        self.average()
+        let ClassGraph {
+            grams,
+            sums,
+            merged,
+        } = self;
+        // lint:allow(hash-iter): drained into a Vec that is sorted by
+        // edge key before anything reads it.
+        let mut edges: Vec<(u64, f64)> = sums.into_iter().collect();
+        edges.sort_unstable_by_key(|&(key, _)| key);
+        let factor = 1.0 / merged as f64;
+        NGramGraph::freeze(
+            grams,
+            edges.into_iter().map(|(key, sum)| {
+                let (from, to) = edge_of(key);
+                (from, to, if merged > 1 { sum * factor } else { sum })
+            }),
+        )
     }
 }
 
@@ -86,7 +114,7 @@ mod tests {
         class.merge(&doc);
         assert_eq!(class.merged_count(), 1);
         assert_eq!(
-            class.average().edge_weight_by_name("a", "b"),
+            class.into_graph().edge_weight_by_name("a", "b"),
             doc.edge_weight_by_name("a", "b")
         );
     }
@@ -99,7 +127,7 @@ mod tests {
         let mut class = ClassGraph::new();
         class.merge(&doc1);
         class.merge(&doc2);
-        assert_eq!(class.average().edge_weight_by_name("a", "b"), Some(3.0));
+        assert_eq!(class.into_graph().edge_weight_by_name("a", "b"), Some(3.0));
     }
 
     #[test]
@@ -109,7 +137,7 @@ mod tests {
         let mut class = ClassGraph::new();
         class.merge(&doc1);
         class.merge(&doc2);
-        let avg = class.average();
+        let avg = class.into_graph();
         assert_eq!(avg.edge_weight_by_name("a", "b"), Some(0.5));
         assert_eq!(avg.edge_weight_by_name("c", "d"), Some(0.5));
     }
@@ -120,9 +148,9 @@ mod tests {
         let docs = [g("ab"), g("cd"), g("abab")];
         let mut class = ClassGraph::new();
         class.merge_all(docs.iter());
-        let w = class.average().edge_weight_by_name("a", "b").unwrap();
-        assert!((w - 1.0).abs() < 1e-12, "got {w}");
         assert_eq!(class.merged_count(), 3);
+        let w = class.into_graph().edge_weight_by_name("a", "b").unwrap();
+        assert!((w - 1.0).abs() < 1e-12, "got {w}");
     }
 
     #[test]
@@ -132,25 +160,12 @@ mod tests {
         forward.merge_all(docs.iter());
         let mut reverse = ClassGraph::new();
         reverse.merge_all(docs.iter().rev());
-        let fg = forward.average();
-        let rg = reverse.average();
+        let fg = forward.into_graph();
+        let rg = reverse.into_graph();
         for (f, t, w) in fg.iter_edges() {
             let rw = rg.edge_weight_by_name(f, t).unwrap();
             assert!((w - rw).abs() < 1e-9, "{f}->{t}: {w} vs {rw}");
         }
         assert_eq!(fg.edge_count(), rg.edge_count());
-    }
-
-    #[test]
-    fn into_graph_equals_average() {
-        let docs = [g("abc"), g("bcd")];
-        let mut class = ClassGraph::new();
-        class.merge_all(docs.iter());
-        let avg = class.average();
-        let owned = class.into_graph();
-        assert_eq!(avg.edge_count(), owned.edge_count());
-        for (f, t, w) in avg.iter_edges() {
-            assert_eq!(owned.edge_weight_by_name(f, t), Some(w));
-        }
     }
 }

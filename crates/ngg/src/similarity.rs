@@ -30,14 +30,11 @@ pub struct GraphSimilarities {
 impl GraphSimilarities {
     /// Computes all four measures between `gi` and `gj`.
     ///
-    /// Single-pass: `gi`'s gram ids are translated into `gj`'s id space
-    /// once, then every shared-edge probe is two table lookups instead
-    /// of re-hashing both gram names — the standalone
-    /// [`containment_similarity`] / [`value_similarity`] functions would
-    /// walk `gi`'s edges (and hash every gram name) once per measure.
-    /// Results are bit-identical to the standalone functions: the edge
-    /// iteration order, per-edge arithmetic, and summation order are
-    /// the same.
+    /// One pass over `gi`: its gram ids are translated into `gj`'s id
+    /// space once per gram, then each of `gi`'s rows is walked in order
+    /// and every edge is probed with a binary search in `gj`'s matching
+    /// row. Shared edges are counted and their weight ratios summed in
+    /// `gi`'s `(from, to)` edge order, which fixes the `f64` result.
     pub fn compute(gi: &NGramGraph, gj: &NGramGraph) -> Self {
         let (min, max) = (
             gi.edge_count().min(gj.edge_count()),
@@ -53,11 +50,8 @@ impl GraphSimilarities {
             };
         }
         if min == 0 {
-            // One empty: nothing shared. `vs` is `-0.0` because the
-            // standalone [`value_similarity`] divides an empty
-            // `Iterator::sum` — whose f64 identity is `-0.0` — by `max`,
-            // and bit-compatibility with it is part of this method's
-            // contract.
+            // One empty: nothing shared. `vs` is the empty sum divided
+            // by `max`, signed as below.
             return GraphSimilarities {
                 cs: 0.0,
                 ss: 0.0,
@@ -65,21 +59,32 @@ impl GraphSimilarities {
                 nvs: 0.0,
             };
         }
-        let translate: Vec<Option<u32>> = (0..gi.node_count())
-            .map(|id| gj.gram_id(gi.gram(id as u32)))
+        let translate: Vec<Option<u32>> = (0..gi.node_count() as u32)
+            .map(|id| gj.gram_id(gi.gram(id)))
             .collect();
         let mut shared = 0usize;
-        // `-0.0` is `Iterator::sum`'s f64 identity; starting there keeps
-        // the no-shared-edge result bit-identical to `value_similarity`.
+        // Starting at `-0.0`, `Iterator::sum`'s f64 identity, makes VS
+        // `-0.0` when no edge is shared; report bytes pin that sign.
         let mut vs_sum = -0.0f64;
-        for (f, t, wi) in gi.iter_edge_ids() {
-            let (Some(f2), Some(t2)) = (translate[f as usize], translate[t as usize]) else {
+        for (from, from_j) in translate.iter().enumerate() {
+            let Some(from_j) = *from_j else {
                 continue;
             };
-            if let Some(wj) = gj.edge_weight_checked(f2, t2) {
-                shared += 1;
-                let (lo, hi) = if wi < wj { (wi, wj) } else { (wj, wi) };
-                vs_sum += if hi == 0.0 { 0.0 } else { lo / hi };
+            let (targets_j, weights_j) = gj.row(from_j);
+            if targets_j.is_empty() {
+                continue;
+            }
+            let (targets_i, weights_i) = gi.row(from as u32);
+            for (&to, &wi) in targets_i.iter().zip(weights_i) {
+                let Some(to_j) = translate[to as usize] else {
+                    continue;
+                };
+                if let Ok(k) = targets_j.binary_search(&to_j) {
+                    let wj = weights_j[k];
+                    shared += 1;
+                    let (lo, hi) = if wi < wj { (wi, wj) } else { (wj, wi) };
+                    vs_sum += if hi == 0.0 { 0.0 } else { lo / hi };
+                }
             }
         }
         let cs = shared as f64 / min as f64;
@@ -88,64 +93,6 @@ impl GraphSimilarities {
         let nvs = if ss == 0.0 { 0.0 } else { vs / ss };
         GraphSimilarities { cs, ss, vs, nvs }
     }
-}
-
-/// Proportion of `gi`'s edges shared with `gj`, normalized by the smaller
-/// edge count.
-pub fn containment_similarity(gi: &NGramGraph, gj: &NGramGraph) -> f64 {
-    let min = gi.edge_count().min(gj.edge_count());
-    if min == 0 {
-        return if gi.is_empty() && gj.is_empty() {
-            1.0
-        } else {
-            0.0
-        };
-    }
-    let shared = gi
-        .iter_edges()
-        .filter(|(f, t, _)| gj.edge_weight_by_name(f, t).is_some())
-        .count();
-    shared as f64 / min as f64
-}
-
-/// Ratio of the two graphs' edge counts.
-pub fn size_similarity(gi: &NGramGraph, gj: &NGramGraph) -> f64 {
-    let (min, max) = (
-        gi.edge_count().min(gj.edge_count()),
-        gi.edge_count().max(gj.edge_count()),
-    );
-    if max == 0 {
-        return 1.0; // both empty: identical
-    }
-    min as f64 / max as f64
-}
-
-/// Weight-aware overlap: per shared edge, the ratio of the smaller to the
-/// larger weight, summed and normalized by the larger edge count.
-pub fn value_similarity(gi: &NGramGraph, gj: &NGramGraph) -> f64 {
-    let max = gi.edge_count().max(gj.edge_count());
-    if max == 0 {
-        return 1.0; // both empty: identical
-    }
-    let sum: f64 = gi
-        .iter_edges()
-        .filter_map(|(f, t, wi)| {
-            gj.edge_weight_by_name(f, t).map(|wj| {
-                let (lo, hi) = if wi < wj { (wi, wj) } else { (wj, wi) };
-                if hi == 0.0 {
-                    0.0
-                } else {
-                    lo / hi
-                }
-            })
-        })
-        .sum();
-    sum / max as f64
-}
-
-/// `VS / SS` — value similarity with the size penalty removed.
-pub fn normalized_value_similarity(gi: &NGramGraph, gj: &NGramGraph) -> f64 {
-    GraphSimilarities::compute(gi, gj).nvs
 }
 
 #[cfg(test)]
@@ -202,17 +149,18 @@ mod tests {
         // min = 1 ⇒ CS = 1.
         let a = g("ab");
         let b = g("abcd");
-        assert_eq!(containment_similarity(&a, &b), 1.0);
+        assert_eq!(GraphSimilarities::compute(&a, &b).cs, 1.0);
         // Symmetric call: shared counted over b's edges, still 1/min=1.
-        assert_eq!(containment_similarity(&b, &a), 1.0);
+        assert_eq!(GraphSimilarities::compute(&b, &a).cs, 1.0);
     }
 
     #[test]
     fn ss_is_symmetric_ratio() {
         let a = g("ab"); // 1 edge
         let b = g("abcd"); // 3 edges
-        assert!((size_similarity(&a, &b) - 1.0 / 3.0).abs() < 1e-12);
-        assert_eq!(size_similarity(&a, &b), size_similarity(&b, &a));
+        let ab = GraphSimilarities::compute(&a, &b);
+        assert!((ab.ss - 1.0 / 3.0).abs() < 1e-12);
+        assert_eq!(ab.ss, GraphSimilarities::compute(&b, &a).ss);
     }
 
     #[test]
@@ -220,9 +168,9 @@ mod tests {
         let a = g("abab"); // a→b weight 2, b→a weight 1
         let b = g("ab"); // a→b weight 1
                          // Shared edge a→b: min/max = 1/2. max(|Gi|,|Gj|) = 2.
-        assert!((value_similarity(&a, &b) - 0.25).abs() < 1e-12);
+        assert!((GraphSimilarities::compute(&a, &b).vs - 0.25).abs() < 1e-12);
         // VS is symmetric here because the shared-edge ratio is.
-        assert!((value_similarity(&b, &a) - 0.25).abs() < 1e-12);
+        assert!((GraphSimilarities::compute(&b, &a).vs - 0.25).abs() < 1e-12);
     }
 
     #[test]
@@ -232,25 +180,6 @@ mod tests {
         let s = GraphSimilarities::compute(&a, &b);
         assert!((s.nvs - s.vs / s.ss).abs() < 1e-12);
         assert!(s.nvs >= s.vs);
-    }
-
-    #[test]
-    fn single_pass_compute_matches_standalone_measures_bitwise() {
-        let pairs = [
-            (g("pharmacy online store"), g("pharmacy store front")),
-            (g("viagra no prescription"), g("refill your prescription")),
-            (g("abcabcabc"), g("bcabca")),
-            (g(""), g("abcd")),
-            (g(""), g("")),
-        ];
-        for (a, b) in &pairs {
-            for (gi, gj) in [(a, b), (b, a)] {
-                let s = GraphSimilarities::compute(gi, gj);
-                assert_eq!(s.cs.to_bits(), containment_similarity(gi, gj).to_bits());
-                assert_eq!(s.ss.to_bits(), size_similarity(gi, gj).to_bits());
-                assert_eq!(s.vs.to_bits(), value_similarity(gi, gj).to_bits());
-            }
-        }
     }
 
     #[test]

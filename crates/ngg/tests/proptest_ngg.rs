@@ -76,7 +76,7 @@ proptest! {
         let graphs: Vec<_> = docs.iter().map(|d| builder.build(d)).collect();
         let mut class = ClassGraph::new();
         class.merge_all(graphs.iter());
-        let avg = class.average();
+        let avg = class.into_graph();
         for (f, t, w) in avg.iter_edges() {
             let mean: f64 = graphs
                 .iter()
