@@ -1,6 +1,6 @@
 //! Micro-benchmarks of the graph substrate: sharded corpus generation,
-//! CSR freeze, and the three power-iteration kernels — each on both the
-//! frozen CSR representation and the legacy adjacency [`WebGraph`].
+//! CSR freeze, and the three power-iteration kernels on the frozen CSR
+//! graph, plus the overlay re-rank and federation tier pairs.
 //!
 //! ```text
 //! microbench [--domains N] [--repeat R] [--out PATH]
@@ -11,8 +11,8 @@
 //! to stderr as they complete; `--out PATH` additionally writes one JSON
 //! document (schema `pharmaverify-microbench-v1`) with per-bench
 //! wall-clock seconds and items-per-second throughput. `cargo xtask
-//! bench` drives this binary and captures `BENCH_10.json` at the
-//! workspace root.
+//! bench` drives this binary, writes the report under `target/`, and
+//! gates it against the newest committed `BENCH_<n>.json`.
 //!
 //! The workload is the web-tier generator at `--domains N` (default
 //! 50000) under the reproduction seed, so the numbers describe the same
@@ -24,8 +24,8 @@ use pharmaverify_corpus::{
 };
 use pharmaverify_crawl::CrawlConfig;
 use pharmaverify_net::{
-    anti_trust_rank, pagerank, trust_rank, CsrGraph, GraphBuilder, IncrementalConfig, NodeId,
-    SpliceOverlay, TrustRankConfig, TrustTrajectory, WebGraph,
+    CsrGraph, GraphBuilder, IncrementalConfig, NodeId, SpliceOverlay, TrustRankConfig,
+    TrustTrajectory,
 };
 use std::time::Instant;
 
@@ -101,22 +101,6 @@ fn fill_builder(records: &[DomainRecord]) -> GraphBuilder {
         }
     }
     builder
-}
-
-/// Builds the legacy adjacency graph from the same records.
-fn fill_legacy(records: &[DomainRecord]) -> WebGraph {
-    let mut graph = WebGraph::new();
-    for record in records {
-        let node = if record.is_pharmacy {
-            graph.add_pharmacy(&record.domain)
-        } else {
-            graph.add_external(&record.domain)
-        };
-        for (target, weight) in &record.links {
-            graph.add_link(node, target, *weight);
-        }
-    }
-    graph
 }
 
 /// Resolves the generator's trusted-seed prefix against the frozen graph.
@@ -217,12 +201,8 @@ fn main() {
     results.push(bench("csr/freeze", raw_edges, "edges", repeat, || {
         fill_builder(&records).freeze()
     }));
-    results.push(bench("legacy/build", raw_edges, "edges", repeat, || {
-        fill_legacy(&records)
-    }));
 
     let graph = fill_builder(&records).freeze();
-    let legacy = fill_legacy(&records);
     let seeds = resolve_seeds(config, &graph);
     let rank_config = TrustRankConfig::default();
     let traversals = graph.edge_count() * rank_config.iterations;
@@ -254,27 +234,6 @@ fn main() {
         "edge-traversals",
         repeat,
         || graph.anti_trust_rank(&seeds, &rank_config),
-    ));
-    results.push(bench(
-        "legacy/trust_rank",
-        traversals,
-        "edge-traversals",
-        repeat,
-        || trust_rank(&legacy, &seeds, &rank_config),
-    ));
-    results.push(bench(
-        "legacy/pagerank",
-        traversals,
-        "edge-traversals",
-        repeat,
-        || pagerank(&legacy, &rank_config),
-    ));
-    results.push(bench(
-        "legacy/anti_trust_rank",
-        traversals,
-        "edge-traversals",
-        repeat,
-        || anti_trust_rank(&legacy, &seeds, &rank_config),
     ));
 
     // Online-serving pair: re-rank after splicing one pharmacy over the

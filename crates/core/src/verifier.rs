@@ -525,19 +525,9 @@ impl TrainedVerifier {
     ///
     /// No site ever clones the base graph: each is spliced into the
     /// overlay's delta, propagated, and rolled back via
-    /// [`SpliceOverlay::unsplice`] before the next. Two further savings
-    /// fall out of the splice design:
-    ///
-    /// * a site whose domain is *not* a node of the training graph skips
-    ///   the *trust* propagation — nothing in the training graph links
-    ///   to a fresh domain, so every TrustRank iteration assigns it
-    ///   exactly `0.0` mass (teleport is seeds-only and dangling mass
-    ///   returns to the seeds), and `verify` would compute a trust score
-    ///   of exactly `0.0` for it. Distrust is different: a fresh site
-    ///   gathers anti-trust through its *own* out-links, so the
-    ///   incremental anti-trust kernel still runs;
-    /// * the overlay's delta structures are reused across the batch, so
-    ///   per-site allocation is proportional to that site's links.
+    /// [`SpliceOverlay::unsplice`] before the next, so the overlay's
+    /// delta structures are reused across the batch and per-site
+    /// allocation is proportional to that site's links.
     ///
     /// Because `unsplice` clears the delta bit-for-bit and sites are
     /// crawled in argument order, the verdicts are **exactly** those of
@@ -556,14 +546,12 @@ impl TrainedVerifier {
             .iter()
             .map(|seed_url| {
                 let crawl = self.crawl_site(host, seed_url)?;
-                let verdict = if self.artifacts.graph.node(&crawl.domain).is_none() {
+                if self.artifacts.graph.node(&crawl.domain).is_none() {
                     obs.add("core/verifier/batch_fresh", 1);
-                    self.score_crawl_fresh(&crawl, &mut overlay)
                 } else {
                     obs.add("core/verifier/batch_spliced", 1);
-                    self.score_crawl(&crawl, &mut overlay)
-                };
-                Ok(verdict)
+                }
+                Ok(self.score_crawl(&crawl, &mut overlay))
             })
             .collect()
     }
@@ -608,7 +596,15 @@ impl TrainedVerifier {
 
     /// Scores a crawled site against an overlay over the frozen training
     /// graph (possibly reused across a batch): splice the site into the
-    /// delta, propagate trust, roll the delta back.
+    /// delta, propagate trust and distrust, roll the delta back.
+    ///
+    /// A site whose domain is *not* a node of the training graph skips
+    /// the *trust* propagation: nothing in the training graph links to a
+    /// fresh domain and it is not a seed, so every TrustRank iteration
+    /// assigns it exactly `0.0` (pinned in `pharmaverify-net`'s
+    /// proptests). Distrust is different: a fresh site gathers
+    /// anti-trust through its *own* out-links, so the anti-trust kernel
+    /// still runs.
     fn score_crawl(
         &self,
         crawl: &pharmaverify_crawl::CrawlResult,
@@ -621,27 +617,31 @@ impl TrainedVerifier {
             .map(|(target, count)| (target, count as f64))
             .collect();
         let node = overlay.splice_pharmacy(&crawl.domain, &links);
+        // Splicing appends a fresh domain past the base graph's ids.
+        let fresh = node as usize >= self.artifacts.graph.node_count();
         // Incremental re-rank from the recorded base trajectories: only
         // the spliced neighborhood is recomputed; when the touched
         // frontier exceeds the cap the kernels fall back to full
         // iteration. Exact mode keeps both paths bit-identical to a full
         // recompute.
-        let trust = overlay.trust_rank_incremental(&self.trajectory, &self.incremental);
         let obs = pharmaverify_obs::global();
-        match trust.outcome {
-            IncrementalOutcome::Incremental => obs.add("core/verifier/trust_incremental", 1),
-            IncrementalOutcome::FellBack => obs.add("core/verifier/trust_fallback", 1),
-        }
+        let raw_trust = if fresh {
+            0.0
+        } else {
+            let trust = overlay.trust_rank_incremental(&self.trajectory, &self.incremental);
+            match trust.outcome {
+                IncrementalOutcome::Incremental => obs.add("core/verifier/trust_incremental", 1),
+                IncrementalOutcome::FellBack => obs.add("core/verifier/trust_fallback", 1),
+            }
+            trust.scores[node as usize]
+        };
         let anti = overlay.anti_trust_rank_incremental(&self.anti_trajectory, &self.incremental);
         match anti.outcome {
             IncrementalOutcome::Incremental => obs.add("core/verifier/anti_incremental", 1),
             IncrementalOutcome::FellBack => obs.add("core/verifier/anti_fallback", 1),
         }
-        let (trust_score, distrust_score, spam_mass) = self.network_scores(
-            node,
-            trust.scores[node as usize],
-            anti.scores[node as usize],
-        );
+        let (trust_score, distrust_score, spam_mass) =
+            self.network_scores(node, raw_trust, anti.scores[node as usize]);
         overlay.unsplice();
         self.finish_verdict(
             crawl,
@@ -651,35 +651,6 @@ impl TrainedVerifier {
             distrust_score,
             spam_mass,
         )
-    }
-
-    /// Scores a crawled site whose domain has no node in the training
-    /// graph: its trust score is exactly `0.0` (see
-    /// [`TrainedVerifier::verify_batch`]), so the trust propagation is
-    /// skipped — but the site is still spliced so the incremental
-    /// anti-trust kernel can gather distrust through its out-links.
-    fn score_crawl_fresh(
-        &self,
-        crawl: &pharmaverify_crawl::CrawlResult,
-        overlay: &mut SpliceOverlay<'_>,
-    ) -> Verdict {
-        let (text_score, predicted) = self.text_component(&crawl_tokens(crawl));
-        let links: Vec<(String, f64)> = crawl
-            .outbound_endpoints()
-            .into_iter()
-            .map(|(target, count)| (target, count as f64))
-            .collect();
-        let node = overlay.splice_pharmacy(&crawl.domain, &links);
-        let anti = overlay.anti_trust_rank_incremental(&self.anti_trajectory, &self.incremental);
-        let obs = pharmaverify_obs::global();
-        match anti.outcome {
-            IncrementalOutcome::Incremental => obs.add("core/verifier/anti_incremental", 1),
-            IncrementalOutcome::FellBack => obs.add("core/verifier/anti_fallback", 1),
-        }
-        let (_, distrust_score, spam_mass) =
-            self.network_scores(node, 0.0, anti.scores[node as usize]);
-        overlay.unsplice();
-        self.finish_verdict(crawl, text_score, predicted, 0.0, distrust_score, spam_mass)
     }
 
     /// Teleport-adjusted, node-count-scaled network scores for a spliced
@@ -987,6 +958,8 @@ mod tests {
         );
     }
 
+    /// `verify_batch` reuses one overlay across the batch where `verify`
+    /// builds a fresh one per call: unsplicing must leave no residue.
     #[test]
     fn batch_matches_sequential_verify_exactly() {
         let (verifier, web) = verifier_and_web();
@@ -1027,7 +1000,7 @@ mod tests {
                 (g, w) => panic!("batch {g:?} vs sequential {w:?} for {url}"),
             }
         }
-        assert!(saw_fresh, "batch exercised no fresh-domain shortcut");
+        assert!(saw_fresh, "batch exercised no fresh domain");
         assert!(saw_member, "batch exercised no spliced propagation");
     }
 
@@ -1038,6 +1011,14 @@ mod tests {
         let batch = verifier.verify_batch(&snap.web, &["bogus", "http://offline-pharmacy.com/"]);
         assert!(matches!(batch[0], Err(VerifyError::BadUrl(_))));
         assert!(matches!(batch[1], Err(VerifyError::EmptySite(_))));
+    }
+
+    #[test]
+    fn verdict_sources_order_cheapest_first() {
+        use VerdictSource::*;
+        assert!(ResponseCache < VerdictStore);
+        assert!(VerdictStore < TextOnly);
+        assert!(TextOnly < GraphSpliced);
     }
 
     #[test]

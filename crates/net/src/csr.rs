@@ -1,12 +1,10 @@
 //! Frozen compressed-sparse-row (CSR) web graph and block-based rank
-//! kernels.
+//! kernels — the one graph representation every ranking runs on.
 //!
-//! The adjacency representation of [`crate::WebGraph`] is convenient to
-//! mutate but pointer-chasing to traverse: every node owns a separate
-//! edge `Vec`, and TrustRank spends its time hopping between them. At
-//! web scale (10⁵–10⁶ domains) the propagation kernels dominate the
-//! pipeline, so this module splits graph *construction* from graph
-//! *traversal*:
+//! The graph is the domain graph of Algorithm 1 (`GRAPH-CREATION` in the
+//! paper): every pharmacy contributes a node, and the `endpoint()` of
+//! every outbound link target becomes a node with a directed, weighted
+//! edge. Construction and traversal are split:
 //!
 //! * [`GraphBuilder`] keeps the mutable interning API (`add_pharmacy`,
 //!   `add_external`, `add_link`) but records raw edge triples without
@@ -18,25 +16,22 @@
 //!   (`t_offsets`/`t_sources`/`t_weights`) so `anti_trust_rank` never
 //!   re-interns a single domain name.
 //!
-//! # Bit-identity with the adjacency kernels
+//! # Summation order
 //!
-//! The legacy kernels *push*: for `u` in ascending id order, node `u`
-//! scatters `mass·w/out(u)` into each target. Each `(u, v)` pair carries
-//! one merged weight, so target `v` accumulates its contributions in
-//! ascending-source order. The CSR kernels *gather*: element `v` sums
-//! over its in-edges, which the counting-sort transpose stores in
-//! ascending-source order — the same additions in the same order, so the
-//! score vectors are bit-identical (see the proptests in
-//! `tests/proptest_net.rs`). Two caveats make this exact:
+//! The kernels *gather*: element `v` sums over its in-edges, which the
+//! counting-sort transpose stores in ascending-source order. That is the
+//! accumulation order of a *push* kernel that visits sources in
+//! ascending id order and scatters `mass·w/out(u)` into each target, so
+//! the score vectors are bit-identical to that push order. The contract
+//! is pinned against a push-order reference kernel over a plain edge
+//! list in `tests/reference_oracle.rs`:
 //!
-//! * duplicate links are merged by summing in insertion order (stable
-//!   sort + left-to-right adjacent merge), matching the incremental
-//!   `*w += weight` of the adjacency path bit for bit;
-//! * per-node out-weights are summed in sorted-target order rather than
-//!   insertion order. Link weights in this system are integer-valued
-//!   link *counts* (Algorithm 1 multiplicities), whose f64 sums are
-//!   exact in any order; graphs with non-integer weights may differ in
-//!   the last ulp of the normalizer.
+//! * duplicate links merge by summing in insertion order (stable sort +
+//!   left-to-right adjacent merge);
+//! * per-node out-weights are summed over the merged row in
+//!   ascending-target order;
+//! * dangling mass (from nodes with no out-edges) is summed serially in
+//!   ascending node order and returns through the teleport vector.
 //!
 //! # Determinism under parallel dispatch
 //!
@@ -46,9 +41,29 @@
 //! determinism audit enforces this end-to-end (serial vs 4-worker runs
 //! of the web tier).
 
-use crate::graph::NodeId;
-use crate::trustrank::TrustRankConfig;
 use std::collections::HashMap;
+
+/// Dense node identifier.
+pub type NodeId = u32;
+
+/// Power-iteration configuration shared by TrustRank, PageRank, and
+/// Anti-TrustRank.
+#[derive(Debug, Clone, Copy)]
+pub struct TrustRankConfig {
+    /// Decay / damping factor α (the original paper uses 0.85).
+    pub alpha: f64,
+    /// Number of propagation iterations (the original paper uses 20).
+    pub iterations: usize,
+}
+
+impl Default for TrustRankConfig {
+    fn default() -> Self {
+        TrustRankConfig {
+            alpha: 0.85,
+            iterations: 20,
+        }
+    }
+}
 
 /// Nodes per dispatch block: small enough to spread a web-scale graph
 /// over any realistic worker count, large enough that a paper-scale
@@ -74,9 +89,8 @@ impl BlockDispatch for SerialDispatch {
     }
 }
 
-/// Mutable graph under construction: the interning API of
-/// [`crate::WebGraph`], recording raw edges for a one-shot
-/// [`GraphBuilder::freeze`].
+/// Mutable graph under construction: domain interning plus raw edges,
+/// recorded for a one-shot [`GraphBuilder::freeze`].
 #[derive(Debug, Clone, Default)]
 pub struct GraphBuilder {
     names: Vec<String>,
@@ -120,8 +134,8 @@ impl GraphBuilder {
 
     /// Records a directed link `from → to_domain` with multiplicity
     /// `weight`. The target is created as a non-pharmacy node if unseen.
-    /// Unlike [`crate::WebGraph::add_link`] this is O(1): parallel links
-    /// are merged at freeze time, not probed per insert.
+    /// O(1): parallel links are merged at freeze time, not probed per
+    /// insert.
     ///
     /// # Panics
     /// Panics if `from` is not a valid node id or `weight` is not
@@ -175,9 +189,8 @@ impl GraphBuilder {
         }
 
         // Per-row stable sort by target + adjacent-duplicate merge. The
-        // stable sort keeps equal targets in insertion order, so the
-        // left-to-right `+=` reproduces the adjacency path's incremental
-        // merging bit for bit.
+        // stable sort keeps equal targets in insertion order, so
+        // duplicates sum left to right in insertion order.
         let mut offsets = Vec::with_capacity(n + 1);
         let mut targets: Vec<NodeId> = Vec::with_capacity(m);
         let mut weights: Vec<f64> = Vec::with_capacity(m);
@@ -372,13 +385,35 @@ impl CsrGraph {
 
     /// TrustRank over the frozen graph, serial. See
     /// [`CsrGraph::trust_rank_with`].
+    ///
+    /// # Examples
+    ///
+    /// ```
+    /// use pharmaverify_net::{GraphBuilder, TrustRankConfig};
+    ///
+    /// let mut b = GraphBuilder::new();
+    /// let seed = b.add_pharmacy("trusted.com");
+    /// b.add_link(seed, "partner.com", 1.0);
+    /// let g = b.freeze();
+    /// let trust = g.trust_rank(&[seed], &TrustRankConfig::default());
+    /// let partner = g.node("partner.com").unwrap() as usize;
+    /// assert!(trust[seed as usize] > trust[partner]);
+    /// assert!(trust[partner] > 0.0);
+    /// ```
     pub fn trust_rank(&self, seeds: &[NodeId], config: &TrustRankConfig) -> Vec<f64> {
         self.trust_rank_with(seeds, config, &SerialDispatch)
     }
 
-    /// TrustRank over the frozen graph with block-parallel gather,
-    /// bit-identical to [`crate::trust_rank`] on the equivalent
-    /// adjacency graph and to itself at any worker count.
+    /// TrustRank (Gyöngyi, Garcia-Molina, Pedersen; VLDB 2004) with
+    /// block-parallel gather, bit-identical at any worker count.
+    ///
+    /// Trust propagates from a seed of known-good pages through the link
+    /// structure, on the premise of *approximate isolation*: good pages
+    /// rarely point to bad ones. The iteration is biased PageRank,
+    /// `t ← α·T·t + (1 − α)·d`, with `T` the out-weight-normalized link
+    /// matrix and `d` the normalized seed distribution; dangling trust
+    /// returns to the seeds through `d` instead of vanishing, so the
+    /// scores sum to at most 1. An empty seed set yields all-zero trust.
     ///
     /// # Panics
     /// Panics if a seed id is out of range, `alpha` is outside `(0, 1)`,
@@ -411,13 +446,16 @@ impl CsrGraph {
         )
     }
 
-    /// PageRank (uniform teleport) over the frozen graph, serial.
+    /// PageRank over the frozen graph, serial: TrustRank with a uniform
+    /// teleport vector, kept for the ablation that measures how much of
+    /// the network signal comes from the trusted seed rather than raw
+    /// connectivity.
     pub fn pagerank(&self, config: &TrustRankConfig) -> Vec<f64> {
         self.pagerank_with(config, &SerialDispatch)
     }
 
-    /// PageRank with block-parallel gather, bit-identical to
-    /// [`crate::pagerank`] on the equivalent adjacency graph.
+    /// PageRank with block-parallel gather. Scores sum to ≈ 1 (dangling
+    /// mass is re-teleported uniformly).
     ///
     /// # Panics
     /// Panics if `alpha` is outside `(0, 1)` or `iterations` is 0.
@@ -448,16 +486,20 @@ impl CsrGraph {
         )
     }
 
-    /// Anti-TrustRank (distrust from known-bad seeds over reversed
-    /// edges), serial. See [`CsrGraph::anti_trust_rank_with`].
+    /// Anti-TrustRank (Krishnan & Raj, AIRWeb 2006; the paper's related
+    /// work \[20\]), serial. See [`CsrGraph::anti_trust_rank_with`].
+    ///
+    /// Distrust propagates *backward* from known-bad seeds: a page that
+    /// links to a bad page is itself suspicious. Illegitimate pharmacies
+    /// link to affiliate hubs, so distrust seeded anywhere in the network
+    /// flows back to every member of the affiliate ring.
     pub fn anti_trust_rank(&self, bad_seeds: &[NodeId], config: &TrustRankConfig) -> Vec<f64> {
         self.anti_trust_rank_with(bad_seeds, config, &SerialDispatch)
     }
 
     /// Anti-TrustRank with block-parallel gather: TrustRank over the
     /// transposed graph, using the precomputed transpose arrays — no
-    /// string re-interning, unlike [`crate::transpose`]. Bit-identical
-    /// to [`crate::anti_trust_rank`] on the equivalent adjacency graph.
+    /// string re-interning.
     ///
     /// The roles swap: propagation walks the transpose (rows =
     /// `t_offsets`), so the *gather* side is the forward CSR, whose
@@ -496,8 +538,7 @@ impl CsrGraph {
     }
 }
 
-/// Validates the shared kernel configuration with the same contract (and
-/// messages) as the adjacency kernels.
+/// Validates the shared kernel configuration.
 fn validate(config: &TrustRankConfig) {
     assert!(
         config.alpha > 0.0 && config.alpha < 1.0,
@@ -552,7 +593,7 @@ fn propagate(
     let mut t = d.to_vec();
     for _ in 0..config.iterations {
         // Dangling mass accumulates serially in ascending node order —
-        // the exact summation order of the push kernels.
+        // the summation order of a push kernel.
         let mut dangling = 0.0;
         for (u, &mass) in t.iter().enumerate() {
             if g.skip_zero_mass && mass == 0.0 {
@@ -592,24 +633,60 @@ fn propagate(
     t
 }
 
+/// The Figure 3 illustration: a small network of "good" (white) and "bad"
+/// (black) nodes. Returns `(graph, good_seeds, initial, converged)` where
+/// `initial` is the seed state (1 for seeds, 0 elsewhere) and `converged`
+/// the TrustRank scores — the two panels of the figure.
+pub fn trustrank_demo() -> (CsrGraph, Vec<NodeId>, Vec<f64>, Vec<f64>) {
+    let mut b = GraphBuilder::new();
+    // 4 good pages (0–3) forming a well-connected cluster, 3 bad pages
+    // (4–6) in a chain that receives a single link from a deceived good
+    // page (3 → 4) — the "approximate isolation of good pages" premise.
+    let ids: Vec<NodeId> = (0..7)
+        .map(|i| b.add_pharmacy(&format!("site{i}.example")))
+        .collect();
+    for (from, to) in [
+        (0, 1),
+        (1, 2),
+        (2, 3),
+        (3, 0),
+        (0, 2),
+        (3, 4),
+        (4, 5),
+        (5, 6),
+    ] {
+        b.add_link(ids[from], &format!("site{to}.example"), 1.0);
+    }
+    let graph = b.freeze();
+    let seeds = vec![ids[0], ids[1]];
+    let mut initial = vec![0.0; graph.node_count()];
+    for &s in &seeds {
+        initial[s as usize] = 1.0;
+    }
+    let converged = graph.trust_rank(&seeds, &TrustRankConfig::default());
+    (graph, seeds, initial, converged)
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::{anti_trust_rank, pagerank, trust_rank, trustrank_demo, WebGraph};
 
-    /// Builds the same graph twice: legacy adjacency and CSR builder.
-    fn both(edges: &[(usize, usize, f64)], n: usize) -> (WebGraph, CsrGraph) {
-        let mut legacy = WebGraph::new();
+    /// Freezes `n` pharmacies `n{i}.com` linked by `(from, to, weight)`.
+    fn build(edges: &[(usize, usize, f64)], n: usize) -> CsrGraph {
         let mut builder = GraphBuilder::new();
         for i in 0..n {
-            legacy.add_pharmacy(&format!("n{i}.com"));
             builder.add_pharmacy(&format!("n{i}.com"));
         }
         for &(a, b, w) in edges {
-            legacy.add_link(a as NodeId, &format!("n{b}.com"), w);
             builder.add_link(a as NodeId, &format!("n{b}.com"), w);
         }
-        (legacy, builder.freeze())
+        builder.freeze()
+    }
+
+    /// A chain `n0 → n1 → … → n{n-1}`.
+    fn chain(n: usize) -> CsrGraph {
+        let edges: Vec<(usize, usize, f64)> = (1..n).map(|i| (i - 1, i, 1.0)).collect();
+        build(&edges, n)
     }
 
     fn bits(v: &[f64]) -> Vec<u64> {
@@ -632,18 +709,8 @@ mod tests {
         let z = g.node("z.com").unwrap();
         assert!(row.contains(&(z, 5.0)), "2 + 3 merged: {row:?}");
         assert_eq!(g.out_weight(p), 6.0);
-    }
-
-    #[test]
-    fn builder_interning_matches_webgraph() {
-        let (legacy, csr) = both(&[(0, 1, 2.0), (1, 2, 1.0), (0, 2, 1.0)], 3);
-        assert_eq!(legacy.node_count(), csr.node_count());
-        assert_eq!(legacy.edge_count(), csr.edge_count());
-        for id in legacy.nodes() {
-            assert_eq!(legacy.name(id), csr.name(id));
-            assert_eq!(legacy.is_pharmacy(id), csr.is_pharmacy(id));
-            assert_eq!(legacy.node(legacy.name(id)), csr.node(csr.name(id)));
-        }
+        assert!(g.is_pharmacy(p));
+        assert!(!g.is_pharmacy(z), "link targets are external nodes");
     }
 
     #[test]
@@ -652,13 +719,18 @@ mod tests {
         let p = b.add_pharmacy("p.com");
         b.add_link(p, "x.com", 1.0);
         b.add_pharmacy("x.com");
+        b.add_external("p.com");
         let g = b.freeze();
         assert!(g.is_pharmacy(g.node("x.com").unwrap()));
+        assert!(
+            g.is_pharmacy(p),
+            "an external re-add keeps the pharmacy flag"
+        );
     }
 
     #[test]
     fn transpose_arrays_list_sources_ascending() {
-        let (_, csr) = both(&[(2, 0, 1.0), (1, 0, 1.0), (0, 1, 1.0)], 3);
+        let csr = build(&[(2, 0, 1.0), (1, 0, 1.0), (0, 1, 1.0)], 3);
         // Node 0 has in-edges from 1 and 2; transpose row must be
         // ascending by source.
         let row = &csr.t_sources[csr.t_offsets[0]..csr.t_offsets[1]];
@@ -667,43 +739,66 @@ mod tests {
     }
 
     #[test]
-    fn trustrank_matches_adjacency_bit_for_bit() {
-        let (legacy, csr) = both(
-            &[
-                (0, 1, 1.0),
-                (1, 2, 2.0),
-                (2, 0, 1.0),
-                (0, 2, 3.0),
-                (3, 0, 1.0),
-                (1, 2, 1.0), // duplicate, merges
-            ],
-            5, // node 4 is an isolated dangler
-        );
-        let cfg = TrustRankConfig::default();
-        let a = trust_rank(&legacy, &[0, 3], &cfg);
-        let b = csr.trust_rank(&[0, 3], &cfg);
-        assert_eq!(bits(&a), bits(&b));
+    fn transpose_reverses_edges() {
+        let mut b = GraphBuilder::new();
+        let p = b.add_pharmacy("pharm.com");
+        b.add_link(p, "fda.gov", 3.0);
+        b.add_link(p, "ext.org", 1.0);
+        let g = b.freeze();
+        let t = g.transposed();
+        assert_eq!((t.node_count(), t.edge_count()), (3, 2));
+        let fda = t.node("fda.gov").unwrap();
+        assert_eq!(t.out_edges(fda).collect::<Vec<_>>(), [(p, 3.0)]);
+        assert_eq!(t.out_edges(p).count(), 0, "p's out-edges became in-edges");
+        assert!(t.is_pharmacy(p) && !t.is_pharmacy(fda));
+        assert_eq!(t.transposed(), g, "transposing twice is the identity");
     }
 
     #[test]
-    fn pagerank_matches_adjacency_bit_for_bit() {
-        let (legacy, csr) = both(&[(0, 1, 1.0), (1, 2, 2.0), (2, 0, 1.0), (3, 1, 4.0)], 5);
-        let cfg = TrustRankConfig::default();
-        assert_eq!(bits(&pagerank(&legacy, &cfg)), bits(&csr.pagerank(&cfg)));
+    fn trust_decays_along_a_chain_and_dangling_mass_returns() {
+        let t = chain(5).trust_rank(&[0], &TrustRankConfig::default());
+        for w in t.windows(2) {
+            assert!(w[0] > w[1], "trust must decay: {t:?}");
+        }
+        assert!(t[4] > 0.0);
+        // n4 dangles: its mass returns to the seed instead of vanishing.
+        let sum: f64 = t.iter().sum();
+        assert!((sum - 1.0).abs() < 1e-9, "sum = {sum}");
     }
 
     #[test]
-    fn anti_trustrank_matches_adjacency_bit_for_bit() {
-        let (legacy, csr) = both(&[(0, 1, 1.0), (2, 1, 2.0), (1, 3, 1.0), (3, 0, 2.0)], 5);
-        let cfg = TrustRankConfig::default();
-        let a = anti_trust_rank(&legacy, &[1], &cfg);
-        let b = csr.anti_trust_rank(&[1], &cfg);
-        assert_eq!(bits(&a), bits(&b));
+    fn weighted_links_split_trust_proportionally() {
+        let g = build(&[(0, 1, 3.0), (0, 2, 1.0)], 3);
+        let t = g.trust_rank(&[0], &TrustRankConfig::default());
+        assert!((t[1] / t[2] - 3.0).abs() < 1e-9, "{t:?}");
+    }
+
+    #[test]
+    fn pagerank_favors_the_hub_and_stays_uniform_without_links() {
+        // Everyone links to n0 (the affiliate hub pattern of §6.3.2).
+        let hub = build(&[(1, 0, 1.0), (2, 0, 1.0), (3, 0, 1.0), (4, 0, 1.0)], 5);
+        let r = hub.pagerank(&TrustRankConfig::default());
+        assert!(r[1..].iter().all(|&x| x < r[0]), "{r:?}");
+        let isolated = build(&[], 3).pagerank(&TrustRankConfig::default());
+        assert!(isolated.iter().all(|&x| (x - 1.0 / 3.0).abs() < 1e-9));
+    }
+
+    #[test]
+    fn distrust_flows_back_to_linkers() {
+        // 0 → 1 → 2 with distrust seeded at 2: the closer linker gets more.
+        let d = chain(3).anti_trust_rank(&[2], &TrustRankConfig::default());
+        assert!(d[2] > d[1] && d[1] > d[0] && d[0] > 0.0, "{d:?}");
+        // Ring members linking to a distrusted hub (n0) inherit distrust;
+        // a site linking elsewhere stays clean.
+        let ring = build(&[(1, 0, 1.0), (2, 0, 1.0), (3, 0, 1.0), (4, 5, 1.0)], 6);
+        let d = ring.anti_trust_rank(&[0], &TrustRankConfig::default());
+        assert!(d[1..4].iter().all(|&x| x > 0.0), "{d:?}");
+        assert_eq!(d[4], 0.0);
     }
 
     #[test]
     fn transposed_trust_is_anti_trust_bit_for_bit() {
-        let (_, csr) = both(
+        let csr = build(
             &[
                 (0, 1, 1.0),
                 (2, 1, 2.0),
@@ -735,25 +830,23 @@ mod tests {
     }
 
     #[test]
-    fn demo_graph_matches_adjacency() {
-        let (legacy, seeds, _, converged) = trustrank_demo();
-        let mut b = GraphBuilder::new();
-        for id in legacy.nodes() {
-            b.add_pharmacy(legacy.name(id));
+    fn demo_good_cluster_outranks_bad_chain() {
+        let (graph, seeds, initial, converged) = trustrank_demo();
+        assert_eq!((graph.node_count(), graph.edge_count()), (7, 8));
+        // Initial state: exactly the seeds at 1.
+        assert_eq!(initial.iter().filter(|&&x| x == 1.0).count(), seeds.len());
+        // Converged: good cluster (0–3) all positive, and every good node
+        // outranks every node of the bad chain (4–6).
+        let min_good = converged[..4].iter().copied().fold(f64::INFINITY, f64::min);
+        assert!(min_good > 0.0, "{converged:?}");
+        for (bad, &value) in converged.iter().enumerate().skip(4) {
+            assert!(value < min_good, "bad node {bad}: {value} !< {min_good}");
         }
-        for u in legacy.nodes() {
-            for &(v, w) in legacy.out_edges(u) {
-                b.add_link(u, legacy.name(v), w);
-            }
-        }
-        let csr = b.freeze();
-        let got = csr.trust_rank(&seeds, &TrustRankConfig::default());
-        assert_eq!(bits(&converged), bits(&got));
     }
 
     #[test]
     fn block_boundaries_do_not_change_bits() {
-        let (_, csr) = both(
+        let csr = build(
             &[
                 (0, 1, 1.0),
                 (1, 2, 1.0),
@@ -786,7 +879,7 @@ mod tests {
         let g = GraphBuilder::new().freeze();
         assert!(g.trust_rank(&[], &TrustRankConfig::default()).is_empty());
         assert!(g.pagerank(&TrustRankConfig::default()).is_empty());
-        let (_, csr) = both(&[(0, 1, 1.0)], 2);
+        let csr = build(&[(0, 1, 1.0)], 2);
         let t = csr.trust_rank(&[], &TrustRankConfig::default());
         assert!(t.iter().all(|&x| x == 0.0));
     }
@@ -794,15 +887,13 @@ mod tests {
     #[test]
     #[should_panic(expected = "out of range")]
     fn bad_seed_panics() {
-        let (_, csr) = both(&[(0, 1, 1.0)], 2);
-        csr.trust_rank(&[99], &TrustRankConfig::default());
+        build(&[(0, 1, 1.0)], 2).trust_rank(&[99], &TrustRankConfig::default());
     }
 
     #[test]
     #[should_panic(expected = "alpha")]
     fn bad_alpha_panics() {
-        let (_, csr) = both(&[(0, 1, 1.0)], 2);
-        csr.trust_rank(
+        build(&[(0, 1, 1.0)], 2).trust_rank(
             &[0],
             &TrustRankConfig {
                 alpha: 1.5,

@@ -50,10 +50,8 @@
 //! functions of (base, splice, config) — worker counts and wall clocks
 //! never enter.
 
-use crate::csr::CsrGraph;
-use crate::graph::NodeId;
+use crate::csr::{CsrGraph, NodeId, TrustRankConfig};
 use crate::overlay::SpliceOverlay;
-use crate::trustrank::TrustRankConfig;
 use std::collections::HashMap;
 
 /// The recorded power-iteration history of a frozen base graph under one

@@ -1,17 +1,15 @@
 //! Web link graph and trust propagation (§4.2 of the paper).
 //!
-//! * [`graph`] — the directed domain graph of Algorithm 1: pharmacy nodes
-//!   plus the external domains their outbound links point to;
-//! * [`trustrank`] — the TrustRank algorithm (Gyöngyi et al., VLDB 2004):
-//!   biased PageRank seeded with the known-legitimate pharmacies;
-//! * [`mod@pagerank`] — unbiased PageRank, kept for ablations (TrustRank with
-//!   a uniform teleport is exactly PageRank);
+//! * [`csr`] — the directed domain graph of Algorithm 1 (pharmacy nodes
+//!   plus the external domains their outbound links point to), built
+//!   through the [`GraphBuilder`] interning API and frozen into a
+//!   [`CsrGraph`] with contiguous edge arrays, a string-free transpose,
+//!   and block-based power iteration dispatched through any
+//!   [`BlockDispatch`] (worker-count independent by index-ordered
+//!   merge): TrustRank (Gyöngyi et al., VLDB 2004) seeded with the
+//!   known-legitimate pharmacies, its distrust counterpart
+//!   Anti-TrustRank, and unbiased PageRank for ablations;
 //! * [`linked`] — the most-linked-to analysis behind Table 11;
-//! * [`csr`] — the frozen compact-sparse-row representation the production
-//!   pipeline ranks on: [`GraphBuilder`] interning API → [`CsrGraph`] with
-//!   contiguous edge arrays, a string-free transpose, and block-based power
-//!   iteration dispatched through any [`BlockDispatch`] (worker-count
-//!   independent by index-ordered merge);
 //! * [`overlay`] — [`SpliceOverlay`], the delta side structure that lets
 //!   verification splice a candidate pharmacy over a frozen [`CsrGraph`]
 //!   without cloning or mutating the base arrays;
@@ -21,20 +19,14 @@
 //!   neighborhood, with a deterministic tolerance boundary and a
 //!   frontier-capped fallback to the full kernel.
 
-pub mod anti_trustrank;
 pub mod csr;
-pub mod graph;
 pub mod incremental;
 pub mod linked;
 pub mod overlay;
-pub mod pagerank;
-pub mod trustrank;
 
-pub use anti_trustrank::{anti_trust_rank, transpose};
-pub use csr::{BlockDispatch, CsrGraph, GraphBuilder, SerialDispatch};
-pub use graph::{NodeId, Splice, WebGraph};
+pub use csr::{
+    trustrank_demo, BlockDispatch, CsrGraph, GraphBuilder, NodeId, SerialDispatch, TrustRankConfig,
+};
 pub use incremental::{IncrementalConfig, IncrementalOutcome, IncrementalTrust, TrustTrajectory};
 pub use linked::{top_linked, LinkedSite};
 pub use overlay::SpliceOverlay;
-pub use pagerank::pagerank;
-pub use trustrank::{trust_rank, trustrank_demo, TrustRankConfig};

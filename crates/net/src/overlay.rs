@@ -2,25 +2,25 @@
 //!
 //! Batch verification needs to add a candidate pharmacy (and its unseen
 //! link targets) to the training graph, propagate trust, and roll the
-//! graph back — thousands of times per workload. The adjacency path
-//! solved this with [`crate::WebGraph::splice_pharmacy`] on a per-batch
-//! *clone* of the whole graph; a frozen CSR graph cannot be mutated at
-//! all, so [`SpliceOverlay`] layers the delta in a small side structure
-//! instead: the base arrays are never touched, never copied, and may be
-//! shared by any number of concurrent overlays.
+//! graph back — thousands of times per workload. A frozen CSR graph
+//! cannot be mutated at all, so [`SpliceOverlay`] layers the delta in a
+//! small side structure instead: the base arrays are never touched, never
+//! copied, and may be shared by any number of concurrent overlays.
 //!
-//! The overlay replicates the splice semantics of the adjacency path
-//! exactly — same node ids (appended nodes get ids from the base node
-//! count upward in first-appearance order), same incremental
-//! duplicate-link merging, same self-link skip — and its serial push
-//! kernel visits nodes in the same order as [`crate::trust_rank`], so
-//! the trust vector is bit-identical to cloning the adjacency graph and
-//! splicing into it (proptested in `tests/proptest_net.rs`; integer
-//! link weights, see the `csr` module docs for the normalizer caveat).
+//! The overlaid view is the graph a [`crate::GraphBuilder`] would freeze
+//! from the base links followed by the splice's — same node ids
+//! (appended nodes get ids from the base node count upward in
+//! first-appearance order), duplicate links merged left to right onto
+//! the base weight, self-links skipped — and its serial push kernels
+//! visit sources in ascending id order, so trust and distrust are
+//! bit-identical to the push-order reference kernel on that edge list
+//! (proptested in `tests/reference_oracle.rs`). One caveat: the spliced
+//! row's out-weight is summed in row order rather than ascending-target
+//! order. Link weights in this system are integer link *counts*
+//! (Algorithm 1 multiplicities), whose f64 sums are exact in any order;
+//! non-integer weights may differ in the last ulp of that normalizer.
 
-use crate::csr::CsrGraph;
-use crate::graph::NodeId;
-use crate::trustrank::TrustRankConfig;
+use crate::csr::{CsrGraph, NodeId, TrustRankConfig};
 use std::collections::HashMap;
 
 /// The spliced node's replacement forward row, when the domain already
@@ -148,11 +148,10 @@ impl<'g> SpliceOverlay<'g> {
     }
 
     /// Splices a pharmacy node for `domain` with the given outbound
-    /// `links` over the base graph, returning its node id. Semantics
-    /// mirror [`crate::WebGraph::splice_pharmacy`]: a preexisting domain
-    /// keeps its id and gains the links on top of its base row; unseen
-    /// targets are appended in first-appearance order; self-links are
-    /// skipped; duplicate links merge incrementally.
+    /// `links` over the base graph, returning its node id. A preexisting
+    /// domain keeps its id and gains the links on top of its base row;
+    /// unseen targets are appended in first-appearance order; self-links
+    /// are skipped; duplicate links merge left to right.
     ///
     /// # Panics
     /// Panics if a splice is already active or a link weight is not
@@ -193,8 +192,8 @@ impl<'g> SpliceOverlay<'g> {
         node
     }
 
-    /// Merges a link out of the spliced node, matching the incremental
-    /// `*w += weight` of the adjacency path.
+    /// Merges a link out of the spliced node: a duplicate target adds
+    /// its weight onto the existing one (`*w += weight`).
     fn merge_link(&mut self, from: NodeId, to: NodeId, weight: f64) {
         let base_n = self.base.node_count();
         let (edges, pos) = match &mut self.replaced {
@@ -273,11 +272,10 @@ impl<'g> SpliceOverlay<'g> {
         }
     }
 
-    /// TrustRank over the overlaid view: the push iteration of
-    /// [`crate::trust_rank`], node for node, so the result is
-    /// bit-identical to cloning the adjacency graph and splicing into
-    /// it. Serial — the overlay serves one splice at a time, and the
-    /// spliced graphs stay at training size.
+    /// TrustRank over the overlaid view: a push iteration over sources
+    /// in ascending id order, bit-identical to [`CsrGraph::trust_rank`]
+    /// on the frozen overlaid graph. Serial — the overlay serves one
+    /// splice at a time, and the spliced graphs stay at training size.
     ///
     /// # Panics
     /// Panics if a seed id is out of range, `alpha` is outside `(0, 1)`,
@@ -381,7 +379,7 @@ impl<'g> SpliceOverlay<'g> {
     /// transposed view, visiting nodes in ascending id order;
     /// bit-identical to rebuilding the overlaid graph with
     /// [`crate::GraphBuilder`] and calling [`CsrGraph::anti_trust_rank`]
-    /// (proptested in `tests/proptest_net.rs`), and to the base's
+    /// (proptested in `tests/reference_oracle.rs`), and to the base's
     /// `anti_trust_rank` when nothing is spliced.
     ///
     /// # Panics
@@ -467,43 +465,18 @@ impl<'g> SpliceOverlay<'g> {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::{trust_rank, GraphBuilder, WebGraph};
+    use crate::GraphBuilder;
 
-    /// The splice test fixture of `graph.rs`, in both representations.
-    fn training_pair() -> (WebGraph, CsrGraph) {
-        let mut legacy = WebGraph::new();
+    /// Two training pharmacies linking to each other and to one external
+    /// domain.
+    fn training_graph() -> CsrGraph {
         let mut builder = GraphBuilder::new();
-        for g in [&mut legacy as &mut dyn Interner, &mut builder] {
-            let a = g.pharmacy("a.com");
-            let b = g.pharmacy("b.com");
-            g.link(a, "b.com", 2.0);
-            g.link(a, "ext.org", 1.0);
-            g.link(b, "ext.org", 3.0);
-        }
-        (legacy, builder.freeze())
-    }
-
-    /// Uniform construction over both graph APIs, so fixtures stay in
-    /// lockstep.
-    trait Interner {
-        fn pharmacy(&mut self, d: &str) -> NodeId;
-        fn link(&mut self, from: NodeId, to: &str, w: f64);
-    }
-    impl Interner for WebGraph {
-        fn pharmacy(&mut self, d: &str) -> NodeId {
-            self.add_pharmacy(d)
-        }
-        fn link(&mut self, from: NodeId, to: &str, w: f64) {
-            self.add_link(from, to, w);
-        }
-    }
-    impl Interner for GraphBuilder {
-        fn pharmacy(&mut self, d: &str) -> NodeId {
-            self.add_pharmacy(d)
-        }
-        fn link(&mut self, from: NodeId, to: &str, w: f64) {
-            self.add_link(from, to, w);
-        }
+        let a = builder.add_pharmacy("a.com");
+        let b = builder.add_pharmacy("b.com");
+        builder.add_link(a, "b.com", 2.0);
+        builder.add_link(a, "ext.org", 1.0);
+        builder.add_link(b, "ext.org", 3.0);
+        builder.freeze()
     }
 
     fn bits(v: &[f64]) -> Vec<u64> {
@@ -512,7 +485,7 @@ mod tests {
 
     #[test]
     fn fresh_splice_appends_and_unsplice_restores() {
-        let (_, csr) = training_pair();
+        let csr = training_graph();
         let mut ov = SpliceOverlay::new(&csr);
         let before_nodes = ov.node_count();
         let node = ov.splice_pharmacy(
@@ -537,7 +510,7 @@ mod tests {
 
     #[test]
     fn preexisting_splice_layers_over_base_row() {
-        let (_, csr) = training_pair();
+        let csr = training_graph();
         let mut ov = SpliceOverlay::new(&csr);
         let ext = csr.node("ext.org").unwrap();
         assert!(!csr.is_pharmacy(ext));
@@ -553,14 +526,12 @@ mod tests {
         assert_eq!(ov.out_weight(ext), 0.0, "base row untouched");
     }
 
-    /// Mirror of `graph.rs`'s
-    /// `splice_of_preexisting_domain_restores_prior_edges_and_flag` for
-    /// the overlay: after unsplicing a splice over a preexisting domain,
+    /// After unsplicing a splice over a preexisting domain,
     /// every observable of the view — names, flags, edge rows, weights,
     /// and propagation bits — is restored exactly.
     #[test]
     fn splice_of_preexisting_domain_restores_prior_state_bit_exactly() {
-        let (_, csr) = training_pair();
+        let csr = training_graph();
         let cfg = TrustRankConfig::default();
         let state = |ov: &SpliceOverlay| {
             let mut rows = Vec::new();
@@ -614,7 +585,7 @@ mod tests {
 
     #[test]
     fn splice_skips_self_links_and_merges_duplicates() {
-        let (_, csr) = training_pair();
+        let csr = training_graph();
         let mut ov = SpliceOverlay::new(&csr);
         let node = ov.splice_pharmacy(
             "p.com",
@@ -631,17 +602,17 @@ mod tests {
     #[test]
     #[should_panic(expected = "active splice")]
     fn double_splice_panics() {
-        let (_, csr) = training_pair();
+        let csr = training_graph();
         let mut ov = SpliceOverlay::new(&csr);
         ov.splice_pharmacy("one.com", &[]);
         ov.splice_pharmacy("two.com", &[]);
     }
 
     /// The equivalence that lets the verifier drop its graph clones:
-    /// overlay propagation == clone + splice + adjacency propagation.
+    /// overlay propagation == freezing the overlaid graph from scratch.
     #[test]
-    fn overlay_trust_matches_clone_and_splice() {
-        let (legacy, csr) = training_pair();
+    fn overlay_trust_matches_rebuilt_frozen_graph() {
+        let csr = training_graph();
         let cfg = TrustRankConfig::default();
         let seeds = [0, 1];
         for (domain, links) in [
@@ -658,13 +629,9 @@ mod tests {
                 vec![("ext.org".to_string(), 1.0), ("b.com".to_string(), 9.0)],
             ),
         ] {
-            let mut cloned = legacy.clone();
-            let splice = cloned.splice_pharmacy(domain, &links);
-            let want = trust_rank(&cloned, &seeds, &cfg);
-            cloned.unsplice(splice);
-
             let mut ov = SpliceOverlay::new(&csr);
             let node = ov.splice_pharmacy(domain, &links);
+            let want = rebuild_overlaid(&ov).trust_rank(&seeds, &cfg);
             let got = ov.trust_rank(&seeds, &cfg);
             ov.unsplice();
 
@@ -679,11 +646,11 @@ mod tests {
 
     #[test]
     fn unspliced_overlay_matches_base_trust() {
-        let (legacy, csr) = training_pair();
+        let csr = training_graph();
         let cfg = TrustRankConfig::default();
         let ov = SpliceOverlay::new(&csr);
         assert_eq!(
-            bits(&trust_rank(&legacy, &[0], &cfg)),
+            bits(&csr.trust_rank(&[0], &cfg)),
             bits(&ov.trust_rank(&[0], &cfg))
         );
     }
@@ -722,7 +689,7 @@ mod tests {
 
     #[test]
     fn unspliced_overlay_matches_base_anti_trust() {
-        let (_, csr) = training_pair();
+        let csr = training_graph();
         let cfg = TrustRankConfig::default();
         let ov = SpliceOverlay::new(&csr);
         let ext = csr.node("ext.org").unwrap();
@@ -732,13 +699,13 @@ mod tests {
         );
     }
 
-    /// The anti-trust analogue of `overlay_trust_matches_clone_and_splice`:
+    /// The anti-trust analogue of `overlay_trust_matches_rebuilt_frozen_graph`:
     /// overlay distrust == freezing the overlaid graph and running the
     /// CSR anti-trust kernel, for fresh, preexisting-external, and
     /// preexisting-pharmacy splices.
     #[test]
     fn overlay_anti_trust_matches_rebuilt_frozen_graph() {
-        let (_, csr) = training_pair();
+        let csr = training_graph();
         let cfg = TrustRankConfig::default();
         let ext = csr.node("ext.org").unwrap();
         for (domain, links) in [
@@ -770,7 +737,7 @@ mod tests {
 
     #[test]
     fn spliced_candidate_gathers_distrust_through_its_links() {
-        let (_, csr) = training_pair();
+        let csr = training_graph();
         let cfg = TrustRankConfig::default();
         let mut ov = SpliceOverlay::new(&csr);
         // The candidate links toward the known-bad node, so distrust

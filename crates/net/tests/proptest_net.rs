@@ -1,12 +1,12 @@
-//! Property-based tests for the link graph and trust propagation —
-//! including the contract the CSR refactor rests on: the frozen
-//! [`CsrGraph`] kernels are **bit-identical** to the legacy adjacency
-//! kernels on any graph, and a [`SpliceOverlay`] splice/unsplice cycle
-//! restores the exact frozen scores.
+//! Property-based tests for the link graph and trust propagation:
+//! algorithm invariants of the frozen [`CsrGraph`] kernels, the
+//! [`SpliceOverlay`] splice/unsplice round trip, and the incremental
+//! kernels' tolerance and fallback contracts. Bit-identity against the
+//! push-order reference kernel lives in `tests/reference_oracle.rs`.
 
 use pharmaverify_net::{
-    anti_trust_rank, pagerank, trust_rank, CsrGraph, GraphBuilder, IncrementalConfig, NodeId,
-    SpliceOverlay, TrustRankConfig, TrustTrajectory, WebGraph,
+    CsrGraph, GraphBuilder, IncrementalConfig, NodeId, SpliceOverlay, TrustRankConfig,
+    TrustTrajectory,
 };
 use proptest::prelude::*;
 
@@ -18,23 +18,16 @@ fn random_graph() -> impl Strategy<Value = (usize, Vec<(usize, usize)>)> {
     })
 }
 
-fn build(n: usize, edges: &[(usize, usize)]) -> WebGraph {
-    let mut g = WebGraph::new();
-    let ids: Vec<NodeId> = (0..n)
-        .map(|i| g.add_pharmacy(&format!("n{i}.com")))
-        .collect();
-    for &(a, b) in edges {
-        if a != b {
-            g.add_link(ids[a], &format!("n{b}.com"), 1.0);
-        }
-    }
-    g
+/// Freezes `n` pharmacies `n{i}.com` linked by the unit-weight `edges`,
+/// self-links dropped.
+fn build(n: usize, edges: &[(usize, usize)]) -> CsrGraph {
+    let weighted: Vec<(usize, usize, f64)> = edges.iter().map(|&(a, b)| (a, b, 1.0)).collect();
+    build_weighted(&vec![true; n], &weighted)
 }
 
 /// A random *weighted* mixed graph: per-node pharmacy flags plus
 /// `edges[i] = (from, to, weight)` with integer weights in {1, 2, 3} and
-/// duplicate `(from, to)` pairs allowed — duplicates exercise the
-/// builder's freeze-time merge against the legacy incremental merge.
+/// duplicate `(from, to)` pairs allowed.
 #[allow(clippy::type_complexity)]
 fn random_weighted_graph() -> impl Strategy<Value = (Vec<bool>, Vec<(usize, usize, f64)>)> {
     (2usize..20).prop_flat_map(|n| {
@@ -44,30 +37,23 @@ fn random_weighted_graph() -> impl Strategy<Value = (Vec<bool>, Vec<(usize, usiz
     })
 }
 
-/// Builds the legacy adjacency graph and the frozen CSR graph from the
-/// same insertion sequence. Node ids coincide by construction: both
-/// representations intern domains in first-appearance order.
-fn build_both(pharmacy: &[bool], edges: &[(usize, usize, f64)]) -> (WebGraph, CsrGraph) {
-    let mut legacy = WebGraph::new();
+/// Freezes the weighted mixed graph, self-links dropped.
+fn build_weighted(pharmacy: &[bool], edges: &[(usize, usize, f64)]) -> CsrGraph {
     let mut builder = GraphBuilder::new();
     for (i, &is_pharmacy) in pharmacy.iter().enumerate() {
         let name = format!("n{i}.com");
         if is_pharmacy {
-            legacy.add_pharmacy(&name);
             builder.add_pharmacy(&name);
         } else {
-            legacy.add_external(&name);
             builder.add_external(&name);
         }
     }
     for &(a, b, w) in edges {
         if a != b {
-            let target = format!("n{b}.com");
-            legacy.add_link(a as NodeId, &target, w);
-            builder.add_link(a as NodeId, &target, w);
+            builder.add_link(a as NodeId, &format!("n{b}.com"), w);
         }
     }
-    (legacy, builder.freeze())
+    builder.freeze()
 }
 
 /// Seed ids selected by a random bit vector, clipped to the node range.
@@ -81,26 +67,6 @@ fn bits(scores: &[f64]) -> Vec<u64> {
     scores.iter().map(|s| s.to_bits()).collect()
 }
 
-/// Freeze a legacy adjacency graph into a `CsrGraph` with identical node
-/// ids, so spliced legacy graphs can pin the overlay kernels.
-fn freeze_adjacency(g: &WebGraph) -> CsrGraph {
-    let mut builder = GraphBuilder::new();
-    for id in g.nodes() {
-        if g.is_pharmacy(id) {
-            builder.add_pharmacy(g.name(id));
-        } else {
-            builder.add_external(g.name(id));
-        }
-    }
-    for u in g.nodes() {
-        for &(v, w) in g.out_edges(u) {
-            let target = g.name(v).to_owned();
-            builder.add_link(u, &target, w);
-        }
-    }
-    builder.freeze()
-}
-
 proptest! {
     /// Trust scores are non-negative and sum to at most 1 on any graph
     /// with any seed set.
@@ -110,10 +76,8 @@ proptest! {
         seed_bits in prop::collection::vec(any::<bool>(), 2..20),
     ) {
         let g = build(n, &edges);
-        let seeds: Vec<NodeId> = (0..n as NodeId)
-            .filter(|&i| seed_bits.get(i as usize).copied().unwrap_or(false))
-            .collect();
-        let t = trust_rank(&g, &seeds, &TrustRankConfig::default());
+        let seeds = seeds_from_bits(n, &seed_bits);
+        let t = g.trust_rank(&seeds, &TrustRankConfig::default());
         prop_assert_eq!(t.len(), n);
         for &x in &t {
             prop_assert!(x >= 0.0);
@@ -130,14 +94,13 @@ proptest! {
     #[test]
     fn unreachable_nodes_zero((n, edges) in random_graph()) {
         let g = build(n, &edges);
-        let seeds = vec![0 as NodeId];
-        let t = trust_rank(&g, &seeds, &TrustRankConfig::default());
+        let t = g.trust_rank(&[0], &TrustRankConfig::default());
         // BFS reachability from node 0.
         let mut reachable = vec![false; n];
         reachable[0] = true;
         let mut queue = vec![0 as NodeId];
         while let Some(u) = queue.pop() {
-            for &(v, _) in g.out_edges(u) {
+            for (v, _) in g.out_edges(u) {
                 if !reachable[v as usize] {
                     reachable[v as usize] = true;
                     queue.push(v);
@@ -155,8 +118,7 @@ proptest! {
     /// positive score (teleportation guarantees it).
     #[test]
     fn pagerank_sums_to_one((n, edges) in random_graph()) {
-        let g = build(n, &edges);
-        let r = pagerank(&g, &TrustRankConfig::default());
+        let r = build(n, &edges).pagerank(&TrustRankConfig::default());
         let sum: f64 = r.iter().sum();
         prop_assert!((sum - 1.0).abs() < 1e-6, "sum = {sum}");
         for &x in &r {
@@ -178,35 +140,6 @@ proptest! {
         prop_assert_eq!(g.edge_count(), distinct.len());
     }
 
-    /// The three CSR kernels reproduce the legacy adjacency kernels
-    /// **bit for bit** on any weighted graph with duplicate links — the
-    /// refactor's core contract: freezing is a representation change,
-    /// never a numeric one.
-    #[test]
-    fn csr_kernels_match_legacy_bit_for_bit(
-        (pharmacy, edges) in random_weighted_graph(),
-        seed_bits in prop::collection::vec(any::<bool>(), 2..20),
-    ) {
-        let n = pharmacy.len();
-        let (legacy, csr) = build_both(&pharmacy, &edges);
-        prop_assert_eq!(csr.node_count(), legacy.node_count());
-        prop_assert_eq!(csr.edge_count(), legacy.edge_count());
-        let seeds = seeds_from_bits(n, &seed_bits);
-        let config = TrustRankConfig::default();
-        prop_assert_eq!(
-            bits(&csr.trust_rank(&seeds, &config)),
-            bits(&trust_rank(&legacy, &seeds, &config))
-        );
-        prop_assert_eq!(
-            bits(&csr.pagerank(&config)),
-            bits(&pagerank(&legacy, &config))
-        );
-        prop_assert_eq!(
-            bits(&csr.anti_trust_rank(&seeds, &config)),
-            bits(&anti_trust_rank(&legacy, &seeds, &config))
-        );
-    }
-
     /// A splice/unsplice cycle on the overlay restores the exact frozen
     /// state: scores after unsplicing are bit-identical to the base
     /// graph's, and the spliced candidate is gone.
@@ -217,7 +150,7 @@ proptest! {
         link_bits in prop::collection::vec(any::<bool>(), 2..20),
     ) {
         let n = pharmacy.len();
-        let (_, csr) = build_both(&pharmacy, &edges);
+        let csr = build_weighted(&pharmacy, &edges);
         let seeds = seeds_from_bits(n, &seed_bits);
         let config = TrustRankConfig::default();
         let base = csr.trust_rank(&seeds, &config);
@@ -240,61 +173,48 @@ proptest! {
         prop_assert_eq!(bits(&overlay.trust_rank(&seeds, &config)), bits(&base));
     }
 
-    /// Anti-trust parity on adversarially-shaped graphs: the CSR kernel,
-    /// the transposed-graph trust kernel, and the unspliced overlay all
-    /// reproduce the legacy adjacency `anti_trust_rank` **bit for bit**
-    /// on graphs with *forced* dangling structure — `cut` nodes lose
-    /// every in- and out-edge, so they are dangling under both
-    /// propagation directions — and bad-seed sets drawn to overlap the
-    /// cut set (seeds that are themselves dangling) and to be reused as
-    /// trust seeds (good/bad seed overlap).
+    /// The premise behind the verifier skipping trust propagation for a
+    /// domain absent from the training graph: nothing links to it, and
+    /// it is not a seed, so both the full and the incremental kernel
+    /// give it exactly `0.0` trust.
     #[test]
-    fn anti_trust_parity_with_dangling_and_overlapping_seeds(
+    fn fresh_domain_gets_exactly_zero_trust(
         (pharmacy, edges) in random_weighted_graph(),
-        cut in prop::collection::vec(0usize..20, 1..4),
         seed_bits in prop::collection::vec(any::<bool>(), 2..20),
+        links in prop::collection::vec((0usize..24, 1usize..4), 0..6),
     ) {
         let n = pharmacy.len();
-        let cut: Vec<usize> = cut.into_iter().map(|c| c % n).collect();
-        let edges: Vec<(usize, usize, f64)> = edges
-            .into_iter()
-            .filter(|&(a, b, _)| !cut.contains(&a) && !cut.contains(&b))
-            .collect();
-        let (legacy, csr) = build_both(&pharmacy, &edges);
-        // Bad seeds: the random draw plus every cut node, so the seed
-        // set always overlaps the dangling set.
-        let mut bad = seeds_from_bits(n, &seed_bits);
-        for &c in &cut {
-            bad.push(c as NodeId);
-        }
-        bad.sort_unstable();
-        bad.dedup();
+        let csr = build_weighted(&pharmacy, &edges);
+        let seeds = seeds_from_bits(n, &seed_bits);
         let cfg = TrustRankConfig::default();
-        let want = anti_trust_rank(&legacy, &bad, &cfg);
-        prop_assert_eq!(bits(&csr.anti_trust_rank(&bad, &cfg)), bits(&want));
-        prop_assert_eq!(bits(&csr.transposed().trust_rank(&bad, &cfg)), bits(&want));
-        let ov = SpliceOverlay::new(&csr);
-        prop_assert_eq!(bits(&ov.anti_trust_rank(&bad, &cfg)), bits(&want));
-        // The same (overlapping) seed set as *trust* seeds: forward and
-        // reversed propagation stay independently bit-identical.
-        prop_assert_eq!(
-            bits(&csr.trust_rank(&bad, &cfg)),
-            bits(&trust_rank(&legacy, &bad, &cfg))
-        );
+        let traj = TrustTrajectory::compute(&csr, &seeds, &cfg);
+        let links: Vec<(String, f64)> = links
+            .iter()
+            .map(|&(t, w)| (format!("n{t}.com"), w as f64))
+            .collect();
+        let mut overlay = SpliceOverlay::new(&csr);
+        let node = overlay.splice_pharmacy("fresh.example", &links) as usize;
+        prop_assert_eq!(overlay.trust_rank(&seeds, &cfg)[node].to_bits(), 0.0f64.to_bits());
+        for max_frontier in [0, n + 64] {
+            let config = IncrementalConfig { tolerance: 0.0, max_frontier };
+            let inc = overlay.trust_rank_incremental(&traj, &config);
+            prop_assert_eq!(inc.scores[node].to_bits(), 0.0f64.to_bits());
+        }
     }
 
-    /// Random *attack* churn for the anti-trust path: each splice is a
-    /// candidate wiring itself into the graph (the link-farm access
-    /// pattern), and after every splice the incremental anti-trust
-    /// replay must match the full overlay kernel — bit-identical in
-    /// exact mode, within the documented bound in tolerance mode,
-    /// bit-identical through the zero-cap fallback — while the full
-    /// kernel itself is pinned against freezing the overlaid graph from
-    /// scratch. After every unsplice the replay reproduces the base
-    /// anti-trust bits.
+    /// Random churn: interleaved splice/unsplice sequences over one
+    /// overlay and one recorded trajectory per direction — trust from
+    /// good seeds, anti-trust (the link-farm access pattern) from bad
+    /// ones. After every splice each incremental kernel must match its
+    /// full overlay kernel — bit-identical in exact mode, within the
+    /// documented `tolerance·F/(1−α)` bound in tolerance mode, and
+    /// bit-identical again through the zero-cap fallback path; after
+    /// every unsplice it must reproduce the base trajectory's final
+    /// bits.
     #[test]
-    fn anti_incremental_matches_full_over_random_attack_churn(
+    fn incremental_matches_full_over_random_churn(
         (pharmacy, edges) in random_weighted_graph(),
+        seed_bits in prop::collection::vec(any::<bool>(), 2..20),
         bad_bits in prop::collection::vec(any::<bool>(), 2..20),
         churn in prop::collection::vec(
             ((0usize..24), prop::collection::vec((0usize..24, 1usize..4), 0..6)),
@@ -302,64 +222,11 @@ proptest! {
         ),
     ) {
         let n = pharmacy.len();
-        let (legacy, csr) = build_both(&pharmacy, &edges);
-        let bad = seeds_from_bits(n, &bad_bits);
-        let cfg = TrustRankConfig::default();
-        let traj = TrustTrajectory::compute(&csr.transposed(), &bad, &cfg);
-        let exact = IncrementalConfig { tolerance: 0.0, max_frontier: n + 64 };
-        let loose = IncrementalConfig { tolerance: 1e-9, max_frontier: n + 64 };
-        let capped = IncrementalConfig { tolerance: 0.0, max_frontier: 0 };
-        let bound = loose.tolerance * loose.max_frontier as f64 / (1.0 - cfg.alpha);
-        let mut overlay = SpliceOverlay::new(&csr);
-        for (dom, links) in churn {
-            let domain = format!("n{dom}.com");
-            let links: Vec<(String, f64)> = links
-                .iter()
-                .map(|&(t, w)| (format!("n{t}.com"), w as f64))
-                .collect();
-            overlay.splice_pharmacy(&domain, &links);
-            let full = overlay.anti_trust_rank(&bad, &cfg);
-            // Pin the full overlay kernel against a from-scratch freeze
-            // of the overlaid graph (same ids by construction).
-            let mut spliced_legacy = legacy.clone();
-            spliced_legacy.splice_pharmacy(&domain, &links);
-            let rebuilt = freeze_adjacency(&spliced_legacy);
-            prop_assert_eq!(bits(&rebuilt.anti_trust_rank(&bad, &cfg)), bits(&full));
-            let inc = overlay.anti_trust_rank_incremental(&traj, &exact);
-            prop_assert_eq!(bits(&inc.scores), bits(&full));
-            let approx = overlay.anti_trust_rank_incremental(&traj, &loose);
-            for (a, b) in approx.scores.iter().zip(&full) {
-                prop_assert!((a - b).abs() <= bound, "{a} vs {b} beyond {bound}");
-            }
-            let fb = overlay.anti_trust_rank_incremental(&traj, &capped);
-            prop_assert_eq!(bits(&fb.scores), bits(&full));
-            overlay.unsplice();
-            let reset = overlay.anti_trust_rank_incremental(&traj, &exact);
-            prop_assert_eq!(bits(&reset.scores), bits(traj.final_scores()));
-        }
-    }
-
-    /// Random churn: interleaved splice/unsplice sequences over one
-    /// overlay and one recorded trajectory. After every splice the
-    /// incremental kernel must match the full recompute — bit-identical
-    /// in exact mode, within the documented `tolerance·F/(1−α)` bound in
-    /// tolerance mode, and bit-identical again through the zero-cap
-    /// fallback path; after every unsplice it must reproduce the base
-    /// trajectory's final bits.
-    #[test]
-    fn incremental_matches_full_over_random_churn(
-        (pharmacy, edges) in random_weighted_graph(),
-        seed_bits in prop::collection::vec(any::<bool>(), 2..20),
-        churn in prop::collection::vec(
-            ((0usize..24), prop::collection::vec((0usize..24, 1usize..4), 0..6)),
-            1..8,
-        ),
-    ) {
-        let n = pharmacy.len();
-        let (_, csr) = build_both(&pharmacy, &edges);
-        let seeds = seeds_from_bits(n, &seed_bits);
+        let csr = build_weighted(&pharmacy, &edges);
+        let (seeds, bad) = (seeds_from_bits(n, &seed_bits), seeds_from_bits(n, &bad_bits));
         let cfg = TrustRankConfig::default();
         let traj = TrustTrajectory::compute(&csr, &seeds, &cfg);
+        let anti_traj = TrustTrajectory::compute(&csr.transposed(), &bad, &cfg);
         let exact = IncrementalConfig { tolerance: 0.0, max_frontier: n + 64 };
         let loose = IncrementalConfig { tolerance: 1e-9, max_frontier: n + 64 };
         let capped = IncrementalConfig { tolerance: 0.0, max_frontier: 0 };
@@ -369,24 +236,31 @@ proptest! {
         // nodes (replaced rows, dangling flips) with fresh ones
         // (appended nodes); links include self-links and duplicates.
         for (dom, links) in churn {
-            let domain = format!("n{dom}.com");
             let links: Vec<(String, f64)> = links
                 .iter()
                 .map(|&(t, w)| (format!("n{t}.com"), w as f64))
                 .collect();
-            overlay.splice_pharmacy(&domain, &links);
-            let full = overlay.trust_rank(&seeds, &cfg);
-            let inc = overlay.trust_rank_incremental(&traj, &exact);
-            prop_assert_eq!(bits(&inc.scores), bits(&full));
-            let approx = overlay.trust_rank_incremental(&traj, &loose);
-            for (a, b) in approx.scores.iter().zip(&full) {
-                prop_assert!((a - b).abs() <= bound, "{a} vs {b} beyond {bound}");
+            overlay.splice_pharmacy(&format!("n{dom}.com"), &links);
+            let full = [overlay.trust_rank(&seeds, &cfg), overlay.anti_trust_rank(&bad, &cfg)];
+            for (full, anti) in full.iter().zip([false, true]) {
+                let run = |config: &IncrementalConfig| {
+                    if anti {
+                        overlay.anti_trust_rank_incremental(&anti_traj, config).scores
+                    } else {
+                        overlay.trust_rank_incremental(&traj, config).scores
+                    }
+                };
+                prop_assert_eq!(bits(&run(&exact)), bits(full));
+                for (a, b) in run(&loose).iter().zip(full) {
+                    prop_assert!((a - b).abs() <= bound, "{a} vs {b} beyond {bound}");
+                }
+                prop_assert_eq!(bits(&run(&capped)), bits(full));
             }
-            let fb = overlay.trust_rank_incremental(&traj, &capped);
-            prop_assert_eq!(bits(&fb.scores), bits(&full));
             overlay.unsplice();
             let reset = overlay.trust_rank_incremental(&traj, &exact);
             prop_assert_eq!(bits(&reset.scores), bits(traj.final_scores()));
+            let reset = overlay.anti_trust_rank_incremental(&anti_traj, &exact);
+            prop_assert_eq!(bits(&reset.scores), bits(anti_traj.final_scores()));
         }
     }
 }

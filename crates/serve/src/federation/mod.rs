@@ -2,8 +2,8 @@
 //! than the full graph-spliced verifier, with provenance on every
 //! verdict.
 //!
-//! A [`Federation`] consults four tiers in fixed cost order (see
-//! [`tier`]):
+//! A [`Federation`] consults four tiers in fixed cost order — the order
+//! of [`Federation::submit`]'s code and of the [`VerdictSource`] enum:
 //!
 //! 1. **response cache** — the existing TTL [`ResponseCache`], owned by
 //!    the federation (the inner [`VerifyService`] runs cache-disabled);
@@ -28,11 +28,9 @@
 
 pub mod policy;
 pub mod store;
-pub mod tier;
 
 pub use policy::FederationPolicy;
 pub use store::{StoredVerdict, VerdictStore};
-pub use tier::{tier_catalog, CacheTier, FastTier, SlowTier, StoreTier, VerdictTier};
 
 use crate::cache::{Lookup, Reserve, ResponseCache};
 use crate::replay::ReplayConfig;

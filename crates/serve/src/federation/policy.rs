@@ -6,9 +6,6 @@
 //! request is a pure function of the submission history, which is what
 //! keeps the federation replay byte-identical across worker counts.
 
-use crate::federation::tier::tier_catalog;
-use pharmaverify_core::VerdictSource;
-
 /// Deterministic tier-selection knobs (`--staleness-budget`,
 /// `--fast-confidence` on the repro binary).
 #[derive(Debug, Clone, PartialEq)]
@@ -50,44 +47,11 @@ impl FederationPolicy {
     pub fn accepts_fast(&self, confidence: f64) -> bool {
         confidence >= self.fast_confidence
     }
-
-    /// The deterministic consultation order — the tier catalog's cost
-    /// order, independent of the knob values.
-    pub fn tier_order(&self) -> [VerdictSource; 4] {
-        let tiers = tier_catalog();
-        [
-            tiers[0].source(),
-            tiers[1].source(),
-            tiers[2].source(),
-            tiers[3].source(),
-        ]
-    }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-
-    #[test]
-    fn tier_order_is_deterministic_and_cost_ascending() {
-        let policy = FederationPolicy::default();
-        let order = policy.tier_order();
-        assert_eq!(
-            order,
-            [
-                VerdictSource::ResponseCache,
-                VerdictSource::VerdictStore,
-                VerdictSource::TextOnly,
-                VerdictSource::GraphSpliced,
-            ]
-        );
-        // Knob values must not change the order.
-        let other = FederationPolicy {
-            staleness_budget_micros: 0,
-            fast_confidence: 1.0,
-        };
-        assert_eq!(other.tier_order(), order);
-    }
 
     #[test]
     fn staleness_budget_is_half_open() {

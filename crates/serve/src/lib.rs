@@ -40,7 +40,7 @@ pub use cache::{Fill, Lookup, Reserve, ResponseCache};
 pub use drift::{DriftConfig, DriftMonitor, DriftVerdict};
 pub use federation::{
     replay_federation, Federation, FederationConfig, FederationPolicy, FederationStats, Routed,
-    StoredVerdict, VerdictStore, VerdictTier,
+    StoredVerdict, VerdictStore,
 };
 pub use registry::ModelRegistry;
 pub use replay::{

@@ -49,6 +49,9 @@
 //! window of recent outcomes; when the degraded+unreachable fraction
 //! crosses `breaker_threshold`, new submissions are shed with
 //! [`ServeError::Shedding`] until a probe request refreshes the window).
+//! A panic inside verification is contained per batch: every request of
+//! that batch resolves with [`ServeError::WorkerPanicked`] and the worker
+//! keeps serving.
 
 use crate::cache::{Fill, Lookup, ResponseCache};
 use crate::registry::ModelRegistry;
@@ -57,6 +60,7 @@ use pharmaverify_crawl::{Url, WebHost};
 use pharmaverify_obs::{Clock, Registry, WallClock};
 use std::collections::{BTreeMap, VecDeque};
 use std::fmt;
+use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::sync::mpsc::{channel, Receiver, Sender};
 use std::sync::{Arc, Condvar, Mutex, MutexGuard};
 use std::thread::JoinHandle;
@@ -113,6 +117,10 @@ pub enum ServeError {
     Verify(VerifyError),
     /// The service shut down before the request completed.
     Lost,
+    /// Verification panicked inside a worker (a host, crawler, or kernel
+    /// bug); every request of that batch resolves with this error and
+    /// the worker lives on.
+    WorkerPanicked,
 }
 
 impl fmt::Display for ServeError {
@@ -122,6 +130,7 @@ impl fmt::Display for ServeError {
             ServeError::Shedding => write!(f, "service shedding load: degradation breaker open"),
             ServeError::Verify(e) => write!(f, "verification failed: {e}"),
             ServeError::Lost => write!(f, "request lost: service shut down"),
+            ServeError::WorkerPanicked => write!(f, "verification panicked in a worker"),
         }
     }
 }
@@ -181,8 +190,9 @@ impl Ticket {
     }
 
     /// Blocks until the request completes. Never blocks forever: every
-    /// admitted request is fulfilled by a worker, and shutdown fulfills
-    /// stragglers with [`ServeError::Lost`].
+    /// admitted request is fulfilled by a worker (with
+    /// [`ServeError::WorkerPanicked`] when verification panics), and
+    /// shutdown fulfills stragglers with [`ServeError::Lost`].
     pub fn wait(self) -> Outcome {
         let mut guard = lock(&self.slot.value);
         loop {
@@ -562,8 +572,14 @@ fn process_batch<H: WebHost + Send + Sync>(shared: &Shared<H>, batch: SealedBatc
     let obs = &shared.obs;
     let span = obs.span("serve/batch/run");
     let urls: Vec<&str> = batch.requests.iter().map(|r| r.seed_url.as_str()).collect();
-    let results = batch.model.verify_batch(shared.host.as_ref(), &urls);
+    // Contain a panic inside verification so it cannot strand this
+    // batch's waiters or kill the worker. The cache needs no repair: a
+    // leftover reservation is re-claimed by the next `reserve`.
+    let run = catch_unwind(AssertUnwindSafe(|| {
+        batch.model.verify_batch(shared.host.as_ref(), &urls)
+    }));
     drop(span);
+    let panicked = run.is_err();
     let now = shared.clock.now_micros();
     let wall_now = shared.wall.now_micros();
     let cfg = &shared.config;
@@ -571,6 +587,17 @@ fn process_batch<H: WebHost + Send + Sync>(shared: &Shared<H>, batch: SealedBatc
     let mut skipped_degraded = 0u64;
     {
         let mut state = lock(&shared.state);
+        let results = match run {
+            Ok(results) => results,
+            Err(_) => {
+                for req in &batch.requests {
+                    let waiters = state.in_flight.remove(&req.domain).unwrap_or_default();
+                    state.pending = state.pending.saturating_sub(waiters.len());
+                    fulfilled.push((waiters, Err(ServeError::WorkerPanicked)));
+                }
+                Vec::new()
+            }
+        };
         for (req, result) in batch.requests.iter().zip(results) {
             let degraded_outcome = match &result {
                 Ok(v) => v.degraded,
@@ -600,6 +627,9 @@ fn process_batch<H: WebHost + Send + Sync>(shared: &Shared<H>, batch: SealedBatc
     // registry takes its own internal locks, and a worker must never
     // enter them while holding the service state mutex (lock-order
     // hygiene — see the xtask lock-order lint).
+    if panicked {
+        obs.add("serve/worker_panics", 1);
+    }
     for req in &batch.requests {
         let _req_span = obs.span("serve/request");
         obs.observe_nondet(

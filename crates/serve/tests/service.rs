@@ -71,6 +71,57 @@ impl WebHost for GateHost {
     }
 }
 
+/// A host with a bug: every fetch under one domain panics.
+struct PanickingHost {
+    inner: InMemoryWeb,
+    poisoned: String,
+}
+
+impl WebHost for PanickingHost {
+    fn fetch(&self, url: &Url) -> Result<Page, FetchError> {
+        assert_ne!(url.endpoint(), self.poisoned, "host bug");
+        self.inner.fetch(url)
+    }
+}
+
+#[test]
+fn panicking_batch_resolves_its_waiters_and_the_worker_survives() {
+    let (verifier, snap1, _snap2) = trained();
+    let (obs, clock) = test_obs();
+    let [poisoned, healthy] = [&snap1.sites[0].seed_url, &snap1.sites[1].seed_url];
+    let host = Arc::new(PanickingHost {
+        inner: snap1.web.clone(),
+        poisoned: Url::parse(poisoned).unwrap().endpoint(),
+    });
+    let service = VerifyService::with_observability(
+        verifier,
+        host,
+        ServeConfig {
+            workers: 1,
+            queue_capacity: 8,
+            max_batch: 2, // the second submission seals the batch
+            cache_capacity: 8,
+            ..ServeConfig::default()
+        },
+        Arc::clone(&obs),
+        Arc::new(clock),
+    );
+    let tickets = [
+        service.submit(poisoned).unwrap(),
+        service.submit(healthy).unwrap(),
+    ];
+    for ticket in tickets {
+        assert!(matches!(ticket.wait(), Err(ServeError::WorkerPanicked)));
+    }
+    assert_eq!(service.pending(), 0);
+    assert_eq!(obs.counter("serve/worker_panics"), 1);
+    // The only worker lives on, and the healthy site's leftover cache
+    // reservation is re-claimed by its next request.
+    let again = service.submit(healthy).unwrap();
+    service.flush();
+    again.wait().expect("the worker survived the panic");
+}
+
 #[test]
 fn full_queue_rejects_overloaded_instead_of_hanging() {
     let (verifier, snap1, _snap2) = trained();

@@ -68,6 +68,9 @@
 //! of requests to have been answered before the slow path: a federation
 //! that routes everything to the expensive tier would make the
 //! byte-compare vacuous.
+//!
+//! The six double-runs after the plain one are the rows of one table,
+//! `MODES`, and each row makes the same checks in the same order.
 
 use std::path::Path;
 use std::process::Command;
@@ -75,22 +78,11 @@ use std::process::Command;
 /// Outcome of one audit run.
 #[derive(Debug)]
 pub struct AuditReport {
-    /// Bytes of fault-free harness output compared.
-    pub bytes: usize,
-    /// Bytes of fault-injected harness output compared.
-    pub fault_bytes: usize,
-    /// Bytes of deterministic trace view compared per fault-free run.
+    /// `(mode, bytes of harness output compared)` per double-run, the
+    /// plain run first.
+    pub outputs: Vec<(&'static str, usize)>,
+    /// Bytes of deterministic trace view compared per plain run.
     pub trace_bytes: usize,
-    /// Bytes of serve-workload harness output compared.
-    pub serve_bytes: usize,
-    /// Bytes of online (drift + hot-swap) harness output compared.
-    pub online_bytes: usize,
-    /// Bytes of adversarial (attack-sweep) harness output compared.
-    pub attack_bytes: usize,
-    /// Bytes of web-tier harness output compared.
-    pub web_bytes: usize,
-    /// Bytes of federation (tiered replay) harness output compared.
-    pub federation_bytes: usize,
 }
 
 /// Arguments of the harness invocation (after `cargo`).
@@ -107,201 +99,157 @@ const REPRO_ARGS: &[&str] = &[
     "small",
 ];
 
-/// Fault rate of the injected-fault audit runs.
-const FAULT_ARGS: &[&str] = &["--fault-rate", "0.2"];
+/// One double-run beyond the plain one. Its serial and parallel
+/// outputs and deterministic trace views must match; its output must
+/// start with the plain output; its trace must differ from the plain
+/// trace; and it must carry its section title and pass its extra check.
+struct Mode {
+    /// Name in failure messages and the report.
+    name: &'static str,
+    /// Harness arguments of the serial (`PHARMAVERIFY_JOBS=1`) run.
+    serial: &'static [&'static str],
+    /// Harness arguments of the 4-worker run.
+    parallel: &'static [&'static str],
+    /// The appended study, for the pure-suffix failure message.
+    study: &'static str,
+    /// What left no metric behind when the traces are identical.
+    instrumented: &'static str,
+    /// Section title the output must contain, if any.
+    section: Option<&'static str>,
+    /// A check on `(output, plain output)`, with its failure message.
+    extra: Option<(fn(&str, &str) -> bool, &'static str)>,
+}
 
-/// Request count of the serve-workload audit runs (the worker count is
-/// the variable under test).
-const SERVE_SERIAL_ARGS: &[&str] = &["--serve-workload", "60", "--serve-workers", "1"];
-const SERVE_PARALLEL_ARGS: &[&str] = &["--serve-workload", "60", "--serve-workers", "4"];
-
-/// Wave count of the online audit runs — enough waves that the mix
-/// shift closes at least one drifted window and forces a retrain+swap.
-const ONLINE_SERIAL_ARGS: &[&str] = &["--online-waves", "6", "--serve-workers", "1"];
-const ONLINE_PARALLEL_ARGS: &[&str] = &["--online-waves", "6", "--serve-workers", "4"];
-
-/// Attack knobs of the adversarial audit runs — a mid-strength link
-/// farm, enough to exercise the defended evaluation without dominating
-/// the audit's runtime.
-const ATTACK_ARGS: &[&str] = &["--attack", "link-farm", "--attack-strength", "0.6"];
-
-/// Domain count of the web-tier audit runs — big enough to shard
-/// (default shard size 8192), small enough to keep the audit quick.
-const WEB_ARGS: &[&str] = &["--scale", "web", "--web-domains", "12000"];
-
-/// Request count of the federation audit runs (the slow-path worker
-/// count is the variable under test).
-const FEDERATION_SERIAL_ARGS: &[&str] = &["--federation", "60", "--serve-workers", "1"];
-const FEDERATION_PARALLEL_ARGS: &[&str] = &["--federation", "60", "--serve-workers", "4"];
-
-/// Runs the table harness serially and with four workers — first clean,
-/// then under fault injection — and compares outputs byte-for-byte.
-pub fn run(workspace_root: &Path) -> Result<AuditReport, String> {
-    let (serial, serial_trace) = run_harness(workspace_root, "1", &[])?;
-    let (parallel, parallel_trace) = run_harness(workspace_root, "4", &[])?;
-    compare(&serial, &parallel, "fault-free")?;
-    let det = compare_trace_views(&serial_trace, &parallel_trace, "fault-free")?;
-
-    let (fault_serial, fault_serial_trace) = run_harness(workspace_root, "1", FAULT_ARGS)?;
-    let (fault_parallel, fault_parallel_trace) = run_harness(workspace_root, "4", FAULT_ARGS)?;
-    compare(&fault_serial, &fault_parallel, "fault-injected")?;
-    let fault_det =
-        compare_trace_views(&fault_serial_trace, &fault_parallel_trace, "fault-injected")?;
-    if !fault_serial.starts_with(&serial) {
-        return Err(
-            "fault-injected output does not start with the fault-free output: \
-             the robustness study must be a pure suffix"
-                .to_string(),
-        );
-    }
-    if fault_det == det {
-        return Err(
-            "fault-injected trace is identical to the fault-free trace: \
-             injected faults left no metric behind, the crawl health \
-             instrumentation is not recording"
-                .to_string(),
-        );
-    }
-
-    let (serve_serial, serve_serial_trace) = run_harness(workspace_root, "1", SERVE_SERIAL_ARGS)?;
-    let (serve_parallel, serve_parallel_trace) =
-        run_harness(workspace_root, "4", SERVE_PARALLEL_ARGS)?;
-    compare(&serve_serial, &serve_parallel, "serve-workload")?;
-    let serve_det =
-        compare_trace_views(&serve_serial_trace, &serve_parallel_trace, "serve-workload")?;
-    if !serve_serial.starts_with(&serial) {
-        return Err(
-            "serve-workload output does not start with the plain output: \
-             the serving study must be a pure suffix"
-                .to_string(),
-        );
-    }
-    if serve_det == det {
-        return Err("serve-workload trace is identical to the plain trace: the \
-             serving engine left no metric behind, its instrumentation \
-             is not recording"
-            .to_string());
-    }
-
-    let (online_serial, online_serial_trace) =
-        run_harness(workspace_root, "1", ONLINE_SERIAL_ARGS)?;
-    let (online_parallel, online_parallel_trace) =
-        run_harness(workspace_root, "4", ONLINE_PARALLEL_ARGS)?;
-    compare(&online_serial, &online_parallel, "online")?;
-    let online_det = compare_trace_views(&online_serial_trace, &online_parallel_trace, "online")?;
-    if !online_serial.starts_with(&serial) {
-        return Err("online output does not start with the plain output: \
-             the online study must be a pure suffix"
-            .to_string());
-    }
-    if online_det == det {
-        return Err("online trace is identical to the plain trace: the drift \
-             monitor and model registry left no metric behind, their \
-             instrumentation is not recording"
-            .to_string());
-    }
-    // Hot-swap smoke: the audited run must actually have drifted,
-    // retrained, and swapped — a drift monitor that never fires would
-    // make the byte-compare above vacuous.
-    let online_text = String::from_utf8_lossy(&online_serial);
-    if !online_text.contains("Online: drift-triggered retrain") {
-        return Err("online run printed no \"Online\" section".to_string());
-    }
-    if !swap_happened(&online_text) {
-        return Err(
+/// The audited double-runs, in order. Every row runs with
+/// `PHARMAVERIFY_JOBS` 1 vs 4; the serve, online, and federation rows
+/// also vary the *service* worker count.
+const MODES: &[Mode] = &[
+    Mode {
+        name: "fault-injected",
+        serial: &["--fault-rate", "0.2"],
+        parallel: &["--fault-rate", "0.2"],
+        study: "robustness study",
+        instrumented: "injected faults left no metric behind, the crawl health \
+             instrumentation is not recording",
+        section: None,
+        extra: None,
+    },
+    Mode {
+        name: "serve-workload",
+        serial: &["--serve-workload", "60", "--serve-workers", "1"],
+        parallel: &["--serve-workload", "60", "--serve-workers", "4"],
+        study: "serving study",
+        instrumented: "the serving engine left no metric behind, its \
+             instrumentation is not recording",
+        section: None,
+        extra: None,
+    },
+    // Enough waves that the mix shift closes at least one drifted window
+    // and forces a retrain+swap.
+    Mode {
+        name: "online",
+        serial: &["--online-waves", "6", "--serve-workers", "1"],
+        parallel: &["--online-waves", "6", "--serve-workers", "4"],
+        study: "online study",
+        instrumented: "the drift monitor and model registry left no metric \
+             behind, their instrumentation is not recording",
+        section: Some("Online: drift-triggered retrain"),
+        // Hot-swap smoke: a drift monitor that never fires would make
+        // the byte-compare vacuous.
+        extra: Some((
+            |output, _| swap_happened(output),
             "online run never hot-swapped a model: the drift monitor did not \
-             trigger a retrain over the audited workload"
-                .to_string(),
-        );
-    }
-
-    let (attack_serial, attack_serial_trace) = run_harness(workspace_root, "1", ATTACK_ARGS)?;
-    let (attack_parallel, attack_parallel_trace) = run_harness(workspace_root, "4", ATTACK_ARGS)?;
-    compare(&attack_serial, &attack_parallel, "adversarial")?;
-    let attack_det =
-        compare_trace_views(&attack_serial_trace, &attack_parallel_trace, "adversarial")?;
-    if !attack_serial.starts_with(&serial) {
-        return Err("adversarial output does not start with the plain output: \
-             the attack study must be a pure suffix"
-            .to_string());
-    }
-    if attack_det == det {
-        return Err(
-            "adversarial trace is identical to the plain trace: the attack \
-             generators and defended evaluation left no metric behind, \
-             their instrumentation is not recording"
-                .to_string(),
-        );
-    }
-    if !String::from_utf8_lossy(&attack_serial).contains("Adversarial: ") {
-        return Err("adversarial run printed no \"Adversarial\" section".to_string());
-    }
-
-    let (web_serial, web_serial_trace) = run_harness(workspace_root, "1", WEB_ARGS)?;
-    let (web_parallel, web_parallel_trace) = run_harness(workspace_root, "4", WEB_ARGS)?;
-    compare(&web_serial, &web_parallel, "web-tier")?;
-    let web_det = compare_trace_views(&web_serial_trace, &web_parallel_trace, "web-tier")?;
-    if web_det == det {
-        return Err("web-tier trace is identical to the plain trace: the scale \
-             build and rank phases left no metric behind, their \
-             instrumentation is not recording"
-            .to_string());
-    }
-    if !web_serial.starts_with(&serial) {
-        return Err(
-            "web-tier output does not start with the plain small output: \
-             the scale study must be a pure suffix"
-                .to_string(),
-        );
-    }
-    if web_serial.len() <= serial.len() {
-        return Err(
+             trigger a retrain over the audited workload",
+        )),
+    },
+    // A mid-strength link farm: enough to exercise the defended
+    // evaluation without dominating the audit's runtime.
+    Mode {
+        name: "adversarial",
+        serial: &["--attack", "link-farm", "--attack-strength", "0.6"],
+        parallel: &["--attack", "link-farm", "--attack-strength", "0.6"],
+        study: "attack study",
+        instrumented: "the attack generators and defended evaluation left no \
+             metric behind, their instrumentation is not recording",
+        section: Some("Adversarial: "),
+        extra: None,
+    },
+    // Big enough to shard (default shard size 8192), small enough to
+    // keep the audit quick.
+    Mode {
+        name: "web-tier",
+        serial: &["--scale", "web", "--web-domains", "12000"],
+        parallel: &["--scale", "web", "--web-domains", "12000"],
+        study: "scale study",
+        instrumented: "the scale build and rank phases left no metric behind, \
+             their instrumentation is not recording",
+        section: None,
+        extra: Some((
+            |output, plain| output.len() > plain.len(),
             "web-tier output appended no scale section: the `--scale web` \
-             run printed nothing beyond the plain small report"
-                .to_string(),
-        );
-    }
-
-    let (fed_serial, fed_serial_trace) = run_harness(workspace_root, "1", FEDERATION_SERIAL_ARGS)?;
-    let (fed_parallel, fed_parallel_trace) =
-        run_harness(workspace_root, "4", FEDERATION_PARALLEL_ARGS)?;
-    compare(&fed_serial, &fed_parallel, "federation")?;
-    let fed_det = compare_trace_views(&fed_serial_trace, &fed_parallel_trace, "federation")?;
-    if !fed_serial.starts_with(&serial) {
-        return Err("federation output does not start with the plain output: \
-             the federation study must be a pure suffix"
-            .to_string());
-    }
-    if fed_det == det {
-        return Err(
-            "federation trace is identical to the plain trace: the tier \
-             router left no metric behind, its instrumentation is not \
-             recording"
-                .to_string(),
-        );
-    }
-    let fed_text = String::from_utf8_lossy(&fed_serial);
-    if !fed_text.contains("Federation: tiered verdict replay") {
-        return Err("federation run printed no \"Federation\" section".to_string());
-    }
-    if !federation_majority_cheap(&fed_text) {
-        return Err(
+             run printed nothing beyond the plain small report",
+        )),
+    },
+    Mode {
+        name: "federation",
+        serial: &["--federation", "60", "--serve-workers", "1"],
+        parallel: &["--federation", "60", "--serve-workers", "4"],
+        study: "federation study",
+        instrumented: "the tier router left no metric behind, its \
+             instrumentation is not recording",
+        section: Some("Federation: tiered verdict replay"),
+        extra: Some((
+            |output, _| federation_majority_cheap(output),
             "federation run routed most requests to the graph-spliced slow \
              path: the cheaper tiers (cache, store, text-only) must answer \
-             the majority over the audited workload"
-                .to_string(),
-        );
-    }
+             the majority over the audited workload",
+        )),
+    },
+];
 
+/// Runs the table harness serially and with four workers — first plain,
+/// then once per [`MODES`] entry — and compares outputs byte-for-byte.
+pub fn run(workspace_root: &Path) -> Result<AuditReport, String> {
+    let (plain, plain_trace) = run_harness(workspace_root, "1", &[])?;
+    let (parallel, parallel_trace) = run_harness(workspace_root, "4", &[])?;
+    compare(&plain, &parallel, "fault-free")?;
+    let det = compare_trace_views(&plain_trace, &parallel_trace, "fault-free")?;
+    let plain_text = String::from_utf8_lossy(&plain);
+    let mut outputs = vec![("plain", plain.len())];
+    for mode in MODES {
+        let (serial, serial_trace) = run_harness(workspace_root, "1", mode.serial)?;
+        let (parallel, parallel_trace) = run_harness(workspace_root, "4", mode.parallel)?;
+        compare(&serial, &parallel, mode.name)?;
+        let mode_det = compare_trace_views(&serial_trace, &parallel_trace, mode.name)?;
+        if !serial.starts_with(&plain) {
+            return Err(format!(
+                "{} output does not start with the plain output: the {} must \
+                 be a pure suffix",
+                mode.name, mode.study
+            ));
+        }
+        if mode_det == det {
+            return Err(format!(
+                "{} trace is identical to the plain trace: {}",
+                mode.name, mode.instrumented
+            ));
+        }
+        let text = String::from_utf8_lossy(&serial);
+        if let Some(title) = mode.section {
+            if !text.contains(title) {
+                return Err(format!("{} run printed no {title:?} section", mode.name));
+            }
+        }
+        if let Some((check, message)) = mode.extra {
+            if !check(&text, &plain_text) {
+                return Err(message.to_string());
+            }
+        }
+        outputs.push((mode.name, serial.len()));
+    }
     Ok(AuditReport {
-        bytes: serial.len(),
-        fault_bytes: fault_serial.len(),
+        outputs,
         trace_bytes: det.len(),
-        serve_bytes: serve_serial.len(),
-        online_bytes: online_serial.len(),
-        attack_bytes: attack_serial.len(),
-        web_bytes: web_serial.len(),
-        federation_bytes: fed_serial.len(),
     })
 }
 

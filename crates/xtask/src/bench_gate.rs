@@ -14,6 +14,12 @@
 
 use std::path::{Path, PathBuf};
 
+/// Where `cargo xtask bench` writes its fresh report by default, relative
+/// to the workspace root: an untracked path, so a run never overwrites a
+/// committed `BENCH_<n>.json` and the newest committed report stays the
+/// baseline.
+pub const DEFAULT_OUT: &str = "target/microbench.json";
+
 /// Maximum tolerated throughput drop, as a fraction of the baseline.
 /// A shared bench name regresses when
 /// `fresh < (1 - TOLERANCE) * baseline`.

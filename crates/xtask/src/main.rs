@@ -9,8 +9,8 @@
 //!                                       PATH, lints the whole workspace
 //! cargo xtask bench [--domains N] [--repeat R] [--out PATH]
 //!                                       graph-kernel and corpus-generation
-//!                                       micro-benches; writes BENCH_10.json
-//!                                       at the workspace root by default
+//!                                       micro-benches; writes
+//!                                       target/microbench.json by default
 //!                                       and gates throughput against the
 //!                                       latest committed BENCH_<n>.json
 //! ```
@@ -197,20 +197,14 @@ fn cmd_check(args: &[String]) -> Result<bool, String> {
         }
         match audit::run(&root) {
             Ok(report) => {
+                let outputs: Vec<String> = report
+                    .outputs
+                    .iter()
+                    .map(|(mode, bytes)| format!("{mode} {bytes}"))
+                    .collect();
                 let detail = format!(
-                    "{} bytes byte-identical; {} with fault injection; \
-                     {} with serve workload; {} with the online drift \
-                     replay (hot-swap verified); {} with the link-farm \
-                     attack sweep; {} with the web-scale tier; {} with \
-                     the tiered federation (majority answered cheap); \
-                     {} bytes of deterministic trace view",
-                    report.bytes,
-                    report.fault_bytes,
-                    report.serve_bytes,
-                    report.online_bytes,
-                    report.attack_bytes,
-                    report.web_bytes,
-                    report.federation_bytes,
+                    "bytes byte-identical: {}; {} bytes of deterministic trace view",
+                    outputs.join(", "),
                     report.trace_bytes
                 );
                 if !json {
@@ -247,13 +241,13 @@ fn cmd_check(args: &[String]) -> Result<bool, String> {
 }
 
 /// `cargo xtask bench`: builds and runs the `microbench` binary,
-/// recording kernel wall clocks and throughput in `BENCH_10.json` at the
-/// workspace root (`--out` overrides; `--domains` / `--repeat` pass
-/// through to the binary), then gates the fresh numbers against the
-/// latest committed `BENCH_<n>.json` — any shared bench name whose
-/// throughput drops by more than 25% fails the task.
+/// recording kernel wall clocks and throughput in
+/// [`xtask::bench_gate::DEFAULT_OUT`] (`--out` overrides; `--domains` /
+/// `--repeat` pass through to the binary), then gates the fresh numbers
+/// against the latest committed `BENCH_<n>.json` — any shared bench name
+/// whose throughput drops by more than 25% fails the task.
 fn cmd_bench(args: &[String]) -> Result<bool, String> {
-    let mut out = "BENCH_10.json".to_string();
+    let mut out = xtask::bench_gate::DEFAULT_OUT.to_string();
     let mut passthrough: Vec<String> = Vec::new();
     let mut it = args.iter();
     while let Some(arg) = it.next() {
@@ -270,6 +264,10 @@ fn cmd_bench(args: &[String]) -> Result<bool, String> {
         }
     }
     let root = walk::workspace_root();
+    if let Some(dir) = root.join(&out).parent() {
+        std::fs::create_dir_all(dir)
+            .map_err(|e| format!("cannot create {}: {e}", dir.display()))?;
+    }
     let cargo = std::env::var("CARGO").unwrap_or_else(|_| "cargo".to_string());
     println!("bench: running micro-benchmarks (results -> {out})...");
     let status = std::process::Command::new(cargo)

@@ -3,7 +3,7 @@
 //! halved. The gate must flag exactly the halved bench, tolerate
 //! within-noise drift, and ignore benches present in only one report.
 
-use xtask::bench_gate::{latest_baseline, parse_throughputs, regressions, TOLERANCE};
+use xtask::bench_gate::{latest_baseline, parse_throughputs, regressions, DEFAULT_OUT, TOLERANCE};
 
 const BASELINE: &str = include_str!("bench_fixtures/baseline.json");
 const REGRESSED: &str = include_str!("bench_fixtures/regressed.json");
@@ -55,6 +55,21 @@ fn latest_baseline_picks_highest_number_and_skips_the_fresh_report() {
     }
     let fresh = dir.join("BENCH_11.json");
     let picked = latest_baseline(&dir, &fresh).expect("baseline");
+    assert_eq!(picked, dir.join("BENCH_10.json"));
+    std::fs::remove_dir_all(&dir).expect("cleanup");
+}
+
+#[test]
+fn default_output_leaves_the_newest_committed_report_as_baseline() {
+    let dir =
+        std::env::temp_dir().join(format!("pharmaverify-gate-default-{}", std::process::id()));
+    std::fs::create_dir_all(&dir).expect("mkdir");
+    for name in ["BENCH_9.json", "BENCH_10.json"] {
+        std::fs::write(dir.join(name), BASELINE).expect("write");
+    }
+    // Writing the fresh report over the newest baseline would hide it
+    // from the gate; the default output path never does.
+    let picked = latest_baseline(&dir, &dir.join(DEFAULT_OUT)).expect("baseline");
     assert_eq!(picked, dir.join("BENCH_10.json"));
     std::fs::remove_dir_all(&dir).expect("cleanup");
 }
