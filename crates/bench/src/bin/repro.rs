@@ -52,11 +52,13 @@
 //! power iteration go to stderr.
 
 use pharmaverify_bench::{
-    adversarial_study, build_web_tier, federation_study, online_study, rank_web_tier,
-    render_report_with, scale_section, serving_study, ReproContext, Scale, Selection,
+    adversarial_study, build_web_tier, federation_study_in, online_study_in, rank_web_tier,
+    render_report_with, scale_section, serving_study_in, ReproContext, Scale, Selection,
 };
 use pharmaverify_core::pipeline::Executor;
 use pharmaverify_corpus::AttackKind;
+use pharmaverify_obs::global_arc;
+use pharmaverify_serve::FederationPolicy;
 use std::time::Instant;
 
 /// Environment variable naming a trace output file (`--trace` wins).
@@ -89,8 +91,7 @@ fn main() {
     let mut attack: Option<AttackKind> = None;
     let mut attack_strength = 0.6_f64;
     let mut federation: Option<usize> = None;
-    let mut staleness_budget: Option<u64> = None;
-    let mut fast_confidence: Option<f64> = None;
+    let mut policy = FederationPolicy::default();
     let mut trace_path = std::env::var(TRACE_ENV).ok().filter(|p| !p.is_empty());
     let mut args = std::env::args().skip(1);
     while let Some(arg) = args.next() {
@@ -235,7 +236,7 @@ fn main() {
                 let value = require_value(&mut args, "--staleness-budget");
                 match value.parse::<u64>() {
                     Ok(n) => {
-                        staleness_budget = Some(n);
+                        policy.staleness_budget_micros = n;
                     }
                     _ => {
                         eprintln!(
@@ -250,7 +251,7 @@ fn main() {
                 let value = require_value(&mut args, "--fast-confidence");
                 match value.parse::<f64>() {
                     Ok(f) if (0.0..=1.0).contains(&f) => {
-                        fast_confidence = Some(f);
+                        policy.fast_confidence = f;
                     }
                     _ => {
                         eprintln!("--fast-confidence expects a number in [0, 1], got '{value}'");
@@ -303,7 +304,7 @@ fn main() {
         // byte-identical to a run without the flag, and the section
         // itself is byte-identical at any worker count.
         let serve_started = Instant::now();
-        let (table, stats) = serving_study(&ctx, requests, serve_workers);
+        let (table, stats) = serving_study_in(&ctx, requests, serve_workers, global_arc());
         println!("{table}");
         let elapsed = serve_started.elapsed().as_secs_f64();
         let obs = pharmaverify_obs::global();
@@ -328,7 +329,7 @@ fn main() {
         // workload, retrains on trigger, and hot-swaps the model while
         // the service keeps answering. Counts only; wall time on stderr.
         let online_started = Instant::now();
-        let (table, stats) = online_study(&ctx, waves, serve_workers);
+        let (table, stats) = online_study_in(&ctx, waves, serve_workers, global_arc());
         println!("{table}");
         eprintln!(
             "[repro] online: {} responses over {waves} waves in {:.1}s \
@@ -386,13 +387,8 @@ fn main() {
         // The final pure suffix: the tiered federation replay. The table
         // holds only seed-determined counts; wall time stays on stderr.
         let federation_started = Instant::now();
-        let (table, stats) = federation_study(
-            &ctx,
-            requests,
-            serve_workers,
-            staleness_budget,
-            fast_confidence,
-        );
+        let (table, stats) =
+            federation_study_in(&ctx, requests, serve_workers, policy, global_arc());
         println!("{table}");
         let elapsed = federation_started.elapsed().as_secs_f64();
         eprintln!(

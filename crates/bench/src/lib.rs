@@ -15,23 +15,23 @@
 //! parallel over a shared artifact store; `PHARMAVERIFY_JOBS` (or
 //! `repro --jobs N`) sets the worker count, defaulting to the available
 //! cores. Output is byte-identical at any width — see `DESIGN.md`,
-//! "Artifact pipeline & caching". `repro --serve-workload N` appends the
-//! serving study (`serving::serving_study`): a seeded workload replayed
-//! through the concurrent verification service, byte-identical at any
-//! `--serve-workers` count — see `DESIGN.md` §10. `repro
-//! --online-waves N` appends the online study (`online::online_study`):
-//! a drifting workload whose drift monitor triggers a seeded retrain
-//! and a mid-replay model hot-swap — see `DESIGN.md` §12. `repro
-//! --attack <kind> --attack-strength S` appends the adversarial study
-//! (`adversarial::adversarial_study`): link-farm / cloaking / mimicry
-//! attacks swept over strengths 0, S/2, S with the spam-mass defense
-//! off and on — see `DESIGN.md` §13. `repro --federation N` appends the
-//! federation study (`federation::federation_study`): the same seeded
-//! workload replayed through the tiered verdict federation (response
-//! cache → persisted store → text-only fast path → graph-spliced slow
-//! path), byte-identical at any `--serve-workers` count, with
+//! "Artifact pipeline & caching". The `serving` module holds the three
+//! replay studies, each byte-identical at any `--serve-workers` count:
+//! `repro --serve-workload N` appends the serving study
+//! (`serving::serving_study_in`), a seeded workload replayed through the
+//! concurrent verification service — see `DESIGN.md` §10; `repro
+//! --online-waves N` appends the online study
+//! (`serving::online_study_in`), a drifting workload whose drift monitor
+//! triggers a seeded retrain and a mid-replay model hot-swap — see
+//! `DESIGN.md` §12; `repro --federation N` appends the federation study
+//! (`serving::federation_study_in`), the same seeded workload replayed
+//! through the tiered verdict federation (response cache → persisted
+//! store → text-only fast path → graph-spliced slow path), with
 //! `--staleness-budget` / `--fast-confidence` policy knobs — see
-//! `DESIGN.md` §14.
+//! `DESIGN.md` §14. `repro --attack <kind> --attack-strength S` appends
+//! the adversarial study (`adversarial::adversarial_study`): link-farm /
+//! cloaking / mimicry attacks swept over strengths 0, S/2, S with the
+//! spam-mass defense off and on — see `DESIGN.md` §13.
 //!
 //! Numbers are *shape*-comparable to the paper, not identical: the corpus
 //! is synthetic (see `DESIGN.md` §1). EXPERIMENTS.md records the
@@ -39,9 +39,7 @@
 
 pub mod adversarial;
 pub mod context;
-pub mod federation;
 pub mod figures;
-pub mod online;
 pub mod report;
 pub mod scale;
 pub mod serving;
@@ -49,8 +47,6 @@ pub mod tables;
 
 pub use adversarial::adversarial_study;
 pub use context::{ReproContext, Scale, ScaleError};
-pub use federation::federation_study;
-pub use online::online_study;
 pub use report::{render_report, render_report_with, ReproReport, Selection};
 pub use scale::{build_web_tier, rank_web_tier, scale_section, WebTierBuild, WebTierScores};
-pub use serving::serving_study;
+pub use serving::{federation_study_in, online_study_in, serving_study_in};

@@ -24,30 +24,6 @@
 
 use pharmaverify_obs::Registry;
 
-/// Tuning for a [`DriftMonitor`].
-#[derive(Debug, Clone)]
-pub struct DriftConfig {
-    /// Histogram buckets over the clamped rank range `[0, 2)` (rank is
-    /// `text_score + trust_score`; text is in `[0, 1]` and spliced trust
-    /// rarely exceeds it).
-    pub buckets: usize,
-    /// Completed verdicts per window (min 1).
-    pub window: usize,
-    /// Total-variation distance in `[0, 1]` at which a window is
-    /// declared drifted.
-    pub threshold: f64,
-}
-
-impl Default for DriftConfig {
-    fn default() -> DriftConfig {
-        DriftConfig {
-            buckets: 16,
-            window: 32,
-            threshold: 0.25,
-        }
-    }
-}
-
 /// The verdict on one closed window.
 #[derive(Debug, Clone, PartialEq)]
 pub enum DriftVerdict {
@@ -70,7 +46,9 @@ pub enum DriftVerdict {
 /// design: feed it from one deterministic vantage point (the replay
 /// thread), not from racing workers.
 pub struct DriftMonitor {
-    config: DriftConfig,
+    buckets: usize,
+    window: usize,
+    threshold: f64,
     reference: Option<Vec<u64>>,
     current: Vec<u64>,
     in_window: usize,
@@ -78,16 +56,19 @@ pub struct DriftMonitor {
 }
 
 impl DriftMonitor {
-    /// Creates a monitor with no reference window yet.
-    pub fn new(config: DriftConfig) -> DriftMonitor {
-        let buckets = config.buckets.max(1);
+    /// Creates a monitor with no reference window yet. `buckets` splits
+    /// the clamped rank range `[0, 2)` (rank is `text_score +
+    /// trust_score`; text is in `[0, 1]` and spliced trust rarely
+    /// exceeds it); each window closes after `window` verdicts (min 1);
+    /// a window whose total-variation distance from the reference
+    /// exceeds `threshold` (in `[0, 1]`) has drifted.
+    pub fn new(buckets: usize, window: usize, threshold: f64) -> DriftMonitor {
+        let buckets = buckets.max(1);
         DriftMonitor {
             current: vec![0; buckets],
-            config: DriftConfig {
-                buckets,
-                window: config.window.max(1),
-                ..config
-            },
+            buckets,
+            window: window.max(1),
+            threshold,
             reference: None,
             in_window: 0,
             windows_closed: 0,
@@ -100,10 +81,10 @@ impl DriftMonitor {
         let bucket = self.bucket(rank);
         self.current[bucket] += 1;
         self.in_window += 1;
-        if self.in_window < self.config.window {
+        if self.in_window < self.window {
             return None;
         }
-        let closed = std::mem::replace(&mut self.current, vec![0; self.config.buckets]);
+        let closed = std::mem::replace(&mut self.current, vec![0; self.buckets]);
         self.in_window = 0;
         self.windows_closed += 1;
         obs.add("serve/drift/windows", 1);
@@ -117,7 +98,7 @@ impl DriftMonitor {
                 // Deterministic integer projection of the statistic for
                 // the trace: TV in [0, 1] → parts-per-thousand.
                 obs.observe("serve/drift/shift_milli", (statistic * 1000.0) as u64);
-                if statistic > self.config.threshold {
+                if statistic > self.threshold {
                     obs.add("serve/drift/triggers", 1);
                     DriftVerdict::Drifted { statistic }
                 } else {
@@ -143,8 +124,8 @@ impl DriftMonitor {
 
     fn bucket(&self, rank: f64) -> usize {
         let clamped = rank.clamp(0.0, 2.0);
-        let i = (clamped / 2.0 * self.config.buckets as f64) as usize;
-        i.min(self.config.buckets - 1)
+        let i = (clamped / 2.0 * self.buckets as f64) as usize;
+        i.min(self.buckets - 1)
     }
 }
 
@@ -177,11 +158,7 @@ mod tests {
     #[test]
     fn first_window_becomes_reference() {
         let obs = Registry::new();
-        let mut m = DriftMonitor::new(DriftConfig {
-            buckets: 4,
-            window: 3,
-            threshold: 0.5,
-        });
+        let mut m = DriftMonitor::new(4, 3, 0.5);
         let verdicts = feed(&mut m, &obs, &[0.1, 0.2, 0.15]);
         assert_eq!(verdicts, vec![DriftVerdict::Reference]);
         assert_eq!(m.windows_closed(), 1);
@@ -191,11 +168,7 @@ mod tests {
     #[test]
     fn identical_windows_are_stable_with_zero_statistic() {
         let obs = Registry::new();
-        let mut m = DriftMonitor::new(DriftConfig {
-            buckets: 8,
-            window: 4,
-            threshold: 0.1,
-        });
+        let mut m = DriftMonitor::new(8, 4, 0.1);
         let ranks = [0.1, 0.6, 1.1, 1.6];
         feed(&mut m, &obs, &ranks);
         let verdicts = feed(&mut m, &obs, &ranks);
@@ -206,11 +179,7 @@ mod tests {
     #[test]
     fn disjoint_windows_trigger_with_full_shift() {
         let obs = Registry::new();
-        let mut m = DriftMonitor::new(DriftConfig {
-            buckets: 4,
-            window: 3,
-            threshold: 0.5,
-        });
+        let mut m = DriftMonitor::new(4, 3, 0.5);
         feed(&mut m, &obs, &[0.1, 0.1, 0.1]); // all in bucket 0
         let verdicts = feed(&mut m, &obs, &[1.9, 1.9, 1.9]); // all in bucket 3
         assert_eq!(verdicts, vec![DriftVerdict::Drifted { statistic: 1.0 }]);
@@ -220,11 +189,7 @@ mod tests {
     #[test]
     fn rebase_measures_against_the_new_regime() {
         let obs = Registry::new();
-        let mut m = DriftMonitor::new(DriftConfig {
-            buckets: 4,
-            window: 2,
-            threshold: 0.5,
-        });
+        let mut m = DriftMonitor::new(4, 2, 0.5);
         feed(&mut m, &obs, &[0.1, 0.1]);
         assert_eq!(
             feed(&mut m, &obs, &[1.9, 1.9]),
@@ -250,11 +215,7 @@ mod tests {
         permuted.reverse();
         let run = |scores: &[f64]| {
             let obs = Registry::new();
-            let mut m = DriftMonitor::new(DriftConfig {
-                buckets: 8,
-                window: scores.len(),
-                threshold: 0.5,
-            });
+            let mut m = DriftMonitor::new(8, scores.len(), 0.5);
             feed(&mut m, &obs, &[0.1; 8]);
             match feed(&mut m, &obs, scores).pop() {
                 Some(DriftVerdict::Stable { statistic })
@@ -268,11 +229,7 @@ mod tests {
     #[test]
     fn out_of_range_ranks_clamp_into_edge_buckets() {
         let obs = Registry::new();
-        let mut m = DriftMonitor::new(DriftConfig {
-            buckets: 4,
-            window: 2,
-            threshold: 0.5,
-        });
+        let mut m = DriftMonitor::new(4, 2, 0.5);
         // Way outside [0, 2): must not panic, lands in the edge buckets.
         assert_eq!(
             feed(&mut m, &obs, &[-3.0, 99.0]),

@@ -15,13 +15,15 @@
 //!    confidence clears the policy floor; deterministic crawl errors
 //!    (both paths run the identical crawl) are answered here too;
 //! 4. **graph-spliced slow path** — the worker pool's full
-//!    [`TrainedVerifier::verify_batch`] pipeline.
+//!    [`TrainedVerifier::verify_batch`] pipeline. A domain sent here
+//!    again before the next [`Federation::flush`] shares the first
+//!    request's ticket instead of entering the pool twice.
 //!
 //! Routing happens synchronously on the submitting thread under the
 //! `serve/federation/route` span; only tier-4 requests enter the worker
-//! pool. All federation state (cache, store, sequence numbers) is
-//! mutated on that thread, and slow-path completions are recorded in
-//! ticket-wait (submission) order — so every tally of
+//! pool. All federation state (cache, store, sequence numbers, tier-4
+//! tickets) is mutated on that thread, and slow-path completions are
+//! recorded in ticket-wait (submission) order — so every tally of
 //! [`FederationStats`] is a pure function of the submission history,
 //! byte-identical across worker counts (the xtask audit's 7th
 //! double-run enforces this end to end).
@@ -33,15 +35,12 @@ pub use policy::FederationPolicy;
 pub use store::{StoredVerdict, VerdictStore};
 
 use crate::cache::{Lookup, Reserve, ResponseCache};
-use crate::replay::ReplayConfig;
 use crate::service::{ServeConfig, ServeError, Ticket, VerifyService};
-use crate::workload::WorkloadGenerator;
 use pharmaverify_core::{TrainedVerifier, Verdict, VerdictSource, VerifyError};
-use pharmaverify_corpus::{PersistError, Snapshot};
-use pharmaverify_crawl::{InMemoryWeb, Url, WebHost};
-use pharmaverify_obs::{Clock, Registry, VirtualClock};
-use std::path::PathBuf;
-use std::sync::atomic::{AtomicU64, Ordering};
+use pharmaverify_corpus::PersistError;
+use pharmaverify_crawl::{Url, WebHost};
+use pharmaverify_obs::{Clock, Registry};
+use std::collections::BTreeMap;
 use std::sync::Arc;
 
 /// How [`Federation::submit`] answered (or routed) one request.
@@ -69,6 +68,11 @@ pub enum Routed {
 /// keeps it deterministic.
 pub struct Federation<H: WebHost + Send + Sync + 'static> {
     service: VerifyService<H>,
+    /// Tier-4 tickets by domain since the last [`Federation::flush`]. The
+    /// cache-disabled service forgets a domain once its batch completes,
+    /// so without this a repeat would coalesce or verify again depending
+    /// on worker timing.
+    sent_slow: BTreeMap<String, Ticket>,
     verifier: Arc<TrainedVerifier>,
     host: Arc<H>,
     cache: ResponseCache,
@@ -85,9 +89,8 @@ pub struct Federation<H: WebHost + Send + Sync + 'static> {
 impl<H: WebHost + Send + Sync + 'static> Federation<H> {
     /// Builds a federation over `verifier` and `host`. The `serve`
     /// config's cache settings size the **federation's** cache; the
-    /// inner service runs with its response cache disabled (request
-    /// coalescing in the service is independent of its cache, so
-    /// in-flight slow-path requests still merge).
+    /// inner service runs with its response cache disabled, and a
+    /// domain's repeats within one flush window share its tier-4 ticket.
     pub fn with_observability(
         verifier: Arc<TrainedVerifier>,
         host: Arc<H>,
@@ -111,6 +114,7 @@ impl<H: WebHost + Send + Sync + 'static> Federation<H> {
         );
         Federation {
             service,
+            sent_slow: BTreeMap::new(),
             verifier,
             host,
             cache: ResponseCache::new(cache_capacity, cache_ttl_micros),
@@ -122,11 +126,6 @@ impl<H: WebHost + Send + Sync + 'static> Federation<H> {
             cache_ttl_micros,
             next_seq: 0,
         }
-    }
-
-    /// The routing policy in force.
-    pub fn policy(&self) -> &FederationPolicy {
-        &self.policy
     }
 
     /// Records held by the verdict store.
@@ -215,14 +214,25 @@ impl<H: WebHost + Send + Sync + 'static> Federation<H> {
         };
 
         // Tier 4: the graph-spliced slow path.
+        if let Some(ticket) = self.sent_slow.get(&domain) {
+            return Routed::Slow {
+                ticket: ticket.clone(),
+                fast_label,
+            };
+        }
         match self.service.submit(seed_url) {
-            Ok(ticket) => Routed::Slow { ticket, fast_label },
+            Ok(ticket) => {
+                self.sent_slow.insert(domain, ticket.clone());
+                Routed::Slow { ticket, fast_label }
+            }
             Err(e) => Routed::Failed(e),
         }
     }
 
-    /// Seals the slow path's forming batch (see [`VerifyService::flush`]).
-    pub fn flush(&self) {
+    /// Seals the slow path's forming batch (see [`VerifyService::flush`])
+    /// and ends the window in which repeats share a tier-4 ticket.
+    pub fn flush(&mut self) {
+        self.sent_slow.clear();
         self.service.flush();
     }
 
@@ -282,39 +292,6 @@ impl<H: WebHost + Send + Sync + 'static> Federation<H> {
         match self.cache.reserve(domain, seq) {
             Reserve::Stored | Reserve::Evicted(_) => self.cache.fail(domain, error, now),
             Reserve::RejectedDisabled => {}
-        }
-    }
-}
-
-/// Knobs for [`replay_federation`], layered on a [`ReplayConfig`].
-#[derive(Debug, Clone)]
-pub struct FederationConfig {
-    /// The underlying wave-driven replay (requests, seed, service).
-    pub replay: ReplayConfig,
-    /// Tier-selection policy.
-    pub policy: FederationPolicy,
-    /// Where the mid-replay restart persists the verdict store. Never
-    /// printed — report output stays path-independent.
-    pub store_path: PathBuf,
-}
-
-/// Distinguishes concurrently running replays within one process when
-/// picking a scratch store path.
-static STORE_SCRATCH: AtomicU64 = AtomicU64::new(0);
-
-impl FederationConfig {
-    /// A federation replay of `requests` requests with `workers`
-    /// workers, the default policy, and a process-unique scratch path
-    /// for the store checkpoint.
-    pub fn new(requests: usize, workers: usize, seed: u64) -> FederationConfig {
-        let scratch = STORE_SCRATCH.fetch_add(1, Ordering::Relaxed);
-        FederationConfig {
-            replay: ReplayConfig::new(requests, workers, seed),
-            policy: FederationPolicy::default(),
-            store_path: std::env::temp_dir().join(format!(
-                "pharmaverify-federation-{}-{scratch}.json",
-                std::process::id()
-            )),
         }
     }
 }
@@ -429,125 +406,4 @@ impl FederationStats {
             ("errors: other".to_string(), self.errors_other),
         ]
     }
-}
-
-/// Counter names the federation replay reads back as deltas.
-const FED_COUNTERS: [(&str, fn(&mut FederationStats) -> &mut u64); 10] = [
-    ("serve/federation/requests", |s| &mut s.requests),
-    ("serve/federation/tier/cache/hit", |s| &mut s.cache_hits),
-    ("serve/federation/tier/cache/fallthrough", |s| {
-        &mut s.cache_fallthroughs
-    }),
-    ("serve/federation/tier/store/hit", |s| &mut s.store_hits),
-    ("serve/federation/tier/store/stale", |s| &mut s.store_stale),
-    ("serve/federation/tier/store/fallthrough", |s| {
-        &mut s.store_fallthroughs
-    }),
-    ("serve/federation/tier/fast/hit", |s| &mut s.fast_hits),
-    ("serve/federation/tier/fast/fallthrough", |s| {
-        &mut s.fast_fallthroughs
-    }),
-    ("serve/federation/tier/fast/error", |s| &mut s.fast_errors),
-    ("serve/federation/tier/slow/hit", |s| &mut s.slow_hits),
-];
-
-/// Replays a seeded Zipf workload through a [`Federation`] over the
-/// snapshot-2 web, with a simulated restart (store save + reload, cache
-/// dropped) at the halfway wave boundary. Same wave protocol as
-/// [`crate::replay_workload`]; every [`FederationStats`] field is
-/// byte-identical across worker counts.
-pub fn replay_federation(
-    verifier: Arc<TrainedVerifier>,
-    snapshot1: &Snapshot,
-    snapshot2: &Snapshot,
-    config: &FederationConfig,
-    obs: Arc<Registry>,
-) -> FederationStats {
-    let _span = obs.span("serve/federation/replay");
-    let host: Arc<InMemoryWeb> = Arc::new(snapshot2.web.clone());
-    let clock = VirtualClock::new(0);
-    let replay = &config.replay;
-    let mut generator = WorkloadGenerator::new(snapshot1, snapshot2, replay.seed);
-    let before: Vec<u64> = FED_COUNTERS
-        .iter()
-        .map(|(name, _)| obs.counter(name))
-        .collect();
-
-    let mut federation = Federation::with_observability(
-        verifier,
-        host,
-        replay.serve.clone(),
-        config.policy.clone(),
-        Arc::clone(&obs),
-        Arc::new(clock.clone()),
-    );
-    let mut stats = FederationStats::default();
-    let tally_verdict = |stats: &mut FederationStats, verdict: &Verdict| match verdict.source {
-        VerdictSource::ResponseCache => stats.via_cache += 1,
-        VerdictSource::VerdictStore => stats.via_store += 1,
-        VerdictSource::TextOnly => stats.via_fast += 1,
-        VerdictSource::GraphSpliced => stats.via_slow += 1,
-    };
-    let tally_error = |stats: &mut FederationStats, error: &ServeError| match error {
-        ServeError::Verify(VerifyError::EmptySite(_)) => stats.errors_empty_site += 1,
-        ServeError::Verify(VerifyError::Unreachable { .. }) => stats.errors_unreachable += 1,
-        _ => stats.errors_other += 1,
-    };
-    let wave_size = replay.serve.queue_capacity.max(1);
-    let restart_at = replay.requests / 2;
-    let mut restarted = false;
-    let mut submitted = 0usize;
-    let mut remaining = replay.requests;
-    while remaining > 0 {
-        if !restarted && submitted >= restart_at {
-            restarted = true;
-            let checkpoint = federation.checkpoint_restart(&config.store_path);
-            // lint:allow(no-panic): the scratch path lives in temp_dir; failing
-            // to persist there is an environment bug the replay cannot continue past.
-            #[allow(clippy::expect_used)]
-            let (persisted, reloaded) = checkpoint.expect("store checkpoint persists");
-            stats.store_persisted = persisted;
-            stats.store_reloaded = reloaded;
-        }
-        let wave = remaining.min(wave_size);
-        remaining -= wave;
-        submitted += wave;
-        let mut slow: Vec<(Ticket, Option<bool>)> = Vec::with_capacity(wave);
-        for request in generator.take(wave) {
-            match federation.submit(&request.seed_url) {
-                Routed::Done(verdict) => tally_verdict(&mut stats, &verdict),
-                Routed::Slow { ticket, fast_label } => slow.push((ticket, fast_label)),
-                Routed::Failed(ServeError::Overloaded) | Routed::Failed(ServeError::Shedding) => {
-                    stats.errors_other += 1;
-                }
-                Routed::Failed(error) => tally_error(&mut stats, &error),
-            }
-        }
-        federation.flush();
-        for (ticket, fast_label) in slow {
-            match ticket.wait() {
-                Ok(verdict) => {
-                    federation.complete_slow(&verdict);
-                    tally_verdict(&mut stats, &verdict);
-                    if let Some(label) = fast_label {
-                        if label == verdict.predicted_legitimate {
-                            stats.agreement_agree += 1;
-                        } else {
-                            stats.agreement_disagree += 1;
-                        }
-                    }
-                }
-                Err(error) => tally_error(&mut stats, &error),
-            }
-        }
-        clock.advance(replay.advance_micros);
-    }
-    stats.store_records = federation.store_len() as u64;
-    federation.shutdown();
-    for (i, (name, field)) in FED_COUNTERS.iter().enumerate() {
-        *field(&mut stats) = obs.counter(name).saturating_sub(before[i]);
-    }
-    // Scratch hygiene: the checkpoint file has served its purpose.
-    let _ = std::fs::remove_file(&config.store_path);
-    stats
 }

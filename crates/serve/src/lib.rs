@@ -20,9 +20,12 @@
 //!   a deterministic shift statistic that triggers retraining;
 //! * [`workload`] — [`WorkloadGenerator`]: seeded, Zipf-skewed request
 //!   streams drawn from the synthetic corpus's two snapshots;
-//! * [`replay`] — [`replay_workload`]: the wave-driven harness whose
-//!   [`ServingStats`] are byte-identical across worker counts for the
-//!   same seed (enforced by `cargo xtask check`'s determinism audit);
+//! * [`replay`] — one wave driver behind the serving
+//!   ([`replay_workload`]), online ([`replay_online`]) and federation
+//!   ([`replay_federation`]) replays, whose [`ServingStats`],
+//!   [`OnlineStats`] and [`FederationStats`] are byte-identical across
+//!   worker counts for the same seed (enforced by `cargo xtask check`'s
+//!   determinism audit);
 //! * [`federation`] — [`Federation`]: a tiered front-end (response
 //!   cache → persisted [`VerdictStore`] → text-only fast path → full
 //!   graph-spliced slow path) with a deterministic
@@ -37,14 +40,11 @@ pub mod service;
 pub mod workload;
 
 pub use cache::{Fill, Lookup, Reserve, ResponseCache};
-pub use drift::{DriftConfig, DriftMonitor, DriftVerdict};
+pub use drift::{DriftMonitor, DriftVerdict};
 pub use federation::{
-    replay_federation, Federation, FederationConfig, FederationPolicy, FederationStats, Routed,
-    StoredVerdict, VerdictStore,
+    Federation, FederationPolicy, FederationStats, Routed, StoredVerdict, VerdictStore,
 };
 pub use registry::ModelRegistry;
-pub use replay::{
-    replay_online, replay_workload, OnlineConfig, OnlineStats, ReplayConfig, ServingStats,
-};
+pub use replay::{replay_federation, replay_online, replay_workload, OnlineStats, ServingStats};
 pub use service::{Outcome, ServeConfig, ServeError, Ticket, VerifyService};
 pub use workload::{Request, RequestKind, WorkloadGenerator};

@@ -1,67 +1,145 @@
-//! Deterministic workload replay: drive a [`VerifyService`] with a
-//! seeded request stream and tally what happened.
+//! Deterministic workload replay: drive a front end with a seeded
+//! request stream and tally what happened.
 //!
-//! The harness submits requests in **waves**: up to `queue_capacity`
-//! submissions, then a [`VerifyService::flush`], then a blocking wait on
-//! every ticket of the wave, then a virtual-clock advance. The wave
-//! barrier is what pins down the deterministic view — within a wave,
-//! workers race freely (that is the point of the worker pool), but
-//! every wave starts from a settled state: no request in flight, cache
-//! contents a pure function of the submission history, clock advanced by
-//! a fixed amount. Combined with the service's determinism contract
-//! (submission-side batching, merged hit counting, seq-based eviction),
-//! every field of [`ServingStats`] is byte-identical across worker
-//! counts for the same seed.
+//! The serving ([`replay_workload`]), online ([`replay_online`]) and
+//! federation ([`replay_federation`]) studies share one wave driver. It
+//! submits requests in **waves**: up to `QUEUE_CAPACITY` submissions,
+//! then a flush, then a blocking wait on every ticket of the wave in
+//! submission order, then a virtual-clock advance. The wave barrier is
+//! what pins down the deterministic view — within a wave, workers race
+//! freely (that is the point of the worker pool), but every wave starts
+//! from a settled state: no request in flight, cache contents a pure
+//! function of the submission history, clock advanced by a fixed amount.
+//! Combined with the service's determinism contract (submission-side
+//! batching, merged hit counting, seq-based eviction), every tally is
+//! byte-identical across worker counts for the same seed.
+//!
+//! A study supplies only what differs: its front end, which requests a
+//! wave draws and what runs at a wave boundary, and what each outcome
+//! does. Refusals at the door stay counted per study (`Overloaded` and
+//! `Shedding` are service counters in the serving tallies, errors in the
+//! federation's): no wave outgrows the queue, but whether the breaker
+//! sheds depends on how the corpus crawls.
 //!
 //! Latency is the one thing the barrier cannot (and should not) pin
 //! down; it is recorded non-deterministically by the service and
 //! reported by the binary on stderr, never inside the report.
 
-use crate::drift::{DriftConfig, DriftMonitor, DriftVerdict};
-use crate::service::{ServeConfig, ServeError, Ticket, VerifyService};
+use crate::drift::{DriftMonitor, DriftVerdict};
+use crate::federation::{Federation, FederationPolicy, FederationStats, Routed};
+use crate::service::{Outcome, ServeConfig, ServeError, Ticket, VerifyService};
 use crate::workload::{Request, RequestKind, WorkloadGenerator};
-use pharmaverify_core::{extract_corpus, TextLearnerKind, TrainedVerifier, VerifyError};
+use pharmaverify_core::{
+    extract_corpus, TextLearnerKind, TrainedVerifier, Verdict, VerdictSource, VerifyError,
+};
 use pharmaverify_corpus::Snapshot;
 use pharmaverify_crawl::{CrawlConfig, InMemoryWeb};
-use pharmaverify_obs::{Registry, VirtualClock};
+use pharmaverify_obs::{Clock, Registry, VirtualClock};
+use std::path::PathBuf;
+use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
 
-/// Replay knobs.
-#[derive(Debug, Clone)]
-pub struct ReplayConfig {
-    /// Total requests to draw from the workload generator.
-    pub requests: usize,
-    /// Workload seed (site mix and repeat pattern).
-    pub seed: u64,
-    /// Service configuration (worker count, queue, batch, cache, breaker).
-    pub serve: ServeConfig,
-    /// Virtual-clock micros advanced between waves (drives cache TTL).
-    pub advance_micros: u64,
+/// Requests per wave, and the service's admission queue.
+const QUEUE_CAPACITY: usize = 16;
+const MAX_BATCH: usize = 4;
+/// Sized against the small corpus (~60 verifiable domains): tight
+/// enough to evict, roomy enough that a hot entry usually lives past its
+/// two-wave TTL — seq-based eviction is FIFO, so an over-tight cache
+/// would evict every entry before it could expire.
+const CACHE_CAPACITY: usize = 16;
+const CACHE_TTL_MICROS: u64 = 200;
+/// Virtual time per wave (drives cache TTL and store staleness).
+const WAVE_MICROS: u64 = 100;
+/// Drift histogram buckets, verdicts per window (so at least one clean
+/// window closes on each side of the online mix shift) and threshold.
+const DRIFT_BUCKETS: usize = 16;
+const DRIFT_WINDOW: usize = 24;
+const DRIFT_THRESHOLD: f64 = 0.3;
+
+/// Distinguishes concurrently running federation replays within one
+/// process when picking a scratch path for the store checkpoint.
+static STORE_SCRATCH: AtomicU64 = AtomicU64::new(0);
+
+fn serve_config(workers: usize) -> ServeConfig {
+    ServeConfig {
+        workers,
+        queue_capacity: QUEUE_CAPACITY,
+        max_batch: MAX_BATCH,
+        cache_capacity: CACHE_CAPACITY,
+        cache_ttl_micros: CACHE_TTL_MICROS,
+    }
 }
 
-impl ReplayConfig {
-    /// A replay of `requests` requests with `workers` workers and
-    /// defaults chosen so cache hits, misses, evictions, and TTL expiry
-    /// all actually occur at small workload sizes.
-    pub fn new(requests: usize, workers: usize, seed: u64) -> ReplayConfig {
-        ReplayConfig {
-            requests,
-            seed,
-            serve: ServeConfig {
-                workers,
-                queue_capacity: 16,
-                max_batch: 4,
-                // Sized against the small corpus (~60 verifiable
-                // domains): tight enough to evict, roomy enough that a
-                // hot entry usually lives past its two-wave TTL —
-                // seq-based eviction is FIFO, so an over-tight cache
-                // would evict every entry before it could expire.
-                cache_capacity: 16,
-                cache_ttl_micros: 200,
-                ..ServeConfig::default()
-            },
-            advance_micros: 100,
+/// What one study adds to the shared wave protocol.
+trait Study {
+    /// What a request carries from submission to its outcome.
+    type Note;
+
+    /// Runs the wave-boundary work after `submitted` requests and draws
+    /// the next wave of `size`.
+    fn open_wave(
+        &mut self,
+        generator: &mut WorkloadGenerator,
+        _submitted: usize,
+        size: usize,
+    ) -> Vec<Request> {
+        generator.take(size)
+    }
+
+    /// Submits one request: `Some` is a ticket to wait on; an answer or
+    /// a refusal at the door is tallied here.
+    fn submit(&mut self, seed_url: &str) -> Option<(Ticket, Self::Note)>;
+
+    fn flush(&mut self);
+
+    /// Takes one ticket's outcome, in submission order.
+    fn answer(&mut self, outcome: &Outcome, note: Self::Note);
+}
+
+/// The one wave loop: replays `requests` seeded requests through the
+/// study `start` builds over the snapshot-2 web and the replay's clock.
+fn drive<S: Study>(
+    snapshot1: &Snapshot,
+    snapshot2: &Snapshot,
+    seed: u64,
+    requests: usize,
+    start: impl FnOnce(Arc<InMemoryWeb>, Arc<dyn Clock>) -> S,
+) -> S {
+    let host = Arc::new(snapshot2.web.clone());
+    // Frozen virtual time: readings never advance the clock, only the
+    // inter-wave step does — so TTL expiry is a pure function of the
+    // wave schedule, independent of how often anyone reads the clock.
+    let clock = VirtualClock::new(0);
+    let mut generator = WorkloadGenerator::new(snapshot1, snapshot2, seed);
+    let mut study = start(host, Arc::new(clock.clone()));
+    let mut submitted = 0;
+    while submitted < requests {
+        let size = (requests - submitted).min(QUEUE_CAPACITY);
+        let wave = study.open_wave(&mut generator, submitted, size);
+        submitted += size;
+        let tickets: Vec<_> = wave
+            .iter()
+            .filter_map(|request| study.submit(&request.seed_url))
+            .collect();
+        study.flush();
+        for (ticket, note) in tickets {
+            study.answer(&ticket.wait(), note);
         }
+        clock.advance(WAVE_MICROS);
+    }
+    study
+}
+
+/// Counters a replay reads back as deltas, each with its tally field.
+type Counters<T> = [(&'static str, fn(&mut T) -> &mut u64)];
+
+fn read_counters<T>(obs: &Registry, counters: &Counters<T>) -> Vec<u64> {
+    counters.iter().map(|(name, _)| obs.counter(name)).collect()
+}
+
+fn fill_deltas<T>(obs: &Registry, counters: &Counters<T>, before: &[u64], stats: &mut T) {
+    for ((name, field), before) in counters.iter().zip(before) {
+        *field(stats) = obs.counter(name).saturating_sub(*before);
     }
 }
 
@@ -130,8 +208,8 @@ impl ServingStats {
     }
 }
 
-/// Counter names the replay reads back as deltas.
-const COUNTERS: [(&str, fn(&mut ServingStats) -> &mut u64); 7] = [
+/// Service counters the serving and online replays read back.
+const COUNTERS: &Counters<ServingStats> = &[
     ("serve/enqueue", |s| &mut s.accepted),
     ("serve/rejected", |s| &mut s.rejected),
     ("serve/shed", |s| &mut s.shed),
@@ -139,115 +217,105 @@ const COUNTERS: [(&str, fn(&mut ServingStats) -> &mut u64); 7] = [
     ("serve/cache/miss", |s| &mut s.cache_misses),
     ("serve/cache/evict", |s| &mut s.cache_evictions),
     ("serve/cache/expired", |s| &mut s.cache_expired),
+    ("serve/batch", |s| &mut s.batches),
 ];
 
-/// Replays a seeded workload against a service built from `verifier`
-/// and the snapshot-2 web, recording metrics into `obs`. Returns the
-/// deterministic tally. See the module docs for the wave protocol.
+/// The serving study: the plain service and its tally.
+struct Served {
+    service: VerifyService<InMemoryWeb>,
+    stats: ServingStats,
+}
+
+impl Served {
+    fn start(
+        verifier: Arc<TrainedVerifier>,
+        host: Arc<InMemoryWeb>,
+        clock: Arc<dyn Clock>,
+        workers: usize,
+        requests: usize,
+        obs: &Arc<Registry>,
+    ) -> Served {
+        Served {
+            service: VerifyService::with_observability(
+                verifier,
+                host,
+                serve_config(workers),
+                Arc::clone(obs),
+                clock,
+            ),
+            stats: ServingStats {
+                requests: requests as u64,
+                ..ServingStats::default()
+            },
+        }
+    }
+
+    /// Stops the service and reads its counters back.
+    fn finish(self, obs: &Registry, before: &[u64]) -> ServingStats {
+        let mut stats = self.stats;
+        self.service.shutdown();
+        fill_deltas(obs, COUNTERS, before, &mut stats);
+        stats
+    }
+}
+
+impl Study for Served {
+    type Note = ();
+
+    fn submit(&mut self, seed_url: &str) -> Option<(Ticket, ())> {
+        match self.service.submit(seed_url) {
+            Ok(ticket) => return Some((ticket, ())),
+            Err(ServeError::Overloaded) | Err(ServeError::Shedding) => {}
+            Err(_) => self.stats.errors_other += 1,
+        }
+        None
+    }
+
+    fn flush(&mut self) {
+        self.service.flush();
+    }
+
+    fn answer(&mut self, outcome: &Outcome, (): ()) {
+        let stats = &mut self.stats;
+        match outcome {
+            Ok(verdict) => {
+                if verdict.predicted_legitimate {
+                    stats.verdicts_legitimate += 1;
+                } else {
+                    stats.verdicts_illegitimate += 1;
+                }
+                if verdict.degraded {
+                    stats.verdicts_degraded += 1;
+                }
+            }
+            Err(ServeError::Verify(VerifyError::EmptySite(_))) => stats.errors_empty_site += 1,
+            Err(ServeError::Verify(VerifyError::Unreachable { .. })) => {
+                stats.errors_unreachable += 1;
+            }
+            Err(_) => stats.errors_other += 1,
+        }
+    }
+}
+
+/// Replays `requests` seeded requests against a service of `workers`
+/// workers built from `verifier` and the snapshot-2 web, recording
+/// metrics into `obs`. Returns the deterministic tally. See the module
+/// docs for the wave protocol.
 pub fn replay_workload(
     verifier: Arc<TrainedVerifier>,
     snapshot1: &Snapshot,
     snapshot2: &Snapshot,
-    config: &ReplayConfig,
+    requests: usize,
+    workers: usize,
+    seed: u64,
     obs: Arc<Registry>,
 ) -> ServingStats {
     let _span = obs.span("serve/replay");
-    let host: Arc<InMemoryWeb> = Arc::new(snapshot2.web.clone());
-    // Frozen virtual time: readings never advance the clock, only the
-    // inter-wave step does — so TTL expiry is a pure function of the
-    // wave schedule, independent of how often anyone reads the clock.
-    let clock = VirtualClock::new(0);
-    let mut generator = WorkloadGenerator::new(snapshot1, snapshot2, config.seed);
-    let before: Vec<u64> = COUNTERS.iter().map(|(name, _)| obs.counter(name)).collect();
-    let batches_before = obs.counter("serve/batch");
-
-    let service = VerifyService::with_observability(
-        verifier,
-        host,
-        config.serve.clone(),
-        Arc::clone(&obs),
-        Arc::new(clock.clone()),
-    );
-    let mut stats = ServingStats {
-        requests: config.requests as u64,
-        ..ServingStats::default()
-    };
-    let wave_size = config.serve.queue_capacity.max(1);
-    let mut remaining = config.requests;
-    while remaining > 0 {
-        let wave = remaining.min(wave_size);
-        remaining -= wave;
-        let mut tickets: Vec<Ticket> = Vec::with_capacity(wave);
-        for request in generator.take(wave) {
-            match service.submit(&request.seed_url) {
-                Ok(ticket) => tickets.push(ticket),
-                Err(ServeError::Overloaded) | Err(ServeError::Shedding) => {}
-                Err(_) => stats.errors_other += 1,
-            }
-        }
-        service.flush();
-        for ticket in tickets {
-            match ticket.wait() {
-                Ok(verdict) => {
-                    if verdict.predicted_legitimate {
-                        stats.verdicts_legitimate += 1;
-                    } else {
-                        stats.verdicts_illegitimate += 1;
-                    }
-                    if verdict.degraded {
-                        stats.verdicts_degraded += 1;
-                    }
-                }
-                Err(ServeError::Verify(VerifyError::EmptySite(_))) => {
-                    stats.errors_empty_site += 1;
-                }
-                Err(ServeError::Verify(VerifyError::Unreachable { .. })) => {
-                    stats.errors_unreachable += 1;
-                }
-                Err(_) => stats.errors_other += 1,
-            }
-        }
-        clock.advance(config.advance_micros);
-    }
-    service.shutdown();
-    for (i, (name, field)) in COUNTERS.iter().enumerate() {
-        *field(&mut stats) = obs.counter(name).saturating_sub(before[i]);
-    }
-    stats.batches = obs.counter("serve/batch").saturating_sub(batches_before);
-    stats
-}
-
-/// Knobs for [`replay_online`], layered on a [`ReplayConfig`].
-#[derive(Debug, Clone)]
-pub struct OnlineConfig {
-    /// The underlying wave-driven replay (requests, seed, service).
-    pub replay: ReplayConfig,
-    /// Drift monitor tuning.
-    pub drift: DriftConfig,
-    /// Submission index at which the incoming mix shifts from
-    /// established sites to snapshot-2 newcomers (the simulated wave of
-    /// new rogue pharmacies whose score distribution the monitor should
-    /// catch).
-    pub shift_at: usize,
-}
-
-impl OnlineConfig {
-    /// An online replay of `waves` waves with `workers` workers: the
-    /// request mix shifts halfway through, and drift windows are sized
-    /// so at least one clean window completes on each side of the shift.
-    pub fn new(waves: usize, workers: usize, seed: u64) -> OnlineConfig {
-        let replay = ReplayConfig::new(waves * 16, workers, seed);
-        let wave = replay.serve.queue_capacity.max(1);
-        OnlineConfig {
-            shift_at: waves / 2 * wave,
-            replay,
-            drift: DriftConfig {
-                buckets: 16,
-                window: 24,
-                threshold: 0.3,
-            },
-        }
-    }
+    let before = read_counters(&obs, COUNTERS);
+    drive(snapshot1, snapshot2, seed, requests, |host, clock| {
+        Served::start(verifier, host, clock, workers, requests, &obs)
+    })
+    .finish(&obs, &before)
 }
 
 /// Deterministic tally of one online replay: the serving tally plus the
@@ -323,9 +391,73 @@ fn draw_phase(generator: &mut WorkloadGenerator, newcomers: bool, n: usize) -> V
     out
 }
 
-/// Online verification replay: the wave protocol of [`replay_workload`]
-/// plus a [`DriftMonitor`] fed every completed verdict (in submission
-/// order, on this thread), a **seeded retrain on the snapshot-2 corpus**
+/// The online study: the serving study plus a drift monitor fed every
+/// verdict in submission order, and the retrain that answers a drifted
+/// window. `stats.serving` is filled when the replay finishes.
+struct Online<'a> {
+    served: Served,
+    stats: OnlineStats,
+    drift: DriftMonitor,
+    obs: Arc<Registry>,
+    /// Requests submitted before the incoming mix shifts from
+    /// established sites to snapshot-2 newcomers (the simulated wave of
+    /// new rogue pharmacies whose score distribution the monitor should
+    /// catch).
+    shift_at: usize,
+    /// The retrain corpus.
+    snapshot2: &'a Snapshot,
+    seed: u64,
+}
+
+impl Study for Online<'_> {
+    type Note = ();
+
+    fn open_wave(
+        &mut self,
+        generator: &mut WorkloadGenerator,
+        submitted: usize,
+        size: usize,
+    ) -> Vec<Request> {
+        draw_phase(generator, submitted >= self.shift_at, size)
+    }
+
+    fn submit(&mut self, seed_url: &str) -> Option<(Ticket, ())> {
+        self.served.submit(seed_url)
+    }
+
+    fn flush(&mut self) {
+        self.served.flush();
+    }
+
+    fn answer(&mut self, outcome: &Outcome, (): ()) {
+        self.stats.responses += 1;
+        self.served.answer(outcome, ());
+        let Ok(verdict) = outcome else {
+            return;
+        };
+        if verdict.model_version == 0 {
+            self.stats.verdicts_v0 += 1;
+        } else {
+            self.stats.verdicts_swapped += 1;
+        }
+        if let Some(DriftVerdict::Drifted { .. }) = self.drift.observe(verdict.rank, &self.obs) {
+            // The score population moved: retrain on the current
+            // (snapshot-2) population with the replay seed and hot-swap,
+            // mid-replay. In-flight batches finish on their pinned
+            // version; the remaining tickets of this wave were all
+            // dispatched before the swap and are unaffected.
+            let retrained = retrain_on(self.snapshot2, self.seed);
+            self.served.service.swap_model(retrained);
+            self.stats.retrains += 1;
+            self.drift.rebase();
+        }
+    }
+}
+
+/// Online verification replay: `waves` waves through a service of
+/// `workers` workers whose request mix shifts at the halfway wave, plus
+/// a [`DriftMonitor`] fed every completed verdict (in submission order,
+/// on this thread), a **seeded retrain on the snapshot-2 corpus**
 /// whenever a window drifts, and an atomic hot-swap of the retrained
 /// model through the service's [`crate::ModelRegistry`] — mid-replay,
 /// while the service keeps answering.
@@ -343,106 +475,179 @@ pub fn replay_online(
     verifier: Arc<TrainedVerifier>,
     snapshot1: &Snapshot,
     snapshot2: &Snapshot,
-    config: &OnlineConfig,
+    waves: usize,
+    workers: usize,
+    seed: u64,
     obs: Arc<Registry>,
 ) -> OnlineStats {
     let _span = obs.span("serve/replay_online");
-    let host: Arc<InMemoryWeb> = Arc::new(snapshot2.web.clone());
-    let clock = VirtualClock::new(0);
-    let replay = &config.replay;
-    let mut generator = WorkloadGenerator::new(snapshot1, snapshot2, replay.seed);
-    let before: Vec<u64> = COUNTERS.iter().map(|(name, _)| obs.counter(name)).collect();
-    let batches_before = obs.counter("serve/batch");
+    let before = read_counters(&obs, COUNTERS);
     let triggers_before = obs.counter("serve/drift/triggers");
-
-    let service = VerifyService::with_observability(
-        verifier,
-        host,
-        replay.serve.clone(),
-        Arc::clone(&obs),
-        Arc::new(clock.clone()),
-    );
-    let mut drift = DriftMonitor::new(config.drift.clone());
-    let mut stats = OnlineStats {
-        serving: ServingStats {
-            requests: replay.requests as u64,
-            ..ServingStats::default()
-        },
-        ..OnlineStats::default()
-    };
-    let wave_size = replay.serve.queue_capacity.max(1);
-    let mut submitted = 0usize;
-    let mut remaining = replay.requests;
-    while remaining > 0 {
-        let wave = remaining.min(wave_size);
-        remaining -= wave;
-        let newcomers = submitted >= config.shift_at;
-        submitted += wave;
-        let mut tickets: Vec<Ticket> = Vec::with_capacity(wave);
-        for request in draw_phase(&mut generator, newcomers, wave) {
-            match service.submit(&request.seed_url) {
-                Ok(ticket) => tickets.push(ticket),
-                Err(ServeError::Overloaded) | Err(ServeError::Shedding) => {}
-                Err(_) => stats.serving.errors_other += 1,
-            }
-        }
-        service.flush();
-        for ticket in tickets {
-            match ticket.wait() {
-                Ok(verdict) => {
-                    stats.responses += 1;
-                    if verdict.model_version == 0 {
-                        stats.verdicts_v0 += 1;
-                    } else {
-                        stats.verdicts_swapped += 1;
-                    }
-                    if verdict.predicted_legitimate {
-                        stats.serving.verdicts_legitimate += 1;
-                    } else {
-                        stats.serving.verdicts_illegitimate += 1;
-                    }
-                    if verdict.degraded {
-                        stats.serving.verdicts_degraded += 1;
-                    }
-                    if let Some(DriftVerdict::Drifted { .. }) = drift.observe(verdict.rank, &obs) {
-                        // The score population moved: retrain on the
-                        // current (snapshot-2) population with the replay
-                        // seed and hot-swap, mid-replay. In-flight
-                        // batches finish on their pinned version; the
-                        // remaining tickets of this wave were all
-                        // dispatched before the swap and are unaffected.
-                        let retrained = retrain_on(snapshot2, replay.seed);
-                        service.swap_model(retrained);
-                        stats.retrains += 1;
-                        drift.rebase();
-                    }
-                }
-                Err(ServeError::Verify(VerifyError::EmptySite(_))) => {
-                    stats.responses += 1;
-                    stats.serving.errors_empty_site += 1;
-                }
-                Err(ServeError::Verify(VerifyError::Unreachable { .. })) => {
-                    stats.responses += 1;
-                    stats.serving.errors_unreachable += 1;
-                }
-                Err(_) => {
-                    stats.responses += 1;
-                    stats.serving.errors_other += 1;
-                }
-            }
-        }
-        clock.advance(replay.advance_micros);
-    }
-    stats.windows = drift.windows_closed();
+    let requests = waves * QUEUE_CAPACITY;
+    let online = drive(snapshot1, snapshot2, seed, requests, |host, clock| Online {
+        served: Served::start(verifier, host, clock, workers, requests, &obs),
+        stats: OnlineStats::default(),
+        drift: DriftMonitor::new(DRIFT_BUCKETS, DRIFT_WINDOW, DRIFT_THRESHOLD),
+        obs: Arc::clone(&obs),
+        shift_at: waves / 2 * QUEUE_CAPACITY,
+        snapshot2,
+        seed,
+    });
+    let mut stats = online.stats;
+    stats.windows = online.drift.windows_closed();
     stats.triggers = obs
         .counter("serve/drift/triggers")
         .saturating_sub(triggers_before);
-    stats.final_version = service.model_version();
-    service.shutdown();
-    for (i, (name, field)) in COUNTERS.iter().enumerate() {
-        *field(&mut stats.serving) = obs.counter(name).saturating_sub(before[i]);
+    stats.final_version = online.served.service.model_version();
+    stats.serving = online.served.finish(&obs, &before);
+    stats
+}
+
+/// Federation counters the federation replay reads back.
+const FED_COUNTERS: &Counters<FederationStats> = &[
+    ("serve/federation/requests", |s| &mut s.requests),
+    ("serve/federation/tier/cache/hit", |s| &mut s.cache_hits),
+    ("serve/federation/tier/cache/fallthrough", |s| {
+        &mut s.cache_fallthroughs
+    }),
+    ("serve/federation/tier/store/hit", |s| &mut s.store_hits),
+    ("serve/federation/tier/store/stale", |s| &mut s.store_stale),
+    ("serve/federation/tier/store/fallthrough", |s| {
+        &mut s.store_fallthroughs
+    }),
+    ("serve/federation/tier/fast/hit", |s| &mut s.fast_hits),
+    ("serve/federation/tier/fast/fallthrough", |s| {
+        &mut s.fast_fallthroughs
+    }),
+    ("serve/federation/tier/fast/error", |s| &mut s.fast_errors),
+    ("serve/federation/tier/slow/hit", |s| &mut s.slow_hits),
+];
+
+/// The federation study: the tiered front end, its tally, and the
+/// checkpoint-restart at the first wave boundary past `restart_at`
+/// requests (`None` once it has run).
+struct Federated {
+    federation: Federation<InMemoryWeb>,
+    stats: FederationStats,
+    restart_at: Option<usize>,
+    store_path: PathBuf,
+}
+
+impl Federated {
+    fn tally(&mut self, outcome: Result<&Verdict, &ServeError>) {
+        let stats = &mut self.stats;
+        match outcome {
+            Ok(verdict) => match verdict.source {
+                VerdictSource::ResponseCache => stats.via_cache += 1,
+                VerdictSource::VerdictStore => stats.via_store += 1,
+                VerdictSource::TextOnly => stats.via_fast += 1,
+                VerdictSource::GraphSpliced => stats.via_slow += 1,
+            },
+            Err(ServeError::Verify(VerifyError::EmptySite(_))) => stats.errors_empty_site += 1,
+            Err(ServeError::Verify(VerifyError::Unreachable { .. })) => {
+                stats.errors_unreachable += 1;
+            }
+            Err(_) => stats.errors_other += 1,
+        }
     }
-    stats.serving.batches = obs.counter("serve/batch").saturating_sub(batches_before);
+}
+
+impl Study for Federated {
+    /// The fast path's rejected prediction, if it made one.
+    type Note = Option<bool>;
+
+    fn open_wave(
+        &mut self,
+        generator: &mut WorkloadGenerator,
+        submitted: usize,
+        size: usize,
+    ) -> Vec<Request> {
+        if self.restart_at.is_some_and(|at| submitted >= at) {
+            self.restart_at = None;
+            let checkpoint = self.federation.checkpoint_restart(&self.store_path);
+            // lint:allow(no-panic): the scratch path lives in temp_dir; failing
+            // to persist there is an environment bug the replay cannot continue past.
+            #[allow(clippy::expect_used)]
+            let (persisted, reloaded) = checkpoint.expect("store checkpoint persists");
+            self.stats.store_persisted = persisted;
+            self.stats.store_reloaded = reloaded;
+        }
+        generator.take(size)
+    }
+
+    fn submit(&mut self, seed_url: &str) -> Option<(Ticket, Option<bool>)> {
+        match self.federation.submit(seed_url) {
+            Routed::Done(verdict) => self.tally(Ok(&verdict)),
+            Routed::Slow { ticket, fast_label } => return Some((ticket, fast_label)),
+            Routed::Failed(error) => self.tally(Err(&error)),
+        }
+        None
+    }
+
+    fn flush(&mut self) {
+        self.federation.flush();
+    }
+
+    fn answer(&mut self, outcome: &Outcome, fast_label: Option<bool>) {
+        if let Ok(verdict) = outcome {
+            self.federation.complete_slow(verdict);
+            match fast_label {
+                Some(label) if label == verdict.predicted_legitimate => {
+                    self.stats.agreement_agree += 1;
+                }
+                Some(_) => self.stats.agreement_disagree += 1,
+                None => {}
+            }
+        }
+        self.tally(outcome.as_ref());
+    }
+}
+
+/// Replays `requests` seeded Zipf requests through a [`Federation`]
+/// with `workers` slow-path workers and the routing `policy` over the
+/// snapshot-2 web, with a simulated restart (store save + reload, cache
+/// dropped) at the first wave boundary past the halfway request. Every
+/// [`FederationStats`] field is byte-identical across worker counts.
+#[allow(clippy::too_many_arguments)]
+pub fn replay_federation(
+    verifier: Arc<TrainedVerifier>,
+    snapshot1: &Snapshot,
+    snapshot2: &Snapshot,
+    requests: usize,
+    workers: usize,
+    seed: u64,
+    policy: FederationPolicy,
+    obs: Arc<Registry>,
+) -> FederationStats {
+    let _span = obs.span("serve/federation/replay");
+    let before = read_counters(&obs, FED_COUNTERS);
+    let scratch = STORE_SCRATCH.fetch_add(1, Ordering::Relaxed);
+    // Never printed: report output stays path-independent.
+    let store_path = std::env::temp_dir().join(format!(
+        "pharmaverify-federation-{}-{scratch}.json",
+        std::process::id()
+    ));
+    let federated = drive(snapshot1, snapshot2, seed, requests, |host, clock| {
+        Federated {
+            federation: Federation::with_observability(
+                verifier,
+                host,
+                serve_config(workers),
+                policy,
+                Arc::clone(&obs),
+                clock,
+            ),
+            stats: FederationStats::default(),
+            restart_at: Some(requests / 2),
+            store_path,
+        }
+    });
+    let mut stats = federated.stats;
+    stats.store_records = federated.federation.store_len() as u64;
+    federated.federation.shutdown();
+    fill_deltas(&obs, FED_COUNTERS, &before, &mut stats);
+    // Scratch hygiene: the checkpoint file has served its purpose.
+    let _ = std::fs::remove_file(&federated.store_path);
     stats
 }
 

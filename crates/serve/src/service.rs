@@ -47,7 +47,7 @@
 //! a `degraded` verdict — never cached; a fully transient-failed crawl
 //! yields [`VerifyError::Unreachable`]) and service-wide (a sliding
 //! window of recent outcomes; when the degraded+unreachable fraction
-//! crosses `breaker_threshold`, new submissions are shed with
+//! crosses `BREAKER_THRESHOLD`, new submissions are shed with
 //! [`ServeError::Shedding`] until a probe request refreshes the window).
 //! A panic inside verification is contained per batch: every request of
 //! that batch resolves with [`ServeError::WorkerPanicked`] and the worker
@@ -65,6 +65,14 @@ use std::sync::mpsc::{channel, Receiver, Sender};
 use std::sync::{Arc, Condvar, Mutex, MutexGuard};
 use std::thread::JoinHandle;
 
+/// Degraded fraction of the breaker's outcome window at which it opens.
+const BREAKER_THRESHOLD: f64 = 0.5;
+/// Sliding-window length for breaker outcomes; also the number of
+/// consecutive sheds after which one probe request is admitted.
+const BREAKER_WINDOW: usize = 16;
+/// Minimum outcomes in the window before the breaker may open.
+const BREAKER_MIN_SAMPLES: usize = 8;
+
 /// Tuning knobs for a [`VerifyService`].
 #[derive(Debug, Clone)]
 pub struct ServeConfig {
@@ -81,14 +89,6 @@ pub struct ServeConfig {
     pub cache_capacity: usize,
     /// Response-cache TTL in clock microseconds (0 = never expire).
     pub cache_ttl_micros: u64,
-    /// Degraded fraction of the outcome window at which the breaker
-    /// opens, in `[0, 1]`.
-    pub breaker_threshold: f64,
-    /// Sliding-window length for breaker outcomes; also the number of
-    /// consecutive sheds after which one probe request is admitted.
-    pub breaker_window: usize,
-    /// Minimum outcomes in the window before the breaker may open.
-    pub breaker_min_samples: usize,
 }
 
 impl Default for ServeConfig {
@@ -99,9 +99,6 @@ impl Default for ServeConfig {
             max_batch: 8,
             cache_capacity: 128,
             cache_ttl_micros: 0,
-            breaker_threshold: 0.5,
-            breaker_window: 16,
-            breaker_min_samples: 8,
         }
     }
 }
@@ -161,7 +158,9 @@ impl Slot {
     }
 }
 
-/// A claim on a submitted request's eventual outcome.
+/// A claim on a submitted request's eventual outcome. Clones share the
+/// one outcome: each `wait` returns a copy of it.
+#[derive(Clone)]
 pub struct Ticket {
     slot: Arc<Slot>,
 }
@@ -196,17 +195,12 @@ impl Ticket {
     pub fn wait(self) -> Outcome {
         let mut guard = lock(&self.slot.value);
         loop {
-            if let Some(outcome) = guard.take() {
-                return outcome;
+            if let Some(outcome) = guard.as_ref() {
+                return outcome.clone();
             }
             // lint:allow(lock-order): the condvar wait atomically releases and reacquires this slot mutex.
             guard = wait(&self.slot.ready, guard);
         }
-    }
-
-    /// The outcome if already available, without blocking.
-    pub fn try_take(&self) -> Option<Outcome> {
-        lock(&self.slot.value).take()
     }
 }
 
@@ -277,18 +271,6 @@ fn wait<'a, T>(cv: &Condvar, guard: MutexGuard<'a, T>) -> MutexGuard<'a, T> {
 }
 
 impl<H: WebHost + Send + Sync + 'static> VerifyService<H> {
-    /// Starts a service over the process-global metric registry and a
-    /// wall clock.
-    pub fn new(verifier: Arc<TrainedVerifier>, host: Arc<H>, config: ServeConfig) -> Self {
-        Self::with_observability(
-            verifier,
-            host,
-            config,
-            pharmaverify_obs::global_arc(),
-            Arc::new(WallClock::new()),
-        )
-    }
-
     /// Starts a service with an injected registry and clock — tests use
     /// a private [`Registry`] and a frozen
     /// [`pharmaverify_obs::VirtualClock`] for full isolation and
@@ -356,7 +338,7 @@ impl<H: WebHost + Send + Sync + 'static> VerifyService<H> {
         let ticket = {
             let mut state = lock(&self.shared.state);
             if self.breaker_open(&state) {
-                if state.sheds_since_probe >= self.shared.config.breaker_window {
+                if state.sheds_since_probe >= BREAKER_WINDOW {
                     // Admit one probe so the window can refresh; without
                     // it an open breaker would never see a healthy
                     // outcome again.
@@ -482,10 +464,8 @@ impl<H: WebHost + Send + Sync + 'static> VerifyService<H> {
     }
 
     fn breaker_open(&self, state: &ServeState) -> bool {
-        let cfg = &self.shared.config;
-        state.window.len() >= cfg.breaker_min_samples.max(1)
-            && (state.degraded_in_window as f64)
-                >= cfg.breaker_threshold * state.window.len() as f64
+        state.window.len() >= BREAKER_MIN_SAMPLES
+            && (state.degraded_in_window as f64) >= BREAKER_THRESHOLD * state.window.len() as f64
     }
 
     fn dispatch(&self, requests: Vec<BatchRequest>) {
@@ -582,7 +562,6 @@ fn process_batch<H: WebHost + Send + Sync>(shared: &Shared<H>, batch: SealedBatc
     let panicked = run.is_err();
     let now = shared.clock.now_micros();
     let wall_now = shared.wall.now_micros();
-    let cfg = &shared.config;
     let mut fulfilled: Vec<(Vec<Arc<Slot>>, Outcome)> = Vec::with_capacity(batch.requests.len());
     let mut skipped_degraded = 0u64;
     {
@@ -606,7 +585,7 @@ fn process_batch<H: WebHost + Send + Sync>(shared: &Shared<H>, batch: SealedBatc
                 // site, not signs the service is degrading.
                 Err(_) => false,
             };
-            push_outcome(&mut state, degraded_outcome, cfg.breaker_window.max(1));
+            push_outcome(&mut state, degraded_outcome);
             // Complete the reservation in place — membership never
             // changes on a worker thread (see crate::cache).
             match &result {
@@ -648,12 +627,12 @@ fn process_batch<H: WebHost + Send + Sync>(shared: &Shared<H>, batch: SealedBatc
     }
 }
 
-fn push_outcome(state: &mut ServeState, degraded: bool, window: usize) {
+fn push_outcome(state: &mut ServeState, degraded: bool) {
     state.window.push_back(degraded);
     if degraded {
         state.degraded_in_window += 1;
     }
-    while state.window.len() > window {
+    while state.window.len() > BREAKER_WINDOW {
         if state.window.pop_front() == Some(true) {
             state.degraded_in_window = state.degraded_in_window.saturating_sub(1);
         }

@@ -105,11 +105,6 @@ impl WorkloadGenerator {
         }
     }
 
-    /// Number of distinct sites in the pool.
-    pub fn pool_size(&self) -> usize {
-        self.pool.len()
-    }
-
     /// Draws the next request (Zipf-skewed over the shuffled pool).
     /// Returns `None` only for an empty pool.
     pub fn next_request(&mut self) -> Option<Request> {

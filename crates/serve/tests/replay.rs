@@ -7,9 +7,7 @@ use pharmaverify_core::{extract_corpus, TextLearnerKind, TrainedVerifier};
 use pharmaverify_corpus::{CorpusConfig, Snapshot, SyntheticWeb};
 use pharmaverify_crawl::CrawlConfig;
 use pharmaverify_obs::{Registry, VirtualClock};
-use pharmaverify_serve::{
-    replay_online, replay_workload, OnlineConfig, OnlineStats, ReplayConfig, ServingStats,
-};
+use pharmaverify_serve::{replay_online, replay_workload, OnlineStats, ServingStats};
 use std::sync::Arc;
 
 fn trained() -> (Arc<TrainedVerifier>, Snapshot, Snapshot) {
@@ -32,8 +30,7 @@ fn trained() -> (Arc<TrainedVerifier>, Snapshot, Snapshot) {
 fn run(workers: usize, requests: usize) -> ServingStats {
     let (verifier, snap1, snap2) = trained();
     let obs = Arc::new(Registry::with_clock(Box::new(VirtualClock::new(0))));
-    let config = ReplayConfig::new(requests, workers, 20180326);
-    replay_workload(verifier, &snap1, &snap2, &config, obs)
+    replay_workload(verifier, &snap1, &snap2, requests, workers, 20180326, obs)
 }
 
 #[test]
@@ -77,8 +74,7 @@ fn workload_exercises_the_interesting_paths() {
 fn run_online(workers: usize, waves: usize) -> OnlineStats {
     let (verifier, snap1, snap2) = trained();
     let obs = Arc::new(Registry::with_clock(Box::new(VirtualClock::new(0))));
-    let config = OnlineConfig::new(waves, workers, 20180326);
-    replay_online(verifier, &snap1, &snap2, &config, obs)
+    replay_online(verifier, &snap1, &snap2, waves, workers, 20180326, obs)
 }
 
 #[test]
@@ -121,19 +117,7 @@ fn different_seeds_give_different_tallies() {
     let (verifier, snap1, snap2) = trained();
     let obs_a = Arc::new(Registry::with_clock(Box::new(VirtualClock::new(0))));
     let obs_b = Arc::new(Registry::with_clock(Box::new(VirtualClock::new(0))));
-    let a = replay_workload(
-        Arc::clone(&verifier),
-        &snap1,
-        &snap2,
-        &ReplayConfig::new(80, 2, 1),
-        obs_a,
-    );
-    let b = replay_workload(
-        verifier,
-        &snap1,
-        &snap2,
-        &ReplayConfig::new(80, 2, 2),
-        obs_b,
-    );
+    let a = replay_workload(Arc::clone(&verifier), &snap1, &snap2, 80, 2, 1, obs_a);
+    let b = replay_workload(verifier, &snap1, &snap2, 80, 2, 2, obs_b);
     assert_ne!(a, b, "seeds 1 and 2 produced identical tallies");
 }

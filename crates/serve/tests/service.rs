@@ -1,7 +1,8 @@
 //! Service-level integration tests (ISSUE 5, satellites 3 and 4):
 //! admission control rejects instead of hanging, the degradation
 //! breaker sheds under sustained crawl faults, TTL expiry re-verifies,
-//! and degraded verdicts are never served from the cache.
+//! degraded verdicts are never served from the cache, and a federation
+//! sends a repeated domain to the slow path once per flush window.
 
 use pharmaverify_core::{extract_corpus, TextLearnerKind, TrainedVerifier};
 use pharmaverify_corpus::{
@@ -11,7 +12,9 @@ use pharmaverify_crawl::{
     CrawlConfig, FaultConfig, FaultyWeb, FetchError, InMemoryWeb, Page, Url, WebHost,
 };
 use pharmaverify_obs::{Registry, VirtualClock};
-use pharmaverify_serve::{ServeConfig, ServeError, VerifyService};
+use pharmaverify_serve::{
+    Federation, FederationPolicy, Routed, ServeConfig, ServeError, Ticket, VerifyService,
+};
 use std::sync::{Arc, Condvar, Mutex};
 
 fn trained() -> (Arc<TrainedVerifier>, Snapshot, Snapshot) {
@@ -201,9 +204,6 @@ fn sustained_faults_open_the_breaker_and_shed() {
             queue_capacity: 64,
             max_batch: 2,
             cache_capacity: 8,
-            breaker_threshold: 0.5,
-            breaker_window: 8,
-            breaker_min_samples: 4,
             ..ServeConfig::default()
         },
         Arc::clone(&obs),
@@ -314,7 +314,6 @@ fn degraded_verdicts_are_never_served_from_cache() {
             queue_capacity: 8,
             max_batch: 1,
             cache_capacity: 8,
-            breaker_min_samples: 1_000, // keep the breaker out of this test
             ..ServeConfig::default()
         },
         Arc::clone(&obs),
@@ -330,7 +329,8 @@ fn degraded_verdicts_are_never_served_from_cache() {
     assert_eq!(obs.counter("serve/cache/skip_degraded"), 1);
 
     // The degraded verdict was not cached: the repeat is a fresh miss
-    // and a second verification.
+    // and a second verification. One degraded outcome is below the
+    // breaker's minimum sample count, so the repeat is still admitted.
     let second = service
         .submit(url)
         .expect("admitted")
@@ -507,4 +507,44 @@ fn request_metrics_are_recorded_before_fulfillment() {
             .expect("latency histogram exists once a request completes");
         assert_eq!(latency.count, done);
     }
+}
+
+/// The federation's inner service runs cache-disabled, so it forgets a
+/// domain once its batch completes. A repeat routed to the slow path
+/// before the next flush must share the first request's ticket rather
+/// than verify the domain a second time (or coalesce, depending on how
+/// fast the worker was).
+#[test]
+fn slow_path_repeat_before_flush_shares_one_ticket() {
+    let (verifier, snap1, _snap2) = trained();
+    let (obs, clock) = test_obs();
+    let mut federation = Federation::with_observability(
+        verifier,
+        Arc::new(snap1.web.clone()),
+        ServeConfig {
+            workers: 1,
+            max_batch: 1, // the first submission dispatches at once
+            ..ServeConfig::default()
+        },
+        FederationPolicy {
+            fast_confidence: 1.01, // every clean verdict falls through
+            ..FederationPolicy::default()
+        },
+        Arc::clone(&obs),
+        Arc::new(clock),
+    );
+    let url = &snap1.sites[0].seed_url;
+    let mut slow = || -> Ticket {
+        match federation.submit(url) {
+            Routed::Slow { ticket, .. } => ticket,
+            _ => panic!("expected a slow-path route"),
+        }
+    };
+    let first = slow().wait().expect("verifies");
+    // Same instant, no complete_slow: the federation cache cannot answer.
+    let again = slow().wait().expect("verifies");
+    assert_eq!(obs.counter("serve/batch"), 1, "the repeat entered the pool");
+    assert_eq!(again.rank.to_bits(), first.rank.to_bits());
+    federation.flush();
+    federation.shutdown();
 }

@@ -58,12 +58,16 @@
 //! study is a pure suffix too.
 //!
 //! The last double-run drives the tiered verdict federation
-//! (`--federation 60`, `--serve-workers 1` vs `4`): every request walks
+//! (`--federation 400`, `--serve-workers 1` vs `4`): every request walks
 //! the cache → store → text-only → graph-spliced ladder, a mid-replay
 //! restart persists and reloads the verdict store, and the appended
 //! "Federation" section — per-tier hits and fallthroughs, verdicts by
 //! provenance, fast-vs-slow agreement — must be byte-identical across
 //! slow-path worker counts and a pure suffix of the fault-free output.
+//! At 400 requests some domains repeat within a wave after falling
+//! through to the slow path, so the trace views also pin that such a
+//! repeat shares its first request's ticket rather than reaching the
+//! worker pool a second time.
 //! The audit additionally parses the section and requires the majority
 //! of requests to have been answered before the slow path: a federation
 //! that routes everything to the expensive tier would make the
@@ -190,10 +194,13 @@ const MODES: &[Mode] = &[
              run printed nothing beyond the plain small report",
         )),
     },
+    // Enough requests that several same-wave repeats reach the slow path
+    // (eight at this seed, against one at 60), where they share one
+    // ticket instead of racing the worker that verifies the first.
     Mode {
         name: "federation",
-        serial: &["--federation", "60", "--serve-workers", "1"],
-        parallel: &["--federation", "60", "--serve-workers", "4"],
+        serial: &["--federation", "400", "--serve-workers", "1"],
+        parallel: &["--federation", "400", "--serve-workers", "4"],
         study: "federation study",
         instrumented: "the tier router left no metric behind, its \
              instrumentation is not recording",
