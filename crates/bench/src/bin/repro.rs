@@ -46,7 +46,7 @@
 //!
 //! `--scale web` runs the paper pipeline on the small corpus, then
 //! streams a sharded synthetic web (`--web-domains N`, default 100000)
-//! through the CSR graph builder, ranks it with the block TrustRank
+//! through the CSR graph builder, ranks it with the tiled TrustRank
 //! kernel, and appends the "Scale" section — another pure suffix,
 //! byte-identical at any worker count; domains/sec and edges/sec per
 //! power iteration go to stderr.

@@ -1,5 +1,5 @@
 //! The web-scale tier study: streams a sharded synthetic web (10⁵–10⁶
-//! domains) through the CSR graph builder, runs the block TrustRank
+//! domains) through the CSR graph builder, runs the tiled TrustRank
 //! kernel over the frozen graph, and renders the deterministic facts as a
 //! report section.
 //!
@@ -93,8 +93,8 @@ pub struct WebTierScores {
     pub config: TrustRankConfig,
 }
 
-/// Runs the block TrustRank kernel over the frozen web-tier graph on the
-/// given dispatcher.
+/// Runs the tiled TrustRank kernel over the frozen web-tier graph on the
+/// given dispatcher, one block per destination tile.
 pub fn rank_web_tier(
     build: &WebTierBuild,
     dispatch: &dyn BlockDispatch,

@@ -319,8 +319,8 @@ pub fn evaluate_ngg_in(
 ///
 /// The graph is a frozen [`CsrGraph`]: construction goes through
 /// [`web_graph_builder`] (or [`build_web_graph`], which freezes for you),
-/// and ranking runs the CSR block kernels — bit-identical at any worker
-/// count.
+/// and ranking runs the CSR tiled push kernels — bit-identical at any
+/// worker count.
 #[derive(Debug, Clone)]
 pub struct NetworkArtifacts {
     /// The domain graph (pharmacies + external link targets), frozen.

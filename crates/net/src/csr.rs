@@ -1,4 +1,4 @@
-//! Frozen compressed-sparse-row (CSR) web graph and block-based rank
+//! Frozen compressed-sparse-row (CSR) web graph and tiled push rank
 //! kernels — the one graph representation every ranking runs on.
 //!
 //! The graph is the domain graph of Algorithm 1 (`GRAPH-CREATION` in the
@@ -11,35 +11,68 @@
 //!   any per-insert duplicate scan;
 //! * [`GraphBuilder::freeze`] sorts and merges once — counting-sort by
 //!   source, stable per-row sort by target, adjacent-duplicate merge —
-//!   into a [`CsrGraph`]: contiguous `offsets`/`targets`/`weights`
-//!   arrays, precomputed out-weights, and a string-free O(V+E) transpose
-//!   (`t_offsets`/`t_sources`/`t_weights`) so `anti_trust_rank` never
-//!   re-interns a single domain name.
+//!   into a [`CsrGraph`]: contiguous `offsets`/`targets`/`weights` rows
+//!   and their string-free O(V+E) transpose (`t_offsets`/`t_sources`/
+//!   `t_weights`) behind [`CsrGraph::out_edges`] and
+//!   [`CsrGraph::in_edges`], plus each propagation direction's edges
+//!   laid out once more as destination tiles for the rank kernels.
+//!
+//! # Tiled push
+//!
+//! A rank iteration sends `mass·w/norm` along every edge, where `norm`
+//! is the source's total weight in the propagation direction: forward
+//! edges and out-weights for TrustRank and PageRank, reversed edges and
+//! in-weights for Anti-TrustRank. Gathering over in-edges reads each
+//! source's mass and normalizer at random positions across the whole
+//! score vector; a plain push scatters its writes there instead. The
+//! kernels do neither. Following propagation blocking (Beamer, Asanović,
+//! Patterson; IPDPS 2017), `freeze` bins each direction's edges by
+//! destination tile of 32,768 nodes, ascending by source within a tile,
+//! each edge a `u32` source, a `u16` local destination and its `f64`
+//! weight. A tile's block streams its edges, skips sources with zero
+//! mass, and scatters into a tile-local accumulator, so the mass and
+//! normalizer reads move forward through memory and the scattered
+//! writes stay in cache. The tile size follows from both ends: local ids
+//! are `u16`, so a tile holds at most 65,536 nodes, and 32,768 nodes
+//! keep the accumulator at 256 KiB, small enough to stay in a core's L2
+//! cache beside the edge stream.
 //!
 //! # Summation order
 //!
-//! The kernels *gather*: element `v` sums over its in-edges, which the
-//! counting-sort transpose stores in ascending-source order. That is the
-//! accumulation order of a *push* kernel that visits sources in
-//! ascending id order and scatters `mass·w/out(u)` into each target, so
-//! the score vectors are bit-identical to that push order. The contract
-//! is pinned against a push-order reference kernel over a plain edge
-//! list in `tests/reference_oracle.rs`:
+//! Each destination sums its contributions in the order its tile stores
+//! them, ascending by source: the summation order is the push order
+//! itself, that of a push kernel visiting sources in ascending id order.
+//! The contract is pinned against a push-order reference kernel over a
+//! plain edge list in `tests/reference_oracle.rs`:
 //!
 //! * duplicate links merge by summing in insertion order (stable sort +
 //!   left-to-right adjacent merge);
-//! * per-node out-weights are summed over the merged row in
-//!   ascending-target order;
-//! * dangling mass (from nodes with no out-edges) is summed serially in
-//!   ascending node order and returns through the teleport vector.
+//! * per-node normalizers are summed over the merged rows: out-weights
+//!   in ascending-target order, in-weights in ascending-source order;
+//! * dangling mass (from nodes with no edge in the propagation
+//!   direction, listed at freeze) is summed serially in ascending node
+//!   order and returns through the teleport vector.
+//!
+//! Skipping a zero-mass source drops a `+0.0` contribution, which
+//! leaves a non-negative accumulator's bits unchanged, so every kernel
+//! skips them, PageRank included.
 //!
 //! # Determinism under parallel dispatch
 //!
-//! Each gather element is written by exactly one block, blocks are
-//! merged in index order, and the dangling-mass pass stays serial — so
-//! the output is byte-identical at any worker count. The xtask
-//! determinism audit enforces this end-to-end (serial vs 4-worker runs
-//! of the web tier).
+//! Each tile is one dispatch block: every score is written by its
+//! tile's block alone, blocks are merged in index order, and the
+//! dangling-mass pass stays serial — so the output is byte-identical at
+//! any worker count. The xtask determinism audit enforces this
+//! end-to-end (serial vs 4-worker runs of a web tier that spans several
+//! tiles).
+//!
+//! # Memory
+//!
+//! The tiles cost 14 bytes per edge per direction on top of the CSR
+//! rows, plus 4 bytes per dangling node. `freeze` makes room for them:
+//! it drops the builder's raw edge triples once the counting sort has
+//! copied them, and the by-source buffer once the rows are merged, both
+//! before the transpose and the tiles are built.
 
 use std::collections::HashMap;
 
@@ -65,15 +98,19 @@ impl Default for TrustRankConfig {
     }
 }
 
-/// Nodes per dispatch block: small enough to spread a web-scale graph
-/// over any realistic worker count, large enough that a paper-scale
-/// graph stays a single block (no dispatch overhead).
-const BLOCK_NODES: usize = 4096;
+/// Nodes per destination tile, and so per dispatch block: a 256 KiB
+/// accumulator, and a web-scale graph spans several tiles while a
+/// paper-scale graph stays a single block (no dispatch overhead).
+const TILE_NODES: usize = 32_768;
 
-/// Deterministic fan-out used by the block kernels: run `blocks` closures
+// Local destination ids are `u16`.
+const _: () = assert!(TILE_NODES <= 1 << 16);
+
+/// Deterministic fan-out used by the rank kernels: run `blocks` closures
 /// and return their results *in index order*. `core::pipeline::Executor`
 /// implements this over its scoped-thread pool; [`SerialDispatch`] is
-/// the dependency-free default.
+/// the dependency-free default. The kernels dispatch one block per
+/// destination tile, and each block returns its tile's scores.
 pub trait BlockDispatch {
     /// Evaluates `f(0..blocks)` and returns the results index-ordered.
     fn dispatch(&self, blocks: usize, f: &(dyn Fn(usize) -> Vec<f64> + Sync)) -> Vec<Vec<f64>>;
@@ -138,11 +175,15 @@ impl GraphBuilder {
     /// insert.
     ///
     /// # Panics
-    /// Panics if `from` is not a valid node id or `weight` is not
-    /// positive.
+    /// Panics if `from` is not a valid node id or `weight` is not finite
+    /// and positive (an infinite weight would turn every score its row
+    /// reaches into NaN).
     pub fn add_link(&mut self, from: NodeId, to_domain: &str, weight: f64) {
         assert!((from as usize) < self.names.len(), "unknown source node");
-        assert!(weight > 0.0, "link weight must be positive");
+        assert!(
+            weight.is_finite() && weight > 0.0,
+            "link weight must be finite and positive"
+        );
         let to = self.intern(to_domain, false);
         self.edges.push((from, to, weight));
     }
@@ -164,17 +205,24 @@ impl GraphBuilder {
 
     /// Freezes the builder into a [`CsrGraph`]: counting-sorts edges by
     /// source, stably sorts each row by target, merges duplicates by
-    /// summing in insertion order, and builds the transpose without
-    /// touching a single domain string.
+    /// summing in insertion order, builds the transpose without
+    /// touching a single domain string, and lays out both directions'
+    /// destination tiles.
     pub fn freeze(self) -> CsrGraph {
         let _span = pharmaverify_obs::global().span("net/csr/freeze");
-        let n = self.names.len();
-        let m = self.edges.len();
+        let GraphBuilder {
+            names,
+            index,
+            is_pharmacy,
+            edges,
+        } = self;
+        let n = names.len();
+        let m = edges.len();
 
         // Counting sort by source (stable: preserves insertion order
         // within a row, which the duplicate merge below relies on).
         let mut row_start = vec![0usize; n + 1];
-        for &(u, _, _) in &self.edges {
+        for &(u, _, _) in &edges {
             row_start[u as usize + 1] += 1;
         }
         for i in 0..n {
@@ -182,11 +230,15 @@ impl GraphBuilder {
         }
         let mut cursor = row_start.clone();
         let mut by_src: Vec<(NodeId, f64)> = vec![(0, 0.0); m];
-        for &(u, v, w) in &self.edges {
+        for &(u, v, w) in &edges {
             let slot = &mut cursor[u as usize];
             by_src[*slot] = (v, w);
             *slot += 1;
         }
+        // The raw triples and the merge buffer are freeze's largest
+        // transients; release each as soon as it is consumed, so the
+        // tiles built below do not raise the peak.
+        drop(edges);
 
         // Per-row stable sort by target + adjacent-duplicate merge. The
         // stable sort keeps equal targets in insertion order, so
@@ -210,17 +262,13 @@ impl GraphBuilder {
             }
             offsets.push(targets.len());
         }
+        drop(by_src);
         targets.shrink_to_fit();
         weights.shrink_to_fit();
 
-        let out_weights: Vec<f64> = (0..n)
-            .map(|u| weights[offsets[u]..offsets[u + 1]].iter().sum())
-            .collect();
-
         // String-free transpose by counting sort over the merged forward
         // arrays. Iterating sources in ascending order places each
-        // row's in-edges in ascending-source order — exactly the
-        // accumulation order of a push kernel.
+        // row's in-edges in ascending-source order.
         let merged = targets.len();
         let mut t_offsets = vec![0usize; n + 1];
         for &v in &targets {
@@ -240,31 +288,110 @@ impl GraphBuilder {
                 *slot += 1;
             }
         }
-        let in_weights: Vec<f64> = (0..n)
-            .map(|v| t_weights[t_offsets[v]..t_offsets[v + 1]].iter().sum())
-            .collect();
 
+        let forward = Tiles::build(&offsets, &targets, &weights, TILE_NODES);
+        let reverse = Tiles::build(&t_offsets, &t_sources, &t_weights, TILE_NODES);
         CsrGraph {
-            names: self.names,
-            index: self.index,
-            is_pharmacy: self.is_pharmacy,
+            names,
+            index,
+            is_pharmacy,
             offsets,
             targets,
             weights,
-            out_weights,
             t_offsets,
             t_sources,
             t_weights,
-            in_weights,
+            forward,
+            reverse,
         }
     }
 }
 
-/// A frozen, compact web graph: forward and transposed CSR arrays plus
-/// the name→id index. Immutable by construction — temporary mutation
-/// (batch verification) goes through [`crate::SpliceOverlay`], which
-/// layers deltas over a shared `&CsrGraph` without touching these
-/// arrays.
+/// One propagation direction laid out for the push kernel: its edges
+/// grouped by destination tile, ascending by source within a tile,
+/// every node's normalizer, and the dangling nodes, whose normalizer is
+/// zero. See the module docs.
+#[derive(Debug, Clone, PartialEq)]
+pub(crate) struct Tiles {
+    /// Nodes per tile.
+    width: usize,
+    /// Tile `k`'s edges are `starts[k]..starts[k + 1]`.
+    starts: Vec<usize>,
+    /// Each edge's source.
+    sources: Vec<NodeId>,
+    /// Each edge's destination, minus its tile's first node.
+    locals: Vec<u16>,
+    /// Each edge's merged weight.
+    weights: Vec<f64>,
+    /// Total weight each node sends in this direction.
+    norms: Vec<f64>,
+    /// Nodes with a zero normalizer, ascending.
+    dangling: Vec<NodeId>,
+}
+
+impl Tiles {
+    /// Lays out CSR rows `offsets`/`targets`/`weights` in tiles of
+    /// `width` nodes: a stable counting sort by destination tile over
+    /// the rows in ascending source order. Each normalizer is its row
+    /// summed in row order; a node with an empty row dangles.
+    fn build(offsets: &[usize], targets: &[NodeId], weights: &[f64], width: usize) -> Tiles {
+        assert!(width <= 1 << 16, "local destination ids are u16");
+        let n = offsets.len() - 1;
+        let mut starts = vec![0usize; n.div_ceil(width) + 1];
+        for &v in targets {
+            starts[v as usize / width + 1] += 1;
+        }
+        for k in 1..starts.len() {
+            starts[k] += starts[k - 1];
+        }
+        let m = targets.len();
+        let mut cursor = starts.clone();
+        let mut sources: Vec<NodeId> = vec![0; m];
+        let mut locals: Vec<u16> = vec![0; m];
+        let mut tiled: Vec<f64> = vec![0.0; m];
+        for u in 0..n {
+            for e in offsets[u]..offsets[u + 1] {
+                let v = targets[e] as usize;
+                let slot = &mut cursor[v / width];
+                sources[*slot] = u as NodeId;
+                locals[*slot] = (v % width) as u16;
+                tiled[*slot] = weights[e];
+                *slot += 1;
+            }
+        }
+        let norms: Vec<f64> = (0..n)
+            .map(|u| weights[offsets[u]..offsets[u + 1]].iter().sum())
+            .collect();
+        let dangling = (0..n as NodeId)
+            .filter(|&u| norms[u as usize] == 0.0)
+            .collect();
+        Tiles {
+            width,
+            starts,
+            sources,
+            locals,
+            weights: tiled,
+            norms,
+            dangling,
+        }
+    }
+
+    /// Number of tiles, and so of dispatch blocks.
+    fn count(&self) -> usize {
+        self.starts.len() - 1
+    }
+
+    /// The dangling nodes, ascending.
+    pub(crate) fn dangling(&self) -> &[NodeId] {
+        &self.dangling
+    }
+}
+
+/// A frozen, compact web graph: forward and transposed CSR arrays, both
+/// directions' destination tiles, and the name→id index. Immutable by
+/// construction — temporary mutation (batch verification) goes through
+/// [`crate::SpliceOverlay`], which layers deltas over a shared
+/// `&CsrGraph` without touching these arrays.
 #[derive(Debug, Clone, PartialEq)]
 pub struct CsrGraph {
     names: Vec<String>,
@@ -275,14 +402,14 @@ pub struct CsrGraph {
     offsets: Vec<usize>,
     targets: Vec<NodeId>,
     weights: Vec<f64>,
-    /// Total outgoing weight per node (sum of its merged row).
-    out_weights: Vec<f64>,
     /// Transposed CSR: row `v` lists in-edge sources in ascending order.
     t_offsets: Vec<usize>,
     t_sources: Vec<NodeId>,
     t_weights: Vec<f64>,
-    /// Total incoming weight per node (the transposed out-weight).
-    in_weights: Vec<f64>,
+    /// Forward edges by destination tile; normalizers are out-weights.
+    forward: Tiles,
+    /// Reversed edges by destination tile; normalizers are in-weights.
+    reverse: Tiles,
 }
 
 impl CsrGraph {
@@ -335,23 +462,24 @@ impl CsrGraph {
 
     /// Total outgoing weight of node `id` (precomputed at freeze).
     pub fn out_weight(&self, id: NodeId) -> f64 {
-        self.out_weights[id as usize]
+        self.forward.norms[id as usize]
     }
 
     /// Total incoming weight of node `id` (precomputed at freeze; the
     /// out-weight of the transposed graph).
     pub fn in_weight(&self, id: NodeId) -> f64 {
-        self.in_weights[id as usize]
+        self.reverse.norms[id as usize]
     }
 
     /// The transposed graph, frozen: every edge `u → v` becomes `v → u`
     /// with the same weight. Names, ids, and pharmacy flags are
-    /// preserved; the forward and transposed CSR arrays swap roles, so
-    /// this costs one clone and no re-sorting. `transposed().trust_rank`
-    /// reads exactly the arrays [`CsrGraph::anti_trust_rank`] reads, so
-    /// the two are bit-identical — which is what lets
-    /// [`crate::TrustTrajectory`] record an anti-trust run: compute the
-    /// trajectory over the transpose with the bad seeds.
+    /// preserved; the forward and transposed arrays swap roles, tiles
+    /// included, so this costs one clone and no re-sorting.
+    /// `transposed().trust_rank` reads exactly the tiles
+    /// [`CsrGraph::anti_trust_rank`] reads, so the two are bit-identical
+    /// — which is what lets [`crate::TrustTrajectory`] record an
+    /// anti-trust run: compute the trajectory over the transpose with
+    /// the bad seeds.
     pub fn transposed(&self) -> CsrGraph {
         CsrGraph {
             names: self.names.clone(),
@@ -360,17 +488,21 @@ impl CsrGraph {
             offsets: self.t_offsets.clone(),
             targets: self.t_sources.clone(),
             weights: self.t_weights.clone(),
-            out_weights: self.in_weights.clone(),
             t_offsets: self.offsets.clone(),
             t_sources: self.targets.clone(),
             t_weights: self.weights.clone(),
-            in_weights: self.out_weights.clone(),
+            forward: self.reverse.clone(),
+            reverse: self.forward.clone(),
         }
     }
 
+    /// The forward direction's tiles: what TrustRank propagates over.
+    pub(crate) fn forward(&self) -> &Tiles {
+        &self.forward
+    }
+
     /// Incoming edges of node `id` as `(source, weight)`, in ascending
-    /// source order — the transpose's accumulation order, which is also
-    /// the order a push kernel's contributions arrive in.
+    /// source order — the order a push kernel's contributions arrive in.
     pub fn in_edges(&self, id: NodeId) -> impl Iterator<Item = (NodeId, f64)> + '_ {
         let v = id as usize;
         self.t_sources[self.t_offsets[v]..self.t_offsets[v + 1]]
@@ -405,7 +537,7 @@ impl CsrGraph {
     }
 
     /// TrustRank (Gyöngyi, Garcia-Molina, Pedersen; VLDB 2004) with
-    /// block-parallel gather, bit-identical at any worker count.
+    /// tile-parallel push, bit-identical at any worker count.
     ///
     /// Trust propagates from a seed of known-good pages through the link
     /// structure, on the premise of *approximate isolation*: good pages
@@ -431,19 +563,7 @@ impl CsrGraph {
             return vec![0.0; n];
         }
         let d = seed_distribution(n, seeds);
-        propagate(
-            &d,
-            config,
-            &Gather {
-                offsets: &self.t_offsets,
-                sources: &self.t_sources,
-                weights: &self.t_weights,
-                norms: &self.out_weights,
-                skip_zero_mass: true,
-            },
-            BLOCK_NODES,
-            dispatch,
-        )
+        propagate(&d, config, &self.forward, dispatch, &mut |_, _| {})
     }
 
     /// PageRank over the frozen graph, serial: TrustRank with a uniform
@@ -454,7 +574,7 @@ impl CsrGraph {
         self.pagerank_with(config, &SerialDispatch)
     }
 
-    /// PageRank with block-parallel gather. Scores sum to ≈ 1 (dangling
+    /// PageRank with tile-parallel push. Scores sum to ≈ 1 (dangling
     /// mass is re-teleported uniformly).
     ///
     /// # Panics
@@ -471,19 +591,7 @@ impl CsrGraph {
             return Vec::new();
         }
         let d = vec![1.0 / n as f64; n];
-        propagate(
-            &d,
-            config,
-            &Gather {
-                offsets: &self.t_offsets,
-                sources: &self.t_sources,
-                weights: &self.t_weights,
-                norms: &self.out_weights,
-                skip_zero_mass: false,
-            },
-            BLOCK_NODES,
-            dispatch,
-        )
+        propagate(&d, config, &self.forward, dispatch, &mut |_, _| {})
     }
 
     /// Anti-TrustRank (Krishnan & Raj, AIRWeb 2006; the paper's related
@@ -497,14 +605,10 @@ impl CsrGraph {
         self.anti_trust_rank_with(bad_seeds, config, &SerialDispatch)
     }
 
-    /// Anti-TrustRank with block-parallel gather: TrustRank over the
-    /// transposed graph, using the precomputed transpose arrays — no
-    /// string re-interning.
-    ///
-    /// The roles swap: propagation walks the transpose (rows =
-    /// `t_offsets`), so the *gather* side is the forward CSR, whose
-    /// sorted targets are exactly the ascending-source accumulation
-    /// order of a push over the transpose.
+    /// Anti-TrustRank with tile-parallel push: TrustRank over the
+    /// transposed graph, pushing along the reversed edges' tiles with
+    /// in-weights as normalizers — no string re-interning, no transpose
+    /// at rank time.
     ///
     /// # Panics
     /// Panics if a seed id is out of range, `alpha` is outside `(0, 1)`,
@@ -522,24 +626,12 @@ impl CsrGraph {
             return vec![0.0; n];
         }
         let d = seed_distribution(n, bad_seeds);
-        propagate(
-            &d,
-            config,
-            &Gather {
-                offsets: &self.offsets,
-                sources: &self.targets,
-                weights: &self.weights,
-                norms: &self.in_weights,
-                skip_zero_mass: true,
-            },
-            BLOCK_NODES,
-            dispatch,
-        )
+        propagate(&d, config, &self.reverse, dispatch, &mut |_, _| {})
     }
 }
 
 /// Validates the shared kernel configuration.
-fn validate(config: &TrustRankConfig) {
+pub(crate) fn validate(config: &TrustRankConfig) {
     assert!(
         config.alpha > 0.0 && config.alpha < 1.0,
         "alpha must be in (0, 1)"
@@ -547,11 +639,12 @@ fn validate(config: &TrustRankConfig) {
     assert!(config.iterations > 0, "need at least one iteration");
 }
 
-/// The normalized static seed distribution `d`.
+/// The normalized static seed distribution `d` (all zeros for an empty
+/// seed set).
 ///
 /// # Panics
 /// Panics if a seed id is out of range.
-fn seed_distribution(n: usize, seeds: &[NodeId]) -> Vec<f64> {
+pub(crate) fn seed_distribution(n: usize, seeds: &[NodeId]) -> Vec<f64> {
     for &s in seeds {
         assert!((s as usize) < n, "seed {s} out of range");
     }
@@ -563,72 +656,58 @@ fn seed_distribution(n: usize, seeds: &[NodeId]) -> Vec<f64> {
     d
 }
 
-/// One gather view: in-edge CSR arrays plus the per-source normalizers
-/// (the out-weights of the propagation direction) and the TrustRank
-/// kernels' zero-mass short-circuit flag (PageRank has none — its
-/// masses are strictly positive after the uniform start).
-struct Gather<'a> {
-    offsets: &'a [usize],
-    sources: &'a [NodeId],
-    weights: &'a [f64],
-    norms: &'a [f64],
-    skip_zero_mass: bool,
-}
-
-/// The shared power iteration: `t ← α·(gather + dangling·d) + (1−α)·d`.
+/// The shared power iteration `t ← α·(push(t) + dangling·d) + (1−α)·d`
+/// over one direction's tiles, one dispatch block per tile. After every
+/// iteration `observe` sees the new iterate and the dangling mass that
+/// iteration redistributed.
 ///
-/// Determinism: the dangling pass is serial in ascending node order, and
-/// each output element is computed by exactly one block, merged in index
-/// order — identical bytes at any worker count.
-fn propagate(
+/// Determinism: the dangling pass is serial in ascending node order,
+/// each score is written by its own tile's block, and the blocks'
+/// results are merged in index order — identical bytes at any worker
+/// count.
+pub(crate) fn propagate(
     d: &[f64],
     config: &TrustRankConfig,
-    g: &Gather<'_>,
-    block_nodes: usize,
+    tiles: &Tiles,
     dispatch: &dyn BlockDispatch,
+    observe: &mut dyn FnMut(&[f64], f64),
 ) -> Vec<f64> {
     let n = d.len();
     let alpha = config.alpha;
-    let blocks = n.div_ceil(block_nodes).max(1);
     let mut t = d.to_vec();
     for _ in 0..config.iterations {
         // Dangling mass accumulates serially in ascending node order —
         // the summation order of a push kernel.
-        let mut dangling = 0.0;
-        for (u, &mass) in t.iter().enumerate() {
-            if g.skip_zero_mass && mass == 0.0 {
-                continue;
-            }
-            if g.norms[u] == 0.0 {
-                dangling += mass;
-            }
-        }
+        let dangling = tiles
+            .dangling
+            .iter()
+            .fold(0.0, |sum, &u| sum + t[u as usize]);
         let shared = &t;
-        let parts = dispatch.dispatch(blocks, &move |b| {
-            let lo = b * block_nodes;
-            let hi = n.min(lo + block_nodes);
-            let mut out = Vec::with_capacity(hi - lo);
-            for v in lo..hi {
-                let mut acc = 0.0;
-                for e in g.offsets[v]..g.offsets[v + 1] {
-                    let u = g.sources[e] as usize;
-                    let mass = shared[u];
-                    if g.skip_zero_mass && mass == 0.0 {
-                        continue;
-                    }
-                    // g.norms[u] > 0: u appears as a gather source only
-                    // if its propagation-side row is non-empty.
-                    acc += mass * g.weights[e] / g.norms[u];
+        let parts = dispatch.dispatch(tiles.count(), &move |k| {
+            let lo = k * tiles.width;
+            let hi = n.min(lo + tiles.width);
+            let edges = tiles.starts[k]..tiles.starts[k + 1];
+            let mut acc = vec![0.0; hi - lo];
+            for ((&u, &v), &w) in tiles.sources[edges.clone()]
+                .iter()
+                .zip(&tiles.locals[edges.clone()])
+                .zip(&tiles.weights[edges])
+            {
+                let mass = shared[u as usize];
+                if mass != 0.0 {
+                    // norms[u] > 0: u has an edge in this direction.
+                    acc[v as usize] += mass * w / tiles.norms[u as usize];
                 }
-                out.push(alpha * (acc + dangling * d[v]) + (1.0 - alpha) * d[v]);
             }
-            out
+            for (a, &dv) in acc.iter_mut().zip(&d[lo..hi]) {
+                *a = alpha * (*a + dangling * dv) + (1.0 - alpha) * dv;
+            }
+            acc
         });
-        let mut merged = Vec::with_capacity(n);
-        for part in parts {
-            merged.extend_from_slice(&part);
+        for (part, out) in parts.iter().zip(t.chunks_mut(tiles.width)) {
+            out.copy_from_slice(part);
         }
-        t = merged;
+        observe(&t, dangling);
     }
     t
 }
@@ -670,6 +749,7 @@ pub fn trustrank_demo() -> (CsrGraph, Vec<NodeId>, Vec<f64>, Vec<f64>) {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use proptest::prelude::*;
 
     /// Freezes `n` pharmacies `n{i}.com` linked by `(from, to, weight)`.
     fn build(edges: &[(usize, usize, f64)], n: usize) -> CsrGraph {
@@ -735,7 +815,7 @@ mod tests {
         // ascending by source.
         let row = &csr.t_sources[csr.t_offsets[0]..csr.t_offsets[1]];
         assert_eq!(row, &[1, 2]);
-        assert_eq!(csr.in_weights[0], 2.0);
+        assert_eq!(csr.in_weight(0), 2.0);
     }
 
     #[test]
@@ -844,34 +924,57 @@ mod tests {
         }
     }
 
-    #[test]
-    fn block_boundaries_do_not_change_bits() {
-        let csr = build(
-            &[
-                (0, 1, 1.0),
-                (1, 2, 1.0),
-                (2, 3, 1.0),
-                (3, 4, 1.0),
-                (4, 0, 1.0),
-            ],
-            5,
-        );
-        let cfg = TrustRankConfig::default();
-        let d = seed_distribution(5, &[0]);
-        let gather = Gather {
-            offsets: &csr.t_offsets,
-            sources: &csr.t_sources,
-            weights: &csr.t_weights,
-            norms: &csr.out_weights,
-            skip_zero_mass: true,
-        };
-        let one = propagate(&d, &cfg, &gather, 4096, &SerialDispatch);
-        let tiny = propagate(&d, &cfg, &gather, 2, &SerialDispatch);
-        assert_eq!(
-            bits(&one),
-            bits(&tiny),
-            "block size must not leak into bits"
-        );
+    /// `g` with both directions' tiles rebuilt `width` nodes wide.
+    fn retiled(g: &CsrGraph, width: usize) -> CsrGraph {
+        CsrGraph {
+            forward: Tiles::build(&g.offsets, &g.targets, &g.weights, width),
+            reverse: Tiles::build(&g.t_offsets, &g.t_sources, &g.t_weights, width),
+            ..g.clone()
+        }
+    }
+
+    proptest! {
+        /// Tile width never reaches the bits. Random multigraphs carry
+        /// duplicate links, self-links and weights in tenths (sums of
+        /// three or more depend on their order); `cut` nodes lose every
+        /// link, so they dangle in both directions, and join the seeds.
+        /// TrustRank, PageRank and Anti-TrustRank must be bit-identical
+        /// at tiles 1, 2, 3 and the default width wide. TrustRank and
+        /// Anti-TrustRank must also equal the overlay's serial push over
+        /// the CSR rows in ascending source order, so a tile layout that
+        /// reorders sources fails even where every width reorders alike.
+        #[test]
+        fn tile_width_does_not_change_bits(
+            n in 2usize..24,
+            links in prop::collection::vec((0usize..24, 0usize..24, 1usize..40), 0..80),
+            cut in prop::collection::vec(0usize..24, 0..4),
+            seed_bits in prop::collection::vec(any::<bool>(), 24..25),
+        ) {
+            let cut: Vec<usize> = cut.iter().map(|c| c % n).collect();
+            let edges: Vec<(usize, usize, f64)> = links
+                .iter()
+                .map(|&(a, b, w)| (a % n, b % n, w as f64 / 10.0))
+                .filter(|&(a, b, _)| !cut.contains(&a) && !cut.contains(&b))
+                .collect();
+            let g = build(&edges, n);
+            let mut seeds: Vec<NodeId> =
+                (0..n as NodeId).filter(|&i| seed_bits[i as usize]).collect();
+            seeds.extend(cut.iter().map(|&c| c as NodeId));
+            let cfg = TrustRankConfig::default();
+            let overlay = crate::SpliceOverlay::new(&g);
+            let trust = bits(&overlay.trust_rank(&seeds, &cfg));
+            let anti = bits(&overlay.anti_trust_rank(&seeds, &cfg));
+            let pagerank = bits(&g.pagerank(&cfg));
+            for width in [1, 2, 3, TILE_NODES] {
+                let tiled = retiled(&g, width);
+                let got = bits(&tiled.trust_rank(&seeds, &cfg));
+                prop_assert_eq!(&got, &trust, "trust, width {}", width);
+                let got = bits(&tiled.pagerank(&cfg));
+                prop_assert_eq!(&got, &pagerank, "pagerank, width {}", width);
+                let got = bits(&tiled.anti_trust_rank(&seeds, &cfg));
+                prop_assert_eq!(&got, &anti, "anti-trust, width {}", width);
+            }
+        }
     }
 
     #[test]
@@ -915,5 +1018,13 @@ mod tests {
         let mut b = GraphBuilder::new();
         let p = b.add_pharmacy("p.com");
         b.add_link(p, "x.com", 0.0);
+    }
+
+    #[test]
+    #[should_panic(expected = "finite")]
+    fn builder_infinite_weight_panics() {
+        let mut b = GraphBuilder::new();
+        let p = b.add_pharmacy("p.com");
+        b.add_link(p, "x.com", f64::INFINITY);
     }
 }

@@ -45,12 +45,14 @@
 //! When one iteration's recompute set exceeds
 //! [`IncrementalConfig::max_frontier`] the incremental pass abandons its
 //! patches and runs the full kernel instead ([`IncrementalOutcome::FellBack`]):
-//! past that point the bookkeeping costs more than the blocked full
-//! gather, and the caller gets full-kernel bits. Both paths are pure
+//! past that point the bookkeeping costs more than a full push over
+//! every edge, and the caller gets full-kernel bits. Both paths are pure
 //! functions of (base, splice, config) — worker counts and wall clocks
 //! never enter.
 
-use crate::csr::{CsrGraph, NodeId, TrustRankConfig};
+use crate::csr::{
+    propagate, seed_distribution, validate, CsrGraph, NodeId, SerialDispatch, TrustRankConfig,
+};
 use crate::overlay::SpliceOverlay;
 use std::collections::HashMap;
 
@@ -80,69 +82,40 @@ pub struct TrustTrajectory {
 }
 
 impl TrustTrajectory {
-    /// Runs the serial push kernel over `base` (bit-identical to
-    /// [`CsrGraph::trust_rank`] and to an unspliced overlay's
-    /// [`crate::SpliceOverlay::trust_rank`]) and records every iterate.
+    /// Runs the serial TrustRank kernel over `base` (so the final iterate
+    /// is bit-identical to [`CsrGraph::trust_rank`] and to an unspliced
+    /// overlay's [`crate::SpliceOverlay::trust_rank`]) and records every
+    /// iterate with the dangling mass it redistributed.
     ///
     /// # Panics
     /// Panics if a seed id is out of range, `alpha` is outside `(0, 1)`,
     /// or `iterations` is 0.
     pub fn compute(base: &CsrGraph, seeds: &[NodeId], config: &TrustRankConfig) -> Self {
         let _span = pharmaverify_obs::global().span("net/incremental/trajectory");
-        assert!(
-            config.alpha > 0.0 && config.alpha < 1.0,
-            "alpha must be in (0, 1)"
-        );
-        assert!(config.iterations > 0, "need at least one iteration");
+        validate(config);
         let n = base.node_count();
-        for &s in seeds {
-            assert!((s as usize) < n, "seed {s} out of range");
-        }
-        let mut d = vec![0.0; n];
-        if !seeds.is_empty() {
-            let share = 1.0 / seeds.len() as f64;
-            for &s in seeds {
-                d[s as usize] += share;
-            }
-        }
-        let mut t = d.clone();
+        let d = seed_distribution(n, seeds);
         let mut scores = Vec::with_capacity(config.iterations + 1);
-        scores.push(t.clone());
-        let mut dangling_history = Vec::with_capacity(config.iterations);
-        let mut next = vec![0.0; n];
-        for _ in 0..config.iterations {
-            next.iter_mut().for_each(|v| *v = 0.0);
-            let mut dangling = 0.0;
-            for (u, &mass) in t.iter().enumerate() {
-                if mass == 0.0 {
-                    continue;
-                }
-                let out = base.out_weight(u as NodeId);
-                if out == 0.0 {
-                    dangling += mass;
-                    continue;
-                }
-                for (v, w) in base.out_edges(u as NodeId) {
-                    next[v as usize] += mass * w / out;
-                }
-            }
-            dangling_history.push(dangling);
-            for ((ti, &ni), &di) in t.iter_mut().zip(&next).zip(&d) {
-                *ti = config.alpha * (ni + dangling * di) + (1.0 - config.alpha) * di;
-            }
-            scores.push(t.clone());
-        }
+        scores.push(d.clone());
+        let mut dangling = Vec::with_capacity(config.iterations);
+        propagate(
+            &d,
+            config,
+            base.forward(),
+            &SerialDispatch,
+            &mut |t, mass| {
+                scores.push(t.to_vec());
+                dangling.push(mass);
+            },
+        );
         let seed_support = (0..n as NodeId).filter(|&v| d[v as usize] > 0.0).collect();
-        let dangling_nodes = (0..n as NodeId)
-            .filter(|&u| base.out_weight(u) == 0.0)
-            .collect();
         TrustTrajectory {
             scores,
-            dangling: dangling_history,
+            dangling,
             d,
             seeds: seeds.to_vec(),
             seed_support,
-            dangling_nodes,
+            dangling_nodes: base.forward().dangling().to_vec(),
             config: *config,
         }
     }
@@ -192,8 +165,8 @@ pub struct IncrementalConfig {
 impl IncrementalConfig {
     /// A tight default for a graph of `n` nodes: near-exact scores
     /// (absolute error ≤ `1e-9 · n/4 / (1 − α)`), with fallback once a
-    /// quarter of the graph is in motion — past that the full blocked
-    /// kernel is cheaper than patch bookkeeping.
+    /// quarter of the graph is in motion — past that the full kernel is
+    /// cheaper than patch bookkeeping.
     pub fn tight(n: usize) -> Self {
         IncrementalConfig {
             tolerance: 1e-9,

@@ -4,11 +4,11 @@
 //!   plus the external domains their outbound links point to), built
 //!   through the [`GraphBuilder`] interning API and frozen into a
 //!   [`CsrGraph`] with contiguous edge arrays, a string-free transpose,
-//!   and block-based power iteration dispatched through any
-//!   [`BlockDispatch`] (worker-count independent by index-ordered
-//!   merge): TrustRank (Gyöngyi et al., VLDB 2004) seeded with the
-//!   known-legitimate pharmacies, its distrust counterpart
-//!   Anti-TrustRank, and unbiased PageRank for ablations;
+//!   and a tiled push power iteration (one block per destination tile)
+//!   dispatched through any [`BlockDispatch`] (worker-count independent
+//!   by index-ordered merge): TrustRank (Gyöngyi et al., VLDB 2004)
+//!   seeded with the known-legitimate pharmacies, its distrust
+//!   counterpart Anti-TrustRank, and unbiased PageRank for ablations;
 //! * [`linked`] — the most-linked-to analysis behind Table 11;
 //! * [`overlay`] — [`SpliceOverlay`], the delta side structure that lets
 //!   verification splice a candidate pharmacy over a frozen [`CsrGraph`]

@@ -155,7 +155,7 @@ impl<'g> SpliceOverlay<'g> {
     ///
     /// # Panics
     /// Panics if a splice is already active or a link weight is not
-    /// positive.
+    /// finite and positive.
     pub fn splice_pharmacy(&mut self, domain: &str, links: &[(String, f64)]) -> NodeId {
         assert!(
             self.spliced.is_none(),
@@ -180,7 +180,10 @@ impl<'g> SpliceOverlay<'g> {
         };
         self.spliced = Some(node);
         for (target, weight) in links {
-            assert!(*weight > 0.0, "link weight must be positive");
+            assert!(
+                weight.is_finite() && *weight > 0.0,
+                "link weight must be finite and positive"
+            );
             if target != domain {
                 let to = match self.node(target) {
                     Some(id) => id,
@@ -597,6 +600,14 @@ mod tests {
         );
         assert_eq!(ov.out_weight(node), 3.0, "self skipped, duplicates merged");
         ov.unsplice();
+    }
+
+    #[test]
+    #[should_panic(expected = "finite")]
+    fn splice_infinite_weight_panics() {
+        let csr = training_graph();
+        let mut ov = SpliceOverlay::new(&csr);
+        ov.splice_pharmacy("cand.com", &[("ext.org".to_string(), f64::INFINITY)]);
     }
 
     #[test]

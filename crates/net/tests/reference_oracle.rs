@@ -6,9 +6,11 @@
 //! reversed edge list.
 //!
 //! The frozen [`CsrGraph`] kernels must match it on any positive
-//! weights. The overlay and incremental kernels are checked on integer
-//! link counts, the weights the system produces: the spliced row's
-//! out-weight is summed in row order (see the `overlay` module docs).
+//! weights, on the proptests' small graphs (one destination tile) and
+//! on a graph that spans two tiles. The overlay and incremental kernels
+//! are checked on integer link counts, the weights the system produces:
+//! the spliced row's out-weight is summed in row order (see the
+//! `overlay` module docs).
 
 use std::collections::BTreeMap;
 
@@ -223,6 +225,44 @@ proptest! {
             }
         }
     }
+}
+
+/// A graph two destination tiles wide: 33,800 nodes put 1,032 past the
+/// first tile's 32,768. Three permutation edges per node (a ring and
+/// two strides) spread mass over both tiles, and every fifth node also
+/// links a hub: local ids 0 and 32,767 of the first tile and local id 0
+/// of the second, plus the last node. Hub links come from both sides of
+/// the boundary in tenths, so their sums depend on order. Every 97th
+/// node keeps no links of its own and dangles; one of them is a seed.
+#[test]
+fn kernels_match_oracle_across_a_tile_boundary() {
+    const N: usize = 33_800;
+    const TILE: usize = 32_768;
+    let hubs = [0, TILE - 1, TILE, N - 1];
+    let mut edges: Vec<Edge> = Vec::new();
+    for u in (0..N).filter(|u| u % 97 != 5) {
+        edges.push((u, (u + 1) % N, tenths(u % 7 + 1)));
+        edges.push((u, (u * 7_919 + 13) % N, tenths(u % 11 + 1)));
+        edges.push((u, (u * 31 + 7) % N, tenths(u % 3 + 1)));
+        if u % 5 == 0 {
+            edges.push((u, hubs[u / 5 % hubs.len()], tenths(u % 13 + 1)));
+        }
+    }
+    let csr = freeze(&vec![true; N], &edges);
+    assert_eq!(csr.node_count(), N);
+    let seeds: Vec<NodeId> = [5, 100, TILE - 1, TILE, 33_000]
+        .iter()
+        .map(|&s| s as NodeId)
+        .collect();
+    let cfg = TrustRankConfig::default();
+    let anti = bits(&oracle_anti(N, &edges, &seeds));
+    assert_eq!(
+        bits(&csr.trust_rank(&seeds, &cfg)),
+        bits(&oracle_trust(N, &edges, &seeds))
+    );
+    assert_eq!(bits(&csr.pagerank(&cfg)), bits(&oracle_pagerank(N, &edges)));
+    assert_eq!(bits(&csr.anti_trust_rank(&seeds, &cfg)), anti);
+    assert_eq!(bits(&csr.transposed().trust_rank(&seeds, &cfg)), anti);
 }
 
 /// Figure 3's demo network ranks exactly as the oracle on its links.

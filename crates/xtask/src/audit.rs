@@ -50,12 +50,13 @@
 //! suffix of the fault-free output.
 //!
 //! The web-tier double-run exercises the web-scale tier (`--scale web
-//! --web-domains 12000`): the sharded generator streams twelve thousand
-//! domains into the CSR builder and the block TrustRank kernel ranks the
-//! frozen graph on 1 vs 4 workers. The whole report — paper tables plus
-//! the appended "Scale" section — must be byte-identical across worker
-//! counts, and must *start with* the plain fault-free output: the scale
-//! study is a pure suffix too.
+//! --web-domains 70000`): the sharded generator streams seventy thousand
+//! domains in nine shards into the CSR builder, and the tiled TrustRank
+//! kernel ranks the frozen graph's three destination tiles on 1 vs 4
+//! workers, so the parallel run really dispatches several rank blocks.
+//! The whole report — paper tables plus the appended "Scale" section —
+//! must be byte-identical across worker counts, and must *start with*
+//! the plain fault-free output: the scale study is a pure suffix too.
 //!
 //! The last double-run drives the tiered verdict federation
 //! (`--federation 400`, `--serve-workers 1` vs `4`): every request walks
@@ -178,12 +179,14 @@ const MODES: &[Mode] = &[
         section: Some("Adversarial: "),
         extra: None,
     },
-    // Big enough to shard (default shard size 8192), small enough to
-    // keep the audit quick.
+    // Big enough to span several shards (default shard size 8192) and
+    // three rank tiles (32,768 nodes each), so the 4-worker run
+    // dispatches blocks in parallel; small enough to keep the audit
+    // quick.
     Mode {
         name: "web-tier",
-        serial: &["--scale", "web", "--web-domains", "12000"],
-        parallel: &["--scale", "web", "--web-domains", "12000"],
+        serial: &["--scale", "web", "--web-domains", "70000"],
+        parallel: &["--scale", "web", "--web-domains", "70000"],
         study: "scale study",
         instrumented: "the scale build and rank phases left no metric behind, \
              their instrumentation is not recording",
