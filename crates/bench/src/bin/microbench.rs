@@ -238,11 +238,12 @@ fn main() {
 
     // Online-serving pair: re-rank after splicing one pharmacy over the
     // frozen graph, full power iteration vs. the incremental replay of
-    // a recorded trajectory (DESIGN.md §12). Items count splices, so
-    // the throughputs compare directly as per-splice serving cost.
+    // a recorded trajectory (DESIGN.md §12), in exact mode as serving
+    // runs it. Items count splices, so the throughputs compare directly
+    // as per-splice serving cost.
     let trajectory = TrustTrajectory::compute(&graph, &seeds, &rank_config);
     let inc_config = IncrementalConfig {
-        tolerance: 1e-7,
+        tolerance: 0.0,
         max_frontier: graph.node_count() / 2,
     };
     // A preexisting peripheral domain gaining a few links — the
@@ -259,16 +260,22 @@ fn main() {
         overlay.splice_pharmacy(&splice_domain, &splice_links);
         overlay.trust_rank(&seeds, &rank_config)
     }));
+    let incremental_rerank = || {
+        let mut overlay = SpliceOverlay::new(&graph);
+        overlay.splice_pharmacy(&splice_domain, &splice_links);
+        overlay.trust_rank_incremental(&trajectory, &inc_config)
+    };
+    let replay = incremental_rerank();
+    eprintln!(
+        "[microbench] overlay/incremental_rerank: peak frontier {}, {:?}",
+        replay.peak_frontier, replay.outcome
+    );
     results.push(bench(
         "overlay/incremental_rerank",
         1,
         "splices",
         repeat,
-        || {
-            let mut overlay = SpliceOverlay::new(&graph);
-            overlay.splice_pharmacy(&splice_domain, &splice_links);
-            overlay.trust_rank_incremental(&trajectory, &inc_config)
-        },
+        incremental_rerank,
     ));
 
     // Federation pair: per-request cost of the two verdict-producing

@@ -6,10 +6,9 @@
 //! * `cargo run --release -p pharmaverify-bench --bin repro` — prints all
 //!   tables (`--table N` / `--figure 3` select one; `--scale small|medium|paper`
 //!   controls corpus size, default `paper`);
-//! * `cargo bench --bench tables` — same output, produced as part of the
-//!   benchmark run so the experiment record lands in `bench_output.txt`;
-//! * `cargo bench --bench micro` — criterion micro-benchmarks of the hot
-//!   substrate paths.
+//! * `cargo xtask bench` — runs the `microbench` binary over the graph
+//!   substrate's hot paths and gates it against the newest committed
+//!   `BENCH_<n>.json`.
 //!
 //! Independent tables (and the cells within the classifier grids) run in
 //! parallel over a shared artifact store; `PHARMAVERIFY_JOBS` (or

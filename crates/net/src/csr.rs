@@ -57,6 +57,20 @@
 //! leaves a non-negative accumulator's bits unchanged, so every kernel
 //! skips them, PageRank included.
 //!
+//! # Row patches
+//!
+//! A splice ([`crate::SpliceOverlay`]) ranks through the same kernel as
+//! a [`RowPatch`] over the base tiles: edges that each replace the base
+//! edge with the same source and destination or are inserted at their
+//! source's position, each source's normalizer summed over its patched
+//! row in ascending destination order, and the node count with appended
+//! nodes. The kernel cuts each patch edge into its destination tile's
+//! stream at its (source, local destination) position, skipping the base
+//! edge it replaces, so every destination still sums in ascending source
+//! order and the edge stream is never copied. The patched normalizers
+//! and dangling list are passed beside the tiles, an O(n) copy per call,
+//! and appended nodes past the last base tile get tiles of their own.
+//!
 //! # Determinism under parallel dispatch
 //!
 //! Each tile is one dispatch block: every score is written by its
@@ -74,7 +88,9 @@
 //! copied them, and the by-source buffer once the rows are merged, both
 //! before the transpose and the tiles are built.
 
+use std::borrow::Cow;
 use std::collections::HashMap;
+use std::ops::Range;
 
 /// Dense node identifier.
 pub type NodeId = u32;
@@ -376,15 +392,161 @@ impl Tiles {
         }
     }
 
-    /// Number of tiles, and so of dispatch blocks.
-    fn count(&self) -> usize {
-        self.starts.len() - 1
+    /// Node `u`'s normalizer; zero past the base's nodes.
+    pub(crate) fn norm(&self, u: NodeId) -> f64 {
+        self.norms.get(u as usize).copied().unwrap_or(0.0)
+    }
+}
+
+/// A splice as an edit of one propagation direction's rows: edges that
+/// each replace the base edge with the same source and destination or
+/// are inserted at their source's position, the normalizers those edges
+/// change, and the patched view's node count. See the module docs.
+#[derive(Debug)]
+pub(crate) struct RowPatch {
+    /// `(source, destination, weight)`, ascending by source then destination.
+    by_source: Vec<(NodeId, NodeId, f64)>,
+    /// The same edges ascending by destination, then source.
+    by_destination: Vec<(NodeId, NodeId, f64)>,
+    /// Each patch source and its patched normalizer, ascending.
+    pub(crate) sources: Vec<(NodeId, f64)>,
+    /// Nodes in the patched view, appended nodes included.
+    pub(crate) nodes: usize,
+}
+
+/// One patch edge cut into its destination tile's stream.
+#[derive(Debug)]
+struct Cut {
+    tile: usize,
+    /// Position in the tile's stream, in (source, local destination) order.
+    at: usize,
+    /// The base edge at `at` has the same source and destination.
+    replaces: bool,
+    source: NodeId,
+    local: usize,
+    weight: f64,
+}
+
+impl RowPatch {
+    /// Patches `base`'s rows in direction `reverse` with `edges`, whose
+    /// `(source, destination)` pairs are unique, over a view of `nodes`
+    /// nodes. Each source's normalizer is its patched row summed in
+    /// ascending destination order, as [`GraphBuilder::freeze`] sums a
+    /// row.
+    pub(crate) fn new(
+        base: &CsrGraph,
+        reverse: bool,
+        mut edges: Vec<(NodeId, NodeId, f64)>,
+        nodes: usize,
+    ) -> RowPatch {
+        edges.sort_by_key(|&(u, v, _)| (u, v));
+        let sources = edges
+            .chunk_by(|a, b| a.0 == b.0)
+            .map(|run| {
+                let cuts = run.iter().map(|&(_, v, w)| (v, w));
+                let row = patched_row(base.row(reverse, run[0].0), cuts);
+                (run[0].0, row.map(|(_, w)| w).sum())
+            })
+            .collect();
+        let mut by_destination = edges.clone();
+        by_destination.sort_by_key(|&(u, v, _)| (v, u));
+        RowPatch {
+            by_source: edges,
+            by_destination,
+            sources,
+            nodes,
+        }
     }
 
-    /// The dangling nodes, ascending.
-    pub(crate) fn dangling(&self) -> &[NodeId] {
-        &self.dangling
+    /// Node `u`'s normalizer in the patched view of `tiles`.
+    pub(crate) fn norm(&self, tiles: &Tiles, u: NodeId) -> f64 {
+        match self.sources.binary_search_by_key(&u, |&(x, _)| x) {
+            Ok(i) => self.sources[i].1,
+            Err(_) => tiles.norm(u),
+        }
     }
+
+    /// `(destination, weight)` of each patch edge out of `u`, ascending.
+    pub(crate) fn edges_from(&self, u: NodeId) -> impl Iterator<Item = (NodeId, f64)> + '_ {
+        let lo = self.by_source.partition_point(|e| e.0 < u);
+        let hi = self.by_source.partition_point(|e| e.0 <= u);
+        self.by_source[lo..hi].iter().map(|&(_, v, w)| (v, w))
+    }
+
+    /// `(source, weight)` of each patch edge into `v`, ascending.
+    pub(crate) fn edges_into(&self, v: NodeId) -> impl Iterator<Item = (NodeId, f64)> + '_ {
+        let lo = self.by_destination.partition_point(|e| e.1 < v);
+        let hi = self.by_destination.partition_point(|e| e.1 <= v);
+        self.by_destination[lo..hi].iter().map(|&(u, _, w)| (u, w))
+    }
+
+    /// The patched view's dangling nodes, ascending: the base's, less
+    /// those a patch edge leaves, then the appended nodes no patch edge
+    /// leaves.
+    pub(crate) fn dangling<'a>(&'a self, tiles: &'a Tiles) -> impl Iterator<Item = NodeId> + 'a {
+        let appended = tiles.norms.len() as NodeId..self.nodes as NodeId;
+        tiles
+            .dangling
+            .iter()
+            .copied()
+            .chain(appended)
+            .filter(|u| self.sources.binary_search_by_key(u, |&(x, _)| x).is_err())
+    }
+
+    /// Each patch edge as a cut into `tiles`, in stream order: ascending
+    /// by destination tile, then source, then destination.
+    fn cuts(&self, tiles: &Tiles) -> Vec<Cut> {
+        let mut cuts: Vec<Cut> = self
+            .by_source
+            .iter()
+            .map(|&(source, v, weight)| {
+                let (tile, local) = (v as usize / tiles.width, v as usize % tiles.width);
+                // Tiles past the base's last hold appended nodes only.
+                let (start, end) = match tiles.starts.get(tile..tile + 2) {
+                    Some(&[start, end]) => (start, end),
+                    _ => (0, 0),
+                };
+                let stream = &tiles.sources[start..end];
+                let lo = start + stream.partition_point(|&u| u < source);
+                let hi = start + stream.partition_point(|&u| u <= source);
+                let at = lo + tiles.locals[lo..hi].partition_point(|&x| (x as usize) < local);
+                Cut {
+                    tile,
+                    at,
+                    replaces: at < hi && tiles.locals[at] as usize == local,
+                    source,
+                    local,
+                    weight,
+                }
+            })
+            .collect();
+        // Stable: each tile's cuts stay ascending by source.
+        cuts.sort_by_key(|cut| cut.tile);
+        cuts
+    }
+}
+
+/// A base row with patch entries cut in, ascending by id: each entry
+/// replaces the base entry with its id or is inserted at its position.
+pub(crate) fn patched_row(
+    base: impl Iterator<Item = (NodeId, f64)>,
+    cuts: impl Iterator<Item = (NodeId, f64)>,
+) -> impl Iterator<Item = (NodeId, f64)> {
+    let (mut base, mut cuts) = (base.peekable(), cuts.peekable());
+    std::iter::from_fn(move || {
+        let Some(&(cut, _)) = cuts.peek() else {
+            return base.next();
+        };
+        match base.peek() {
+            Some(&(b, _)) if b < cut => base.next(),
+            next => {
+                if next.is_some_and(|&(b, _)| b == cut) {
+                    base.next();
+                }
+                cuts.next()
+            }
+        }
+    })
 }
 
 /// A frozen, compact web graph: forward and transposed CSR arrays, both
@@ -449,15 +611,7 @@ impl CsrGraph {
     /// Outgoing edges of node `id` as `(target, weight)`, sorted by
     /// target.
     pub fn out_edges(&self, id: NodeId) -> impl Iterator<Item = (NodeId, f64)> + '_ {
-        let u = id as usize;
-        self.targets[self.offsets[u]..self.offsets[u + 1]]
-            .iter()
-            .copied()
-            .zip(
-                self.weights[self.offsets[u]..self.offsets[u + 1]]
-                    .iter()
-                    .copied(),
-            )
+        self.row(false, id)
     }
 
     /// Total outgoing weight of node `id` (precomputed at freeze).
@@ -496,23 +650,45 @@ impl CsrGraph {
         }
     }
 
-    /// The forward direction's tiles: what TrustRank propagates over.
-    pub(crate) fn forward(&self) -> &Tiles {
-        &self.forward
+    /// The tiles TrustRank propagates over, or with `reverse` the tiles
+    /// Anti-TrustRank propagates over.
+    pub(crate) fn tiles(&self, reverse: bool) -> &Tiles {
+        if reverse {
+            &self.reverse
+        } else {
+            &self.forward
+        }
+    }
+
+    /// Node `id`'s forward row, or with `transposed` its transposed row,
+    /// ascending by id; empty past the base's nodes. In propagation
+    /// direction `reverse`, `row(reverse, u)` lists the nodes `u` pushes
+    /// to and `row(!reverse, v)` the nodes `v` gathers from.
+    pub(crate) fn row(
+        &self,
+        transposed: bool,
+        id: NodeId,
+    ) -> impl Iterator<Item = (NodeId, f64)> + '_ {
+        let (offsets, ids, weights) = if transposed {
+            (&self.t_offsets, &self.t_sources, &self.t_weights)
+        } else {
+            (&self.offsets, &self.targets, &self.weights)
+        };
+        let u = id as usize;
+        let span = match offsets.get(u..u + 2) {
+            Some(&[lo, hi]) => lo..hi,
+            _ => 0..0,
+        };
+        ids[span.clone()]
+            .iter()
+            .copied()
+            .zip(weights[span].iter().copied())
     }
 
     /// Incoming edges of node `id` as `(source, weight)`, in ascending
     /// source order — the order a push kernel's contributions arrive in.
     pub fn in_edges(&self, id: NodeId) -> impl Iterator<Item = (NodeId, f64)> + '_ {
-        let v = id as usize;
-        self.t_sources[self.t_offsets[v]..self.t_offsets[v + 1]]
-            .iter()
-            .copied()
-            .zip(
-                self.t_weights[self.t_offsets[v]..self.t_offsets[v + 1]]
-                    .iter()
-                    .copied(),
-            )
+        self.row(true, id)
     }
 
     /// TrustRank over the frozen graph, serial. See
@@ -563,7 +739,7 @@ impl CsrGraph {
             return vec![0.0; n];
         }
         let d = seed_distribution(n, seeds);
-        propagate(&d, config, &self.forward, dispatch, &mut |_, _| {})
+        propagate(&d, config, &self.forward, None, dispatch, &mut |_, _| {})
     }
 
     /// PageRank over the frozen graph, serial: TrustRank with a uniform
@@ -591,7 +767,7 @@ impl CsrGraph {
             return Vec::new();
         }
         let d = vec![1.0 / n as f64; n];
-        propagate(&d, config, &self.forward, dispatch, &mut |_, _| {})
+        propagate(&d, config, &self.forward, None, dispatch, &mut |_, _| {})
     }
 
     /// Anti-TrustRank (Krishnan & Raj, AIRWeb 2006; the paper's related
@@ -626,7 +802,7 @@ impl CsrGraph {
             return vec![0.0; n];
         }
         let d = seed_distribution(n, bad_seeds);
-        propagate(&d, config, &self.reverse, dispatch, &mut |_, _| {})
+        propagate(&d, config, &self.reverse, None, dispatch, &mut |_, _| {})
     }
 }
 
@@ -657,9 +833,11 @@ pub(crate) fn seed_distribution(n: usize, seeds: &[NodeId]) -> Vec<f64> {
 }
 
 /// The shared power iteration `t ← α·(push(t) + dangling·d) + (1−α)·d`
-/// over one direction's tiles, one dispatch block per tile. After every
-/// iteration `observe` sees the new iterate and the dangling mass that
-/// iteration redistributed.
+/// over one direction's tiles, one dispatch block per tile, with `patch`
+/// cut in when given: its normalizers and dangling list replace the
+/// base's, an O(n) copy, and appended nodes past the last base tile get
+/// tiles of their own. After every iteration `observe` sees the new
+/// iterate and the dangling mass that iteration redistributed.
 ///
 /// Determinism: the dangling pass is serial in ascending node order,
 /// each score is written by its own tile's block, and the blocks'
@@ -669,36 +847,53 @@ pub(crate) fn propagate(
     d: &[f64],
     config: &TrustRankConfig,
     tiles: &Tiles,
+    patch: Option<&RowPatch>,
     dispatch: &dyn BlockDispatch,
     observe: &mut dyn FnMut(&[f64], f64),
 ) -> Vec<f64> {
     let n = d.len();
     let alpha = config.alpha;
+    let (norms, dangling, cuts) = match patch {
+        Some(patch) => {
+            let mut norms = tiles.norms.clone();
+            norms.resize(n, 0.0);
+            for &(u, norm) in &patch.sources {
+                norms[u as usize] = norm;
+            }
+            let dangling = patch.dangling(tiles).collect();
+            (Cow::Owned(norms), Cow::Owned(dangling), patch.cuts(tiles))
+        }
+        None => (
+            Cow::Borrowed(&tiles.norms[..]),
+            Cow::Borrowed(&tiles.dangling[..]),
+            Vec::new(),
+        ),
+    };
+    let (norms, cuts) = (&norms[..], &cuts[..]);
     let mut t = d.to_vec();
     for _ in 0..config.iterations {
         // Dangling mass accumulates serially in ascending node order —
         // the summation order of a push kernel.
-        let dangling = tiles
-            .dangling
-            .iter()
-            .fold(0.0, |sum, &u| sum + t[u as usize]);
+        let dangling = dangling.iter().fold(0.0, |sum, &u| sum + t[u as usize]);
         let shared = &t;
-        let parts = dispatch.dispatch(tiles.count(), &move |k| {
+        let parts = dispatch.dispatch(n.div_ceil(tiles.width), &move |k| {
             let lo = k * tiles.width;
             let hi = n.min(lo + tiles.width);
-            let edges = tiles.starts[k]..tiles.starts[k + 1];
             let mut acc = vec![0.0; hi - lo];
-            for ((&u, &v), &w) in tiles.sources[edges.clone()]
-                .iter()
-                .zip(&tiles.locals[edges.clone()])
-                .zip(&tiles.weights[edges])
-            {
-                let mass = shared[u as usize];
+            let (mut from, end) = match tiles.starts.get(k..k + 2) {
+                Some(&[from, end]) => (from, end),
+                _ => (0, 0),
+            };
+            let mine = cuts.partition_point(|c| c.tile < k)..cuts.partition_point(|c| c.tile <= k);
+            for cut in &cuts[mine] {
+                push(tiles, norms, shared, &mut acc, from..cut.at);
+                let mass = shared[cut.source as usize];
                 if mass != 0.0 {
-                    // norms[u] > 0: u has an edge in this direction.
-                    acc[v as usize] += mass * w / tiles.norms[u as usize];
+                    acc[cut.local] += mass * cut.weight / norms[cut.source as usize];
                 }
+                from = cut.at + usize::from(cut.replaces);
             }
+            push(tiles, norms, shared, &mut acc, from..end);
             for (a, &dv) in acc.iter_mut().zip(&d[lo..hi]) {
                 *a = alpha * (*a + dangling * dv) + (1.0 - alpha) * dv;
             }
@@ -710,6 +905,23 @@ pub(crate) fn propagate(
         observe(&t, dangling);
     }
     t
+}
+
+/// Pushes `mass·w/norm` along the tile edges `edges` into their tile's
+/// accumulator `acc`, skipping sources with zero mass.
+#[inline(always)]
+fn push(tiles: &Tiles, norms: &[f64], t: &[f64], acc: &mut [f64], edges: Range<usize>) {
+    for ((&u, &v), &w) in tiles.sources[edges.clone()]
+        .iter()
+        .zip(&tiles.locals[edges.clone()])
+        .zip(&tiles.weights[edges])
+    {
+        let mass = t[u as usize];
+        if mass != 0.0 {
+            // norms[u] > 0: u has an edge in this direction.
+            acc[v as usize] += mass * w / norms[u as usize];
+        }
+    }
 }
 
 /// The Figure 3 illustration: a small network of "good" (white) and "bad"
@@ -933,22 +1145,52 @@ mod tests {
         }
     }
 
+    /// `build(edges, n)` followed by a splice of pharmacy `n{dom}.com`
+    /// linking to `links`, self-links skipped: the graph an overlay
+    /// splicing the same links over `build(edges, n)` must rank as.
+    fn build_spliced(
+        edges: &[(usize, usize, f64)],
+        n: usize,
+        dom: usize,
+        links: &[(String, f64)],
+    ) -> CsrGraph {
+        let mut b = GraphBuilder::new();
+        for i in 0..n {
+            b.add_pharmacy(&format!("n{i}.com"));
+        }
+        for &(a, v, w) in edges {
+            b.add_link(a as NodeId, &format!("n{v}.com"), w);
+        }
+        let domain = format!("n{dom}.com");
+        let s = b.add_pharmacy(&domain);
+        for (target, w) in links.iter().filter(|(t, _)| *t != domain) {
+            b.add_link(s, target, *w);
+        }
+        b.freeze()
+    }
+
     proptest! {
         /// Tile width never reaches the bits. Random multigraphs carry
         /// duplicate links, self-links and weights in tenths (sums of
         /// three or more depend on their order); `cut` nodes lose every
         /// link, so they dangle in both directions, and join the seeds.
         /// TrustRank, PageRank and Anti-TrustRank must be bit-identical
-        /// at tiles 1, 2, 3 and the default width wide. TrustRank and
-        /// Anti-TrustRank must also equal the overlay's serial push over
-        /// the CSR rows in ascending source order, so a tile layout that
-        /// reorders sources fails even where every width reorders alike.
+        /// at tiles 1, 2, 3 and the default width wide. Each splice of
+        /// `churn` — a preexisting or fresh domain, with duplicate and
+        /// self links in tenths — then runs over every width, where its
+        /// row patch spans tiles and appended nodes get tiles of their
+        /// own: the overlay's TrustRank and Anti-TrustRank must equal the
+        /// default-width kernels on the frozen spliced graph.
         #[test]
         fn tile_width_does_not_change_bits(
             n in 2usize..24,
             links in prop::collection::vec((0usize..24, 0usize..24, 1usize..40), 0..80),
             cut in prop::collection::vec(0usize..24, 0..4),
             seed_bits in prop::collection::vec(any::<bool>(), 24..25),
+            churn in prop::collection::vec(
+                ((0usize..30), prop::collection::vec((0usize..30, 1usize..40), 0..6)),
+                1..5,
+            ),
         ) {
             let cut: Vec<usize> = cut.iter().map(|c| c % n).collect();
             let edges: Vec<(usize, usize, f64)> = links
@@ -961,18 +1203,35 @@ mod tests {
                 (0..n as NodeId).filter(|&i| seed_bits[i as usize]).collect();
             seeds.extend(cut.iter().map(|&c| c as NodeId));
             let cfg = TrustRankConfig::default();
-            let overlay = crate::SpliceOverlay::new(&g);
-            let trust = bits(&overlay.trust_rank(&seeds, &cfg));
-            let anti = bits(&overlay.anti_trust_rank(&seeds, &cfg));
+            let trust = bits(&g.trust_rank(&seeds, &cfg));
+            let anti = bits(&g.anti_trust_rank(&seeds, &cfg));
             let pagerank = bits(&g.pagerank(&cfg));
-            for width in [1, 2, 3, TILE_NODES] {
-                let tiled = retiled(&g, width);
+            let widths = [1, 2, 3, TILE_NODES];
+            let tiled: Vec<CsrGraph> = widths.iter().map(|&w| retiled(&g, w)).collect();
+            for (tiled, width) in tiled.iter().zip(widths) {
                 let got = bits(&tiled.trust_rank(&seeds, &cfg));
                 prop_assert_eq!(&got, &trust, "trust, width {}", width);
                 let got = bits(&tiled.pagerank(&cfg));
                 prop_assert_eq!(&got, &pagerank, "pagerank, width {}", width);
                 let got = bits(&tiled.anti_trust_rank(&seeds, &cfg));
                 prop_assert_eq!(&got, &anti, "anti-trust, width {}", width);
+            }
+            for (dom, links) in &churn {
+                let links: Vec<(String, f64)> = links
+                    .iter()
+                    .map(|&(t, w)| (format!("n{t}.com"), w as f64 / 10.0))
+                    .collect();
+                let spliced = build_spliced(&edges, n, *dom, &links);
+                let trust = bits(&spliced.trust_rank(&seeds, &cfg));
+                let anti = bits(&spliced.anti_trust_rank(&seeds, &cfg));
+                for (tiled, width) in tiled.iter().zip(widths) {
+                    let mut overlay = crate::SpliceOverlay::new(tiled);
+                    overlay.splice_pharmacy(&format!("n{dom}.com"), &links);
+                    let got = bits(&overlay.trust_rank(&seeds, &cfg));
+                    prop_assert_eq!(&got, &trust, "overlay trust, n{} width {}", dom, width);
+                    let got = bits(&overlay.anti_trust_rank(&seeds, &cfg));
+                    prop_assert_eq!(&got, &anti, "overlay anti-trust, n{} width {}", dom, width);
+                }
             }
         }
     }

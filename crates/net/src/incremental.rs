@@ -12,14 +12,32 @@
 //! fixed-iteration-count kernel this system standardizes on so the two
 //! are directly comparable.
 //!
+//! # One replay
+//!
+//! Trust and anti-trust share one replay over the splice's row patch in
+//! their propagation direction (see [`crate::csr`]): forward, the spliced
+//! node's row; reversed, one edge into the spliced node per target. A
+//! node *moved* at iteration `k` when its score differs from the
+//! recorded one. Iteration `k` then
+//!
+//! 1. takes the recorded dangling mass when no node moved and every base
+//!    node that stopped dangling held zero mass, and otherwise re-sums
+//!    the patched dangling list in ascending order;
+//! 2. recomputes the nodes each moved node pushes to; for each patch
+//!    source holding mass in either run, the destinations of its patch
+//!    edges, and every node it pushes to if its normalizer changed; and
+//!    the seed support when the dangling mass changed;
+//! 3. gathers each recomputed node over its patched in-row in ascending
+//!    source order, with normalizers from the patch or the base.
+//!
 //! # Exactness and the approximation boundary
 //!
 //! With [`IncrementalConfig::tolerance`] set to `0.0` the result is
-//! **bit-identical** to [`crate::SpliceOverlay::trust_rank`]: affected
-//! nodes are re-gathered with the same additions in the same
-//! ascending-source order as the full push kernel, untouched nodes reuse
-//! the recorded trajectory values, and the dangling pass is re-summed in
-//! the full kernel's node order whenever any contributing term changed.
+//! **bit-identical** to the full overlay kernel: affected nodes are
+//! re-gathered with the same additions in the same ascending-source
+//! order as the tiled push, untouched nodes reuse the recorded trajectory
+//! values, and the dangling pass is re-summed in the kernel's node order
+//! whenever any contributing term changed.
 //!
 //! Exactness has a cost, though: dangling mass couples every seed to
 //! every dangling node, and on expander-like graphs low-order-bit
@@ -27,8 +45,8 @@
 //! the whole graph. A non-zero `tolerance` is the documented,
 //! deterministic approximation boundary: a recomputed score whose
 //! absolute difference from the trajectory value is at most `tolerance`
-//! is dropped from the patch set, which truncates the frontier where the
-//! perturbation has decayed below interest. Dropping a patch injects at
+//! is dropped from the moved set, which truncates the frontier where the
+//! perturbation has decayed below interest. Dropping a score injects at
 //! most `tolerance` of error per affected node per iteration, and the
 //! iteration map contracts L1 norm by α, so the final scores differ from
 //! the full kernel's by at most
@@ -37,24 +55,24 @@
 //! ‖incremental − full‖∞ ≤ tolerance · max_frontier / (1 − α)
 //! ```
 //!
-//! (each iteration drops ≤ `max_frontier` patches of ≤ `tolerance` L1
+//! (each iteration drops ≤ `max_frontier` scores of ≤ `tolerance` L1
 //! mass each; the geometric series Σ αᵏ bounds their propagation). The
-//! bound is loose in practice — dropped patches are at the decayed rim
+//! bound is loose in practice — dropped scores are at the decayed rim
 //! of the frontier — but it is the contract the proptests pin.
 //!
 //! When one iteration's recompute set exceeds
-//! [`IncrementalConfig::max_frontier`] the incremental pass abandons its
-//! patches and runs the full kernel instead ([`IncrementalOutcome::FellBack`]):
+//! [`IncrementalConfig::max_frontier`] the replay abandons its scores
+//! and runs the full kernel instead ([`IncrementalOutcome::FellBack`]):
 //! past that point the bookkeeping costs more than a full push over
 //! every edge, and the caller gets full-kernel bits. Both paths are pure
 //! functions of (base, splice, config) — worker counts and wall clocks
 //! never enter.
 
 use crate::csr::{
-    propagate, seed_distribution, validate, CsrGraph, NodeId, SerialDispatch, TrustRankConfig,
+    patched_row, propagate, seed_distribution, validate, CsrGraph, NodeId, SerialDispatch,
+    TrustRankConfig,
 };
 use crate::overlay::SpliceOverlay;
-use std::collections::HashMap;
 
 /// The recorded power-iteration history of a frozen base graph under one
 /// seed set: everything [`crate::SpliceOverlay::trust_rank_incremental`]
@@ -76,8 +94,6 @@ pub struct TrustTrajectory {
     seeds: Vec<NodeId>,
     /// Nodes with `d > 0`, ascending — the support of teleportation.
     seed_support: Vec<NodeId>,
-    /// Base nodes with zero out-weight, ascending.
-    dangling_nodes: Vec<NodeId>,
     config: TrustRankConfig,
 }
 
@@ -101,7 +117,8 @@ impl TrustTrajectory {
         propagate(
             &d,
             config,
-            base.forward(),
+            base.tiles(false),
+            None,
             &SerialDispatch,
             &mut |t, mass| {
                 scores.push(t.to_vec());
@@ -115,7 +132,6 @@ impl TrustTrajectory {
             d,
             seeds: seeds.to_vec(),
             seed_support,
-            dangling_nodes: base.forward().dangling().to_vec(),
             config: *config,
         }
     }
@@ -140,12 +156,8 @@ impl TrustTrajectory {
     /// The trajectory value of node `v` at iteration `k`; appended
     /// overlay nodes (`v ≥ n`) read as `0.0` — their mass in the base
     /// run, where they do not exist.
-    fn score_at(&self, k: usize, v: usize) -> f64 {
-        if v < self.d.len() {
-            self.scores[k][v]
-        } else {
-            0.0
-        }
+    fn score_at(&self, k: usize, v: NodeId) -> f64 {
+        self.scores[k].get(v as usize).copied().unwrap_or(0.0)
     }
 }
 
@@ -154,7 +166,7 @@ impl TrustTrajectory {
 #[derive(Debug, Clone, Copy)]
 pub struct IncrementalConfig {
     /// Recomputed scores within `tolerance` (absolute) of the recorded
-    /// trajectory value are dropped from the patch set. `0.0` demands
+    /// trajectory value are dropped from the moved set. `0.0` demands
     /// bit-identity with the full kernel.
     pub tolerance: f64,
     /// Fall back to the full kernel when one iteration would recompute
@@ -162,24 +174,11 @@ pub struct IncrementalConfig {
     pub max_frontier: usize,
 }
 
-impl IncrementalConfig {
-    /// A tight default for a graph of `n` nodes: near-exact scores
-    /// (absolute error ≤ `1e-9 · n/4 / (1 − α)`), with fallback once a
-    /// quarter of the graph is in motion — past that the full kernel is
-    /// cheaper than patch bookkeeping.
-    pub fn tight(n: usize) -> Self {
-        IncrementalConfig {
-            tolerance: 1e-9,
-            max_frontier: (n / 4).max(64),
-        }
-    }
-}
-
 /// Which path produced an [`IncrementalTrust`].
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum IncrementalOutcome {
     /// The frontier stayed under the cap: scores are trajectory values
-    /// plus patches.
+    /// plus the moved nodes' recomputed scores.
     Incremental,
     /// The frontier exceeded the cap: the full kernel ran instead, so
     /// the scores carry full-kernel bits.
@@ -204,8 +203,8 @@ impl SpliceOverlay<'_> {
     /// TrustRank over the overlaid view by incremental replay of a
     /// recorded base [`TrustTrajectory`]: only nodes whose gather inputs
     /// changed are recomputed per iteration. See the module docs of
-    /// [`crate::incremental`] for the exactness contract, the tolerance
-    /// error bound, and the fallback rule.
+    /// [`crate::incremental`] for the recompute rule, the exactness
+    /// contract, the tolerance error bound, and the fallback rule.
     ///
     /// # Panics
     /// Panics if `trajectory` was recorded over a graph of a different
@@ -217,196 +216,18 @@ impl SpliceOverlay<'_> {
         config: &IncrementalConfig,
     ) -> IncrementalTrust {
         let _span = pharmaverify_obs::global().span("net/incremental/run");
-        let base = self.base();
-        let n = base.node_count();
-        assert_eq!(
-            trajectory.node_count(),
-            n,
-            "trajectory recorded over a different base graph"
-        );
-        let total = self.node_count();
-        let alpha = trajectory.config.alpha;
-
-        let spliced = match self.spliced_node() {
-            Some(s) => s,
-            None => {
-                // No delta: the overlaid view *is* the base.
-                return IncrementalTrust {
-                    scores: trajectory.final_scores().to_vec(),
-                    outcome: IncrementalOutcome::Incremental,
-                    peak_frontier: 0,
-                };
-            }
-        };
-
-        // The spliced node's forward row in the overlaid view. Its
-        // normalizer is summed in row order, matching the full kernel's
-        // `out_weight`. Appended non-spliced nodes never gain rows (only
-        // the spliced node links out), so this is the *only* changed or
-        // new forward row besides trivially-empty ones.
-        let spliced_row = self.spliced_row();
-        let spliced_out: f64 = spliced_row.iter().map(|&(_, w)| w).sum();
-        let spliced_edge: HashMap<NodeId, f64> = spliced_row.iter().copied().collect();
-        let mut spliced_targets: Vec<NodeId> = spliced_row.iter().map(|&(v, _)| v).collect();
-        spliced_targets.sort_unstable();
-        // A preexisting spliced domain that was dangling in the base and
-        // gained links stops feeding the dangling sum; its row can only
-        // grow, so the opposite transition cannot happen.
-        let spliced_left_dangling =
-            (spliced as usize) < n && base.out_weight(spliced) == 0.0 && spliced_out > 0.0;
-
-        // Patch set for the current iteration `k`: ascending `(node,
-        // score)` pairs that differ from the trajectory by more than the
-        // tolerance. Reads outside the patch fall through to the
-        // trajectory (0.0 for appended nodes).
-        let mut patch: Vec<(NodeId, f64)> = Vec::new();
-        let patched = |patch: &[(NodeId, f64)], k: usize, v: usize| -> f64 {
-            match patch.binary_search_by_key(&(v as NodeId), |&(i, _)| i) {
-                Ok(p) => patch[p].1,
-                Err(_) => trajectory.score_at(k, v),
-            }
-        };
-        let mut peak = 0usize;
-
-        for k in 0..trajectory.config.iterations {
-            // Dangling mass of iteration k under the overlay. Reusable
-            // exactly when no contributing term moved: no patches (so
-            // appended nodes also still hold zero mass), and the spliced
-            // node either kept its dangling status or holds no mass.
-            let spliced_mass = patched(&patch, k, spliced as usize);
-            let dangling = if patch.is_empty() && (!spliced_left_dangling || spliced_mass == 0.0) {
-                trajectory.dangling[k]
-            } else {
-                // Re-sum in the full kernel's order: ascending base
-                // nodes, then appended nodes, skipping zero masses.
-                let mut sum = 0.0;
-                for &u in &trajectory.dangling_nodes {
-                    if u == spliced && spliced_left_dangling {
-                        continue;
-                    }
-                    let mass = patched(&patch, k, u as usize);
-                    if mass != 0.0 {
-                        sum += mass;
-                    }
-                }
-                for id in n..total {
-                    if id == spliced as usize && spliced_out > 0.0 {
-                        continue;
-                    }
-                    let mass = patched(&patch, k, id);
-                    if mass != 0.0 {
-                        sum += mass;
-                    }
-                }
-                sum
-            };
-            let dangling_changed = dangling.to_bits() != trajectory.dangling[k].to_bits();
-
-            // Recompute set for iteration k+1: targets of the changed
-            // row whenever the spliced node carries mass in either run
-            // (its weights/normalizer changed), targets of every patched
-            // node, and the teleport support when the dangling mass
-            // moved.
-            let mut recompute: Vec<NodeId> = Vec::new();
-            if spliced_mass != 0.0 || trajectory.score_at(k, spliced as usize) != 0.0 {
-                recompute.extend_from_slice(&spliced_targets);
-            }
-            for &(u, _) in &patch {
-                if u != spliced && (u as usize) < n {
-                    for (v, _) in base.out_edges(u) {
-                        recompute.push(v);
-                    }
-                }
-            }
-            if dangling_changed {
-                recompute.extend_from_slice(&trajectory.seed_support);
-            }
-            recompute.sort_unstable();
-            recompute.dedup();
-            peak = peak.max(recompute.len());
-            if recompute.len() > config.max_frontier {
-                return IncrementalTrust {
-                    scores: self.trust_rank(&trajectory.seeds, &trajectory.config),
-                    outcome: IncrementalOutcome::FellBack,
-                    peak_frontier: peak,
-                };
-            }
-
-            // Gather each affected node with the full kernel's
-            // accumulation order: base in-edges ascending by source, the
-            // spliced node's (possibly new) contribution inserted at its
-            // id position, appended nodes contributing nothing further.
-            let mut next_patch: Vec<(NodeId, f64)> = Vec::with_capacity(recompute.len());
-            for &v in &recompute {
-                let vu = v as usize;
-                let mut acc = 0.0;
-                let spliced_w = spliced_edge.get(&v).copied();
-                let mut spliced_pending = spliced_w.is_some() && spliced_mass != 0.0;
-                if vu < n {
-                    for (u, w) in base.in_edges(v) {
-                        if u == spliced {
-                            // The replaced row subsumes the base edge;
-                            // use its weight and normalizer instead.
-                            if spliced_pending {
-                                // `spliced_w`/`spliced_out` are present and
-                                // positive: the base edge is part of the row.
-                                acc += spliced_mass * spliced_w.unwrap_or(0.0) / spliced_out;
-                                spliced_pending = false;
-                            }
-                            continue;
-                        }
-                        if spliced_pending && spliced < u {
-                            acc += spliced_mass * spliced_w.unwrap_or(0.0) / spliced_out;
-                            spliced_pending = false;
-                        }
-                        let mass = patched(&patch, k, u as usize);
-                        if mass != 0.0 {
-                            acc += mass * w / base.out_weight(u);
-                        }
-                    }
-                }
-                if spliced_pending {
-                    acc += spliced_mass * spliced_w.unwrap_or(0.0) / spliced_out;
-                }
-                let dv = if vu < n { trajectory.d[vu] } else { 0.0 };
-                let score = alpha * (acc + dangling * dv) + (1.0 - alpha) * dv;
-                let reference = trajectory.score_at(k + 1, vu);
-                let keep = if config.tolerance == 0.0 {
-                    score.to_bits() != reference.to_bits()
-                } else {
-                    (score - reference).abs() > config.tolerance
-                };
-                if keep {
-                    next_patch.push((v, score));
-                }
-            }
-            patch = next_patch;
-        }
-
-        let mut scores = Vec::with_capacity(total);
-        scores.extend_from_slice(trajectory.final_scores());
-        scores.resize(total, 0.0);
-        for &(v, s) in &patch {
-            scores[v as usize] = s;
-        }
-        IncrementalTrust {
-            scores,
-            outcome: IncrementalOutcome::Incremental,
-            peak_frontier: peak,
-        }
+        self.replay(false, trajectory, config)
     }
 
     /// Anti-TrustRank over the overlaid view by incremental replay of a
     /// trajectory recorded over the **transposed** base graph:
     /// `TrustTrajectory::compute(&base.transposed(), bad_seeds, cfg)`.
-    /// In the transposed view a splice is a *column* update — every
-    /// spliced link `s → t` becomes an in-edge of `s` from `t`, changing
-    /// `t`'s push normalizer and adding `s` as a receiver — so the
-    /// affected-set bookkeeping differs from the forward path, but the
-    /// contract is the same: at tolerance 0 the result is bit-identical
-    /// to [`SpliceOverlay::anti_trust_rank`], tolerance > 0 obeys the
-    /// module's error bound, and a frontier overflow falls back to the
-    /// full kernel ([`IncrementalOutcome::FellBack`]).
+    /// The same replay as [`SpliceOverlay::trust_rank_incremental`] over
+    /// the reverse patch, with the same contract: at tolerance 0 the
+    /// result is bit-identical to [`SpliceOverlay::anti_trust_rank`],
+    /// tolerance > 0 obeys the module's error bound, and a frontier
+    /// overflow falls back to the full kernel
+    /// ([`IncrementalOutcome::FellBack`]).
     ///
     /// # Panics
     /// Panics if `trajectory` was recorded over a graph of a different
@@ -417,6 +238,17 @@ impl SpliceOverlay<'_> {
         config: &IncrementalConfig,
     ) -> IncrementalTrust {
         let _span = pharmaverify_obs::global().span("net/incremental/anti_run");
+        self.replay(true, trajectory, config)
+    }
+
+    /// Replays `trajectory` over the splice's row patch in direction
+    /// `reverse`, following the module docs' three steps.
+    fn replay(
+        &self,
+        reverse: bool,
+        trajectory: &TrustTrajectory,
+        config: &IncrementalConfig,
+    ) -> IncrementalTrust {
         let base = self.base();
         let n = base.node_count();
         assert_eq!(
@@ -424,195 +256,103 @@ impl SpliceOverlay<'_> {
             n,
             "trajectory recorded over a different base graph"
         );
-        let total = self.node_count();
+        let tiles = base.tiles(reverse);
+        let patch = self.patch(reverse);
         let alpha = trajectory.config.alpha;
-
-        let spliced = match self.spliced_node() {
-            Some(s) => s,
-            None => {
-                return IncrementalTrust {
-                    scores: trajectory.final_scores().to_vec(),
-                    outcome: IncrementalOutcome::Incremental,
-                    peak_frontier: 0,
-                };
-            }
-        };
-
-        let spliced_row = self.spliced_row();
-        let spliced_edge: HashMap<NodeId, f64> = spliced_row.iter().copied().collect();
-        let mut spliced_targets: Vec<NodeId> = spliced_row.iter().map(|&(v, _)| v).collect();
-        spliced_targets.sort_unstable();
-        // Adjusted transposed-out normalizers (overlaid in-weights).
-        // Targets whose recomputed normalizer carries the *same* bits as
-        // the base (a replaced-row edge whose weight did not change) are
-        // no perturbation at all and stay out of the changed set.
-        let mut norm_changed: Vec<NodeId> = Vec::new();
-        let mut a_out: HashMap<NodeId, f64> = HashMap::new();
-        for &t in &spliced_targets {
-            let w = self.in_weight_overlaid(t);
-            let before = if (t as usize) < n {
-                base.in_weight(t)
-            } else {
-                0.0
-            };
-            if w.to_bits() != before.to_bits() {
-                norm_changed.push(t);
-            }
-            a_out.insert(t, w);
-        }
-        let norm = |a: NodeId| -> f64 {
-            match a_out.get(&a) {
-                Some(&w) => w,
-                None if (a as usize) < n => base.in_weight(a),
-                None => 0.0,
-            }
-        };
-        // Preexisting targets that leave the transposed dangling set:
-        // zero base in-weight, now carrying the spliced in-link. (The
-        // spliced node itself never flips: its in-edges are untouched,
-        // and a fresh splice starts dangling with zero mass.)
-        let left_dangling: Vec<NodeId> = spliced_targets
+        // Patch sources whose normalizer's bits changed, and the base
+        // nodes among them that stopped dangling.
+        let renormed: Vec<NodeId> = patch
+            .sources
+            .iter()
+            .filter(|&&(u, norm)| norm.to_bits() != tiles.norm(u).to_bits())
+            .map(|&(u, _)| u)
+            .collect();
+        let stopped: Vec<NodeId> = renormed
             .iter()
             .copied()
-            .filter(|&t| (t as usize) < n && base.in_weight(t) == 0.0)
+            .filter(|&u| (u as usize) < n && tiles.norm(u) == 0.0)
             .collect();
-        let fresh_spliced = (spliced as usize) >= n;
 
-        let mut patch: Vec<(NodeId, f64)> = Vec::new();
-        let patched = |patch: &[(NodeId, f64)], k: usize, v: usize| -> f64 {
-            match patch.binary_search_by_key(&(v as NodeId), |&(i, _)| i) {
-                Ok(p) => patch[p].1,
-                Err(_) => trajectory.score_at(k, v),
+        // The nodes that moved at iteration `k`, ascending, with their
+        // scores; every other node holds its trajectory value.
+        let mut moved: Vec<(NodeId, f64)> = Vec::new();
+        let mass = |moved: &[(NodeId, f64)], k: usize, u: NodeId| -> f64 {
+            match moved.binary_search_by_key(&u, |&(v, _)| v) {
+                Ok(i) => moved[i].1,
+                Err(_) => trajectory.score_at(k, u),
             }
         };
         let mut peak = 0usize;
 
         for k in 0..trajectory.config.iterations {
-            // Dangling mass of the transposed view at iteration k.
-            // Reusable exactly when no contributing term moved: no
-            // patches (so appended nodes, including a fresh spliced
-            // node, still hold zero mass) and every node that left the
-            // dangling set held zero mass in the base run.
-            let reusable = patch.is_empty()
-                && left_dangling
-                    .iter()
-                    .all(|&t| trajectory.score_at(k, t as usize) == 0.0);
-            let dangling = if reusable {
-                trajectory.dangling[k]
-            } else {
-                // Re-sum in the full kernel's order: ascending base
-                // nodes, then appended — where only a fresh spliced
-                // node is dangling (every other appended node carries
-                // the spliced in-link).
-                let mut sum = 0.0;
-                for &u in &trajectory.dangling_nodes {
-                    if left_dangling.binary_search(&u).is_ok() {
-                        continue;
-                    }
-                    let mass = patched(&patch, k, u as usize);
-                    if mass != 0.0 {
-                        sum += mass;
-                    }
-                }
-                if fresh_spliced {
-                    let mass = patched(&patch, k, spliced as usize);
-                    if mass != 0.0 {
-                        sum += mass;
-                    }
-                }
-                sum
-            };
-            let dangling_changed = dangling.to_bits() != trajectory.dangling[k].to_bits();
+            let dangling =
+                if moved.is_empty() && stopped.iter().all(|&u| trajectory.score_at(k, u) == 0.0) {
+                    trajectory.dangling[k]
+                } else {
+                    patch
+                        .dangling(tiles)
+                        .fold(0.0, |sum, u| sum + mass(&moved, k, u))
+                };
 
-            // Recompute set for iteration k+1. The spliced node gathers
-            // over its (new) row whenever any of its targets carries
-            // mass in either run; cells gathering *from* a patched or
-            // normalizer-changed node are its overlaid in-sources.
+            // A moved node holds mass, so the loop below adds its patch edges.
             let mut recompute: Vec<NodeId> = Vec::new();
-            let spliced_gathers = spliced_targets.iter().any(|&a| {
-                patched(&patch, k, a as usize) != 0.0 || trajectory.score_at(k, a as usize) != 0.0
-            });
-            if spliced_gathers {
-                recompute.push(spliced);
+            for &(u, _) in &moved {
+                recompute.extend(base.row(reverse, u).map(|(v, _)| v));
             }
-            for &(p, _) in &patch {
-                if (p as usize) < n {
-                    for (src, _) in base.in_edges(p) {
-                        recompute.push(src);
-                    }
-                }
-                if spliced_edge.contains_key(&p) {
-                    recompute.push(spliced);
-                }
-            }
-            for &a in &norm_changed {
-                let moving = patched(&patch, k, a as usize) != 0.0
-                    || trajectory.score_at(k, a as usize) != 0.0;
-                if moving && (a as usize) < n {
-                    for (src, _) in base.in_edges(a) {
-                        recompute.push(src);
+            for &(u, _) in &patch.sources {
+                if mass(&moved, k, u) != 0.0 || trajectory.score_at(k, u) != 0.0 {
+                    recompute.extend(patch.edges_from(u).map(|(v, _)| v));
+                    if renormed.contains(&u) {
+                        recompute.extend(base.row(reverse, u).map(|(v, _)| v));
                     }
                 }
             }
-            if dangling_changed {
+            if dangling.to_bits() != trajectory.dangling[k].to_bits() {
                 recompute.extend_from_slice(&trajectory.seed_support);
             }
             recompute.sort_unstable();
             recompute.dedup();
             peak = peak.max(recompute.len());
             if recompute.len() > config.max_frontier {
+                let (seeds, rank) = (&trajectory.seeds, &trajectory.config);
                 return IncrementalTrust {
-                    scores: self.anti_trust_rank(&trajectory.seeds, &trajectory.config),
+                    scores: if reverse {
+                        self.anti_trust_rank(seeds, rank)
+                    } else {
+                        self.trust_rank(seeds, rank)
+                    },
                     outcome: IncrementalOutcome::FellBack,
                     peak_frontier: peak,
                 };
             }
 
-            // Gather each affected cell in the full kernel's
-            // accumulation order: a cell gathers over its forward
-            // targets ascending (they are its in-sources in the
-            // transposed view), the spliced node over its sorted row.
-            let mut next_patch: Vec<(NodeId, f64)> = Vec::with_capacity(recompute.len());
-            for &x in &recompute {
-                let xu = x as usize;
-                let mut acc = 0.0;
-                if x == spliced {
-                    for &a in &spliced_targets {
-                        let mass = patched(&patch, k, a as usize);
-                        if mass != 0.0 {
-                            if let Some(&w) = spliced_edge.get(&a) {
-                                acc += mass * w / norm(a);
-                            }
+            moved = recompute
+                .into_iter()
+                .filter_map(|v| {
+                    let mut acc = 0.0;
+                    for (u, w) in patched_row(base.row(!reverse, v), patch.edges_into(v)) {
+                        let m = mass(&moved, k, u);
+                        if m != 0.0 {
+                            acc += m * w / patch.norm(tiles, u);
                         }
                     }
-                } else if xu < n {
-                    for (a, w) in base.out_edges(x) {
-                        let mass = patched(&patch, k, a as usize);
-                        if mass != 0.0 {
-                            acc += mass * w / norm(a);
-                        }
-                    }
-                }
-                let dv = if xu < n { trajectory.d[xu] } else { 0.0 };
-                let score = alpha * (acc + dangling * dv) + (1.0 - alpha) * dv;
-                let reference = trajectory.score_at(k + 1, xu);
-                let keep = if config.tolerance == 0.0 {
-                    score.to_bits() != reference.to_bits()
-                } else {
-                    (score - reference).abs() > config.tolerance
-                };
-                if keep {
-                    next_patch.push((x, score));
-                }
-            }
-            patch = next_patch;
+                    let dv = trajectory.d.get(v as usize).copied().unwrap_or(0.0);
+                    let score = alpha * (acc + dangling * dv) + (1.0 - alpha) * dv;
+                    let reference = trajectory.score_at(k + 1, v);
+                    let keep = if config.tolerance == 0.0 {
+                        score.to_bits() != reference.to_bits()
+                    } else {
+                        (score - reference).abs() > config.tolerance
+                    };
+                    keep.then_some((v, score))
+                })
+                .collect();
         }
 
-        let mut scores = Vec::with_capacity(total);
-        scores.extend_from_slice(trajectory.final_scores());
-        scores.resize(total, 0.0);
-        for &(v, s) in &patch {
-            scores[v as usize] = s;
+        let mut scores = trajectory.final_scores().to_vec();
+        scores.resize(patch.nodes, 0.0);
+        for &(v, score) in &moved {
+            scores[v as usize] = score;
         }
         IncrementalTrust {
             scores,

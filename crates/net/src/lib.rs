@@ -12,12 +12,15 @@
 //! * [`linked`] — the most-linked-to analysis behind Table 11;
 //! * [`overlay`] — [`SpliceOverlay`], the delta side structure that lets
 //!   verification splice a candidate pharmacy over a frozen [`CsrGraph`]
-//!   without cloning or mutating the base arrays;
+//!   without cloning or mutating the base arrays; each propagation reads
+//!   the splice as a row patch cut into the base tiles, so the overlay
+//!   ranks through the same tiled push;
 //! * [`incremental`] — online re-ranking on splice: [`TrustTrajectory`]
-//!   records the base graph's per-iteration history once, and
-//!   [`SpliceOverlay::trust_rank_incremental`] replays only the affected
-//!   neighborhood, with a deterministic tolerance boundary and a
-//!   frontier-capped fallback to the full kernel.
+//!   records the base graph's per-iteration history once, and one replay
+//!   over the row patch serves [`SpliceOverlay::trust_rank_incremental`]
+//!   and [`SpliceOverlay::anti_trust_rank_incremental`], recomputing only
+//!   the affected neighborhood, with a deterministic tolerance boundary
+//!   and a frontier-capped fallback to the full kernel.
 
 pub mod csr;
 pub mod incremental;

@@ -5,12 +5,12 @@
 //! uniform-teleport case; Anti-TrustRank is the same kernel on the
 //! reversed edge list.
 //!
-//! The frozen [`CsrGraph`] kernels must match it on any positive
-//! weights, on the proptests' small graphs (one destination tile) and
-//! on a graph that spans two tiles. The overlay and incremental kernels
-//! are checked on integer link counts, the weights the system produces:
-//! the spliced row's out-weight is summed in row order (see the
-//! `overlay` module docs).
+//! The frozen [`CsrGraph`] kernels, the overlay kernels and the exact
+//! incremental kernels must match it on any positive weights: integer
+//! link counts, the weights the system produces, and tenths, whose sums
+//! depend on their order. The proptests' small graphs fit in one
+//! destination tile; one graph spans two, with a splice whose row patch
+//! crosses the boundary.
 
 use std::collections::BTreeMap;
 
@@ -184,14 +184,18 @@ proptest! {
     /// overlay kernels and both exact incremental kernels reproduce the
     /// oracle on the overlaid edge list; after every unsplice they
     /// reproduce it on the base. Splices mix preexisting domains with
-    /// fresh ones, and links include self-links and duplicates.
+    /// fresh ones, and links include self-links and duplicates. Base and
+    /// splice weights are both link counts or both tenths.
     #[test]
     fn overlay_and_incremental_kernels_match_oracle(
-        (pharmacy, edges) in multigraph(counts),
+        (weight, (pharmacy, edges)) in any::<bool>().prop_flat_map(|tenth| {
+            let weight: fn(usize) -> f64 = if tenth { tenths } else { counts };
+            (Just(weight), multigraph(weight))
+        }),
         seed_bits in prop::collection::vec(any::<bool>(), 2..20),
         bad_bits in prop::collection::vec(any::<bool>(), 2..20),
         churn in prop::collection::vec(
-            ((0usize..24), prop::collection::vec((0usize..24, 1usize..4), 0..6)),
+            ((0usize..24), prop::collection::vec((0usize..24, 1usize..40), 0..6)),
             1..8,
         ),
     ) {
@@ -205,7 +209,7 @@ proptest! {
         let exact = IncrementalConfig { tolerance: 0.0, max_frontier: n + 64 };
         let mut overlay = SpliceOverlay::new(&csr);
         for (dom, links) in churn {
-            let links: Vec<(usize, f64)> = links.iter().map(|&(t, w)| (t, w as f64)).collect();
+            let links: Vec<(usize, f64)> = links.iter().map(|&(t, w)| (t, weight(w))).collect();
             let named: Vec<(String, f64)> =
                 links.iter().map(|&(t, w)| (format!("n{t}.com"), w)).collect();
             overlay.splice_pharmacy(&format!("n{dom}.com"), &named);
@@ -234,6 +238,9 @@ proptest! {
 /// of the second, plus the last node. Hub links come from both sides of
 /// the boundary in tenths, so their sums depend on order. Every 97th
 /// node keeps no links of its own and dangles; one of them is a seed.
+/// Then a domain in the second tile is spliced with links to every hub
+/// (one of them already in its row) and to a fresh domain, so its
+/// forward patch and its reverse patch both cross the boundary.
 #[test]
 fn kernels_match_oracle_across_a_tile_boundary() {
     const N: usize = 33_800;
@@ -263,6 +270,32 @@ fn kernels_match_oracle_across_a_tile_boundary() {
     assert_eq!(bits(&csr.pagerank(&cfg)), bits(&oracle_pagerank(N, &edges)));
     assert_eq!(bits(&csr.anti_trust_rank(&seeds, &cfg)), anti);
     assert_eq!(bits(&csr.transposed().trust_rank(&seeds, &cfg)), anti);
+
+    // 32,870 is a multiple of five whose base row already links hub
+    // 32,768, so one patch edge replaces a base edge.
+    let dom = 32_870;
+    let links: Vec<(usize, f64)> = hubs
+        .iter()
+        .chain(&[N + 5])
+        .enumerate()
+        .map(|(i, &t)| (t, tenths(i + 3)))
+        .collect();
+    let named: Vec<(String, f64)> = links
+        .iter()
+        .map(|&(t, w)| (format!("n{t}.com"), w))
+        .collect();
+    let mut overlay = SpliceOverlay::new(&csr);
+    overlay.splice_pharmacy(&format!("n{dom}.com"), &named);
+    let (total, spliced) = spliced_edges(N, &edges, dom, &links);
+    assert_eq!(overlay.node_count(), total);
+    assert_eq!(
+        bits(&overlay.trust_rank(&seeds, &cfg)),
+        bits(&oracle_trust(total, &spliced, &seeds))
+    );
+    assert_eq!(
+        bits(&overlay.anti_trust_rank(&seeds, &cfg)),
+        bits(&oracle_anti(total, &spliced, &seeds))
+    );
 }
 
 /// Figure 3's demo network ranks exactly as the oracle on its links.

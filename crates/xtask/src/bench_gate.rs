@@ -5,7 +5,10 @@
 //! compares the new report against the *latest* committed baseline and
 //! fails on any shared bench name whose throughput dropped by more than
 //! [`TOLERANCE`] — a cheap tripwire against quietly pessimizing a
-//! kernel while refactoring around it.
+//! kernel while refactoring around it. It also lists every shared bench
+//! name whose throughput rose by more than [`TOLERANCE`], pass or fail:
+//! a win the baseline does not protect until a new `BENCH_<n>.json`
+//! records it.
 //!
 //! The reports are the `microbench` binary's own output, so the parser
 //! here is a deliberately tiny scanner over the
@@ -73,19 +76,41 @@ fn next_number(s: &str) -> Option<f64> {
 /// regressed shared bench name. Names present in only one report are
 /// ignored — adding or retiring benches is not a regression.
 pub fn regressions(baseline: &[BenchRow], fresh: &[BenchRow], tolerance: f64) -> Vec<String> {
-    let mut failures = Vec::new();
-    for (name, base) in baseline {
-        let Some((_, new)) = fresh.iter().find(|(n, _)| n == name) else {
-            continue;
-        };
-        if *base > 0.0 && *new < (1.0 - tolerance) * base {
-            failures.push(format!(
+    shared(baseline, fresh)
+        .filter(|&(_, base, new)| base > 0.0 && new < (1.0 - tolerance) * base)
+        .map(|(name, base, new)| {
+            format!(
                 "{name}: throughput {new:.1}/s is {:.0}% below baseline {base:.1}/s",
                 100.0 * (1.0 - new / base)
-            ));
-        }
-    }
-    failures
+            )
+        })
+        .collect()
+}
+
+/// Compares a fresh run against a baseline and returns one message per
+/// shared bench name whose throughput rose by more than `tolerance`.
+pub fn wins(baseline: &[BenchRow], fresh: &[BenchRow], tolerance: f64) -> Vec<String> {
+    shared(baseline, fresh)
+        .filter(|&(_, base, new)| base > 0.0 && new > (1.0 + tolerance) * base)
+        .map(|(name, base, new)| {
+            format!(
+                "{name}: throughput {new:.1}/s is {:.0}% above baseline {base:.1}/s",
+                100.0 * (new / base - 1.0)
+            )
+        })
+        .collect()
+}
+
+/// `(name, baseline, fresh)` throughputs of each bench name in both
+/// reports, in baseline order.
+fn shared<'a>(
+    baseline: &'a [BenchRow],
+    fresh: &'a [BenchRow],
+) -> impl Iterator<Item = (&'a str, f64, f64)> + 'a {
+    baseline.iter().filter_map(|(name, base)| {
+        let (_, new) = fresh.iter().find(|(n, _)| n == name)?;
+        Some((name.as_str(), *base, *new))
+    })
 }
 
 /// Finds the highest-numbered `BENCH_<n>.json` at the workspace root,
@@ -117,9 +142,9 @@ pub fn latest_baseline(root: &Path, exclude: &Path) -> Option<PathBuf> {
 
 /// Runs the gate: fresh report at `out`, baseline auto-discovered at
 /// the workspace root. Returns a human summary on pass, the list of
-/// regressions on fail. A missing baseline or an unparsable report
-/// passes with a note — the first run of a new trajectory has nothing
-/// to compare against.
+/// regressions on fail; both list the wins. A missing baseline or an
+/// unparsable report passes with a note — the first run of a new
+/// trajectory has nothing to compare against.
 pub fn gate(root: &Path, out: &Path) -> Result<String, String> {
     let Some(baseline_path) = latest_baseline(root, out) else {
         return Ok("no BENCH_<n>.json baseline to compare against".to_string());
@@ -129,28 +154,32 @@ pub fn gate(root: &Path, out: &Path) -> Result<String, String> {
     };
     let baseline = parse_throughputs(&read(&baseline_path)?);
     let fresh = parse_throughputs(&read(out)?);
-    let shared = baseline
-        .iter()
-        .filter(|(n, _)| fresh.iter().any(|(m, _)| m == n))
-        .count();
+    let shared = shared(&baseline, &fresh).count();
     if shared == 0 {
         return Ok(format!(
             "no shared bench names with {}",
             baseline_path.display()
         ));
     }
+    let percent = 100.0 * TOLERANCE;
+    let baseline_path = baseline_path.display();
+    let wins = wins(&baseline, &fresh, TOLERANCE);
+    let wins = if wins.is_empty() {
+        String::new()
+    } else {
+        format!(
+            "\nthroughput rose >{percent:.0}% vs {baseline_path}:\n  {}",
+            wins.join("\n  ")
+        )
+    };
     let failures = regressions(&baseline, &fresh, TOLERANCE);
     if failures.is_empty() {
         Ok(format!(
-            "{shared} shared bench name(s) within {:.0}% of {}",
-            100.0 * TOLERANCE,
-            baseline_path.display()
+            "{shared} shared bench name(s), none more than {percent:.0}% below {baseline_path}{wins}"
         ))
     } else {
         Err(format!(
-            "throughput regressed >{:.0}% vs {}:\n  {}",
-            100.0 * TOLERANCE,
-            baseline_path.display(),
+            "throughput regressed >{percent:.0}% vs {baseline_path}:\n  {}{wins}",
             failures.join("\n  ")
         ))
     }

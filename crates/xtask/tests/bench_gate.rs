@@ -1,12 +1,17 @@
-//! Self-test of the `cargo xtask bench` regression gate against two
-//! fixture reports: a baseline and a run where one kernel's throughput
-//! halved. The gate must flag exactly the halved bench, tolerate
-//! within-noise drift, and ignore benches present in only one report.
+//! Self-test of the `cargo xtask bench` regression gate against three
+//! fixture reports: a baseline, a run where one kernel's throughput
+//! halved, and a run where one kernel's throughput doubled. The gate
+//! must flag exactly the halved bench, list exactly the doubled one as a
+//! win without failing, tolerate within-noise drift, and ignore benches
+//! present in only one report.
 
-use xtask::bench_gate::{latest_baseline, parse_throughputs, regressions, DEFAULT_OUT, TOLERANCE};
+use xtask::bench_gate::{
+    gate, latest_baseline, parse_throughputs, regressions, wins, DEFAULT_OUT, TOLERANCE,
+};
 
 const BASELINE: &str = include_str!("bench_fixtures/baseline.json");
 const REGRESSED: &str = include_str!("bench_fixtures/regressed.json");
+const IMPROVED: &str = include_str!("bench_fixtures/improved.json");
 
 #[test]
 fn parser_extracts_name_throughput_pairs() {
@@ -33,6 +38,41 @@ fn gate_flags_only_the_halved_bench() {
     assert!(!failures.iter().any(|f| f.contains("pagerank")));
     assert!(!failures.iter().any(|f| f.contains("retired")));
     assert!(!failures.iter().any(|f| f.contains("brand_new")));
+}
+
+#[test]
+fn gate_lists_the_doubled_bench_as_a_win() {
+    let baseline = parse_throughputs(BASELINE);
+    let fresh = parse_throughputs(IMPROVED);
+    assert!(regressions(&baseline, &fresh, TOLERANCE).is_empty());
+    let listed = wins(&baseline, &fresh, TOLERANCE);
+    assert_eq!(listed.len(), 1, "{listed:?}");
+    assert!(listed[0].starts_with("csr/pagerank:"), "{}", listed[0]);
+    // Within-noise drift (trust_rank +3%, anti_trust_rank −5%) is no
+    // win, and the halved bench of the regressed run is none either.
+    assert!(listed.iter().all(|w| !w.contains("trust_rank")));
+    let halved = parse_throughputs(REGRESSED);
+    assert!(wins(&baseline, &halved, TOLERANCE).is_empty());
+}
+
+/// The gate's pass message and its failure message both list the win.
+#[test]
+fn gate_messages_list_wins_without_changing_the_decision() {
+    let dir = std::env::temp_dir().join(format!("pharmaverify-gate-wins-{}", std::process::id()));
+    std::fs::create_dir_all(&dir).expect("mkdir");
+    std::fs::write(dir.join("BENCH_1.json"), BASELINE).expect("write");
+    let fresh = dir.join("fresh.json");
+    std::fs::write(&fresh, IMPROVED).expect("write");
+    let passed = gate(&dir, &fresh).expect("a win alone passes");
+    assert!(passed.contains("csr/pagerank: throughput"), "{passed}");
+    // The regressed run with pagerank doubled as well: still a failure,
+    // naming both the regression and the win.
+    let mixed = REGRESSED.replace("193116129.0", "395651312.5");
+    std::fs::write(&fresh, mixed).expect("write");
+    let failed = gate(&dir, &fresh).expect_err("a regression fails");
+    assert!(failed.contains("csr/trust_rank: throughput"), "{failed}");
+    assert!(failed.contains("csr/pagerank: throughput"), "{failed}");
+    std::fs::remove_dir_all(&dir).expect("cleanup");
 }
 
 #[test]
