@@ -194,52 +194,31 @@ pub fn ngg_grid(ctx: &ReproContext, exec: Executor) -> GridResults {
         let texts = pipe.ngg_texts(size, cv.seed);
         // Per fold: features for every document against this fold's class
         // graphs. Folds run in parallel.
-        let texts_ref = &texts;
-        let split_ref = &split;
-        let fold_datasets: Vec<(&[usize], Dataset)> = std::thread::scope(|scope| {
-            let handles: Vec<_> = (0..split_ref.k())
-                .map(|f| {
-                    scope.spawn(move || {
-                        let test_idx = split_ref.test(f);
-                        let train_idx = split_ref.train(f);
-                        let graphs = pipe.ngg_class_graphs(size, cv.seed, f, train_idx);
-                        let mut all = Dataset::new(8);
-                        for (text, &label) in texts_ref.iter().zip(&corpus.labels) {
-                            let v = SparseVector::from_dense(&graphs.features(text).to_vec());
-                            all.push(v, label);
-                        }
-                        (test_idx, all)
-                    })
-                })
-                .collect();
-            handles
-                .into_iter()
-                .map(|h| h.join().unwrap_or_else(|p| std::panic::resume_unwind(p)))
-                .collect()
+        let fold_datasets: Vec<Dataset> = split.par_map(|f, train_idx, _| {
+            let graphs = pipe.ngg_class_graphs(size, cv.seed, f, train_idx);
+            let mut all = Dataset::new(8);
+            for (text, &label) in texts.iter().zip(&corpus.labels) {
+                all.push(
+                    SparseVector::from_dense(&graphs.features(text).to_vec()),
+                    label,
+                );
+            }
+            all
         });
 
         NGG_ROWS
             .iter()
             .map(|&kind| {
                 let learner = kind.ngg_learner();
-                let outcomes: Vec<FoldOutcome> = fold_datasets
+                let folds = split
                     .iter()
-                    .enumerate()
-                    .map(|(f, (test_idx, all))| {
-                        let model = learner.fit(&all.subset(split_ref.train(f)));
-                        let labels: Vec<bool> = test_idx.iter().map(|&i| all.y(i)).collect();
-                        let scores: Vec<f64> =
-                            test_idx.iter().map(|&i| model.score(all.x(i))).collect();
-                        let predictions: Vec<bool> =
-                            test_idx.iter().map(|&i| model.predict(all.x(i))).collect();
-                        FoldOutcome {
-                            summary: EvalSummary::compute(&labels, &predictions, &scores),
-                            scores,
-                            labels,
-                        }
+                    .zip(&fold_datasets)
+                    .map(|((_, train_idx, test_idx), all)| {
+                        let model = learner.fit(&all.subset(train_idx));
+                        FoldOutcome::score(&model, test_idx.iter().map(|&i| (all.x(i), all.y(i))))
                     })
                     .collect();
-                CvOutcome { folds: outcomes }.aggregate()
+                CvOutcome { folds }.aggregate()
             })
             .collect()
     });
@@ -519,7 +498,7 @@ pub fn outlier_analysis(ctx: &ReproContext) -> Table {
 /// quantifies how much of the network signal comes from the trusted seed
 /// (the design choice §4.2 motivates).
 pub fn ablation_pagerank(ctx: &ReproContext) -> Table {
-    use pharmaverify_ml::{GaussianNaiveBayes, Model};
+    use pharmaverify_ml::GaussianNaiveBayes;
     use pharmaverify_net::TrustRankConfig;
     let corpus = &ctx.corpus1;
     let pipe = ctx.pipe1();
@@ -527,32 +506,20 @@ pub fn ablation_pagerank(ctx: &ReproContext) -> Table {
     let pr = artifacts.graph.pagerank(&TrustRankConfig::default());
     let scale = artifacts.graph.node_count() as f64;
     let split = pipe.fold_split(ctx.cv.k, ctx.cv.seed);
-    let mut outcomes = Vec::new();
+    let feature = |i: usize| {
+        SparseVector::from_pairs(vec![(0, pr[artifacts.pharmacy_nodes[i] as usize] * scale)])
+    };
+    let mut folds = Vec::new();
     for (_, train_idx, test_idx) in split.iter() {
         let mut train = Dataset::new(1);
         for &i in train_idx {
-            let score = pr[artifacts.pharmacy_nodes[i] as usize] * scale;
-            train.push(SparseVector::from_pairs(vec![(0, score)]), corpus.labels[i]);
+            train.push(feature(i), corpus.labels[i]);
         }
         let model = GaussianNaiveBayes::default().fit(&train);
-        let labels: Vec<bool> = test_idx.iter().map(|&i| corpus.labels[i]).collect();
-        let scores: Vec<f64> = test_idx
-            .iter()
-            .map(|&i| {
-                model.score(&SparseVector::from_pairs(vec![(
-                    0,
-                    pr[artifacts.pharmacy_nodes[i] as usize] * scale,
-                )]))
-            })
-            .collect();
-        let predictions: Vec<bool> = scores.iter().map(|&s| s >= 0.5).collect();
-        outcomes.push(FoldOutcome {
-            summary: EvalSummary::compute(&labels, &predictions, &scores),
-            scores,
-            labels,
-        });
+        let rows = test_idx.iter().map(|&i| (feature(i), corpus.labels[i]));
+        folds.push(FoldOutcome::score(&model, rows));
     }
-    let pr_summary = CvOutcome { folds: outcomes }.aggregate();
+    let pr_summary = CvOutcome { folds }.aggregate();
     let tr_summary = network_outcome(ctx).aggregate();
     let mut t = Table::new(
         "Ablation: TrustRank seed vs unbiased PageRank (network feature)",
@@ -629,11 +596,11 @@ pub fn ablation_label_noise(ctx: &ReproContext) -> Table {
     for kind in [TextLearnerKind::Nbm, TextLearnerKind::Svm] {
         let mut cells = vec![kind.name().to_string()];
         for noise in [0.0, 0.05, 0.10, 0.20] {
-            let mut outcomes = Vec::new();
+            let mut folds = Vec::new();
             for (f, train_idx, test_idx) in split.iter() {
                 let mut rng = SmallRng::seed_from_u64(cv.seed ^ 0x4015e ^ (f as u64));
                 let tfidf = pipe.fitted_tfidf(Some(1000), cv.seed, Some(f), train_idx);
-                let weighting = kind.weighting();
+                let vectorize = |i: usize| kind.weighting().vectorize(&tfidf, &docs[i]);
                 let mut train = Dataset::new(tfidf.vocabulary().len().max(1));
                 for &i in train_idx {
                     let label = if noise > 0.0 && rng.gen_bool(noise) {
@@ -641,25 +608,13 @@ pub fn ablation_label_noise(ctx: &ReproContext) -> Table {
                     } else {
                         corpus.labels[i]
                     };
-                    train.push(weighting.vectorize(&tfidf, &docs[i]), label);
+                    train.push(vectorize(i), label);
                 }
                 let model = kind.learner().fit(&train);
-                let labels: Vec<bool> = test_idx.iter().map(|&i| corpus.labels[i]).collect();
-                let scores: Vec<f64> = test_idx
-                    .iter()
-                    .map(|&i| model.score(&weighting.vectorize(&tfidf, &docs[i])))
-                    .collect();
-                let predictions: Vec<bool> = test_idx
-                    .iter()
-                    .map(|&i| model.predict(&weighting.vectorize(&tfidf, &docs[i])))
-                    .collect();
-                outcomes.push(FoldOutcome {
-                    summary: EvalSummary::compute(&labels, &predictions, &scores),
-                    scores,
-                    labels,
-                });
+                let rows = test_idx.iter().map(|&i| (vectorize(i), corpus.labels[i]));
+                folds.push(FoldOutcome::score(&model, rows));
             }
-            let agg = CvOutcome { folds: outcomes }.aggregate();
+            let agg = CvOutcome { folds }.aggregate();
             cells.push(Table::fmt2(agg.auc));
         }
         t.push_row(cells);
@@ -779,7 +734,7 @@ pub fn ablation_representations(ctx: &ReproContext) -> Table {
 
     // Character N-Grams: char-4-gram tf·idf vectors under the same SVM.
     let char_ngrams = {
-        let mut outcomes = Vec::new();
+        let mut folds = Vec::new();
         for (_, train_idx, test_idx) in split.iter() {
             let train_texts: Vec<&str> = train_idx.iter().map(|&i| texts[i].as_str()).collect();
             let model = CharNgramModel::fit(&train_texts, 4);
@@ -789,22 +744,12 @@ pub fn ablation_representations(ctx: &ReproContext) -> Table {
                 train.push(model.transform(&texts[i]), corpus.labels[i]);
             }
             let svm = TextLearnerKind::Svm.learner().fit(&train);
-            let labels: Vec<bool> = test_idx.iter().map(|&i| corpus.labels[i]).collect();
-            let scores: Vec<f64> = test_idx
+            let rows = test_idx
                 .iter()
-                .map(|&i| svm.score(&model.transform(&texts[i])))
-                .collect();
-            let predictions: Vec<bool> = test_idx
-                .iter()
-                .map(|&i| svm.predict(&model.transform(&texts[i])))
-                .collect();
-            outcomes.push(FoldOutcome {
-                summary: EvalSummary::compute(&labels, &predictions, &scores),
-                scores,
-                labels,
-            });
+                .map(|&i| (model.transform(&texts[i]), corpus.labels[i]));
+            folds.push(FoldOutcome::score(&svm, rows));
         }
-        CvOutcome { folds: outcomes }.aggregate()
+        CvOutcome { folds }.aggregate()
     };
 
     for (name, s) in [
@@ -898,39 +843,24 @@ pub fn ablation_feature_selection(ctx: &ReproContext) -> Table {
         ],
     );
     for keep in [50usize, 200, 1000, usize::MAX] {
-        let mut outcomes = Vec::new();
+        let mut folds = Vec::new();
         for (f, train_idx, test_idx) in split.iter() {
             let tfidf = pipe.fitted_tfidf(Some(1000), cv.seed, Some(f), train_idx);
-            let dim = tfidf.vocabulary().len().max(1);
-            let mut train = Dataset::new(dim);
-            for &i in train_idx {
-                train.push(tfidf.term_counts(&docs[i]), corpus.labels[i]);
-            }
-            let kept = top_k_features(&train, keep.min(dim));
-            let train = project(&train, &kept);
-            let vectorize = |i: usize| {
-                let mut full = Dataset::new(dim);
-                full.push(tfidf.term_counts(&docs[i]), corpus.labels[i]);
-                let p = project(&full, &kept);
-                p.x(0).clone()
+            let counts = |idx: &[usize]| {
+                let mut data = Dataset::new(tfidf.vocabulary().len().max(1));
+                for &i in idx {
+                    data.push(tfidf.term_counts(&docs[i]), corpus.labels[i]);
+                }
+                data
             };
-            let model = TextLearnerKind::Nbm.learner().fit(&train);
-            let labels: Vec<bool> = test_idx.iter().map(|&i| corpus.labels[i]).collect();
-            let scores: Vec<f64> = test_idx
-                .iter()
-                .map(|&i| model.score(&vectorize(i)))
-                .collect();
-            let predictions: Vec<bool> = test_idx
-                .iter()
-                .map(|&i| model.predict(&vectorize(i)))
-                .collect();
-            outcomes.push(FoldOutcome {
-                summary: EvalSummary::compute(&labels, &predictions, &scores),
-                scores,
-                labels,
-            });
+            let train = counts(train_idx);
+            let kept = top_k_features(&train, keep.min(train.dim()));
+            let model = TextLearnerKind::Nbm.learner().fit(&project(&train, &kept));
+            // Test rows are projected the way the training rows were.
+            let test = project(&counts(test_idx), &kept);
+            folds.push(FoldOutcome::score(&model, test.iter()));
         }
-        let s = CvOutcome { folds: outcomes }.aggregate();
+        let s = CvOutcome { folds }.aggregate();
         t.push_row(vec![
             if keep == usize::MAX {
                 "all".to_string()

@@ -3,9 +3,75 @@
 //! against the warm store, and a parallel fresh run all render the same
 //! report. This is the contract that lets `repro --jobs N` and the xtask
 //! determinism audit trust parallel execution.
+//!
+//! The same report is also held to the golden section digests in
+//! `report_digests.tsv`, so a change that moves a report byte against
+//! its parent fails here, naming the section.
 
-use pharmaverify_bench::{render_report, ReproContext, Scale, Selection};
+use pharmaverify_bench::{adversarial_study, render_report, ReproContext, Scale, Selection};
 use pharmaverify_core::pipeline::Executor;
+use pharmaverify_corpus::AttackKind;
+use std::collections::BTreeMap;
+
+/// The golden digest table: configuration, digest, section title, lineage.
+const GOLDEN: &str = include_str!("report_digests.tsv");
+
+/// FNV-1a-64, the digest the golden table records.
+fn fnv1a64(bytes: &[u8]) -> u64 {
+    bytes.iter().fold(0xcbf2_9ce4_8422_2325, |h, &b| {
+        (h ^ u64::from(b)).wrapping_mul(0x100_0000_01b3)
+    })
+}
+
+/// Checks every section of `rendered` (tables separated by one blank
+/// line) against the golden rows of `config`, returning one line per
+/// drifted, missing or new section, followed by the recomputed rows.
+fn digest_drift(config: &str, rendered: &str) -> Vec<String> {
+    let golden: BTreeMap<&str, &str> = GOLDEN
+        .lines()
+        .filter(|l| !l.starts_with('#') && !l.is_empty())
+        .filter_map(|l| {
+            let cols: Vec<&str> = l.split('\t').collect();
+            (cols[0] == config).then(|| (cols[2], cols[1]))
+        })
+        .collect();
+    let actual: Vec<(&str, String)> = rendered
+        .split("\n\n")
+        .map(|s| s.trim_end_matches('\n'))
+        .filter(|s| !s.is_empty())
+        .map(|s| {
+            let title = s.lines().next().unwrap_or_default();
+            (
+                title,
+                format!("{:016x}", fnv1a64(format!("{s}\n").as_bytes())),
+            )
+        })
+        .collect();
+    let mut drift = Vec::new();
+    for (title, digest) in &actual {
+        match golden.get(title) {
+            None => drift.push(format!("new section [{config}] {title}")),
+            Some(want) if want != digest => {
+                drift.push(format!("drifted section [{config}] {title}"));
+            }
+            Some(_) => {}
+        }
+    }
+    for title in golden.keys() {
+        if !actual.iter().any(|(t, _)| t == title) {
+            drift.push(format!("missing section [{config}] {title}"));
+        }
+    }
+    if !drift.is_empty() {
+        drift.push("recomputed rows:".to_string());
+        drift.extend(
+            actual
+                .iter()
+                .map(|(title, digest)| format!("{config}\t{digest}\t{title}")),
+        );
+    }
+    drift
+}
 
 #[test]
 fn report_is_identical_across_thread_counts_and_cache_warmth() {
@@ -14,6 +80,8 @@ fn report_is_identical_across_thread_counts_and_cache_warmth() {
     let ctx = ReproContext::new(Scale::Small);
     let serial = render_report(&ctx, &sel, Executor::serial());
     assert!(!serial.output.is_empty());
+    let drift = digest_drift("repro --scale small", &serial.output);
+    assert!(drift.is_empty(), "{}", drift.join("\n"));
     let (hits_fresh, misses_fresh) = ctx.store.totals();
     assert!(misses_fresh > 0, "a fresh run must compute artifacts");
     assert!(
@@ -44,6 +112,15 @@ fn report_is_identical_across_thread_counts_and_cache_warmth() {
         misses_fresh, misses_parallel,
         "parallelism must not change which artifacts get computed"
     );
+
+    // The adversarial section is a suffix of the report; check its bytes
+    // against the golden row of the audited link-farm run.
+    let adversarial = adversarial_study(&ctx, Executor::serial(), AttackKind::LinkFarm, 0.6);
+    let drift = digest_drift(
+        "repro --scale small --attack link-farm --attack-strength 0.6",
+        &format!("{adversarial}"),
+    );
+    assert!(drift.is_empty(), "{}", drift.join("\n"));
 }
 
 #[test]

@@ -18,13 +18,21 @@
 //! * [`evaluate_ensemble`] — ensemble selection over a library combining
 //!   text and network models (Table 14), hillclimbing on a held-out
 //!   fifth of each training split.
+//!
+//! Every pipeline is one loop over the stratified [`FoldSplit`] its
+//! artifact store caches: featurize the training split, fit, and measure
+//! the test split with [`FoldOutcome::score`] (one featurization per
+//! test row). The TF-IDF and N-Gram-Graph pipelines run a scoped thread
+//! per fold ([`FoldSplit::par_map`]); the others run their folds
+//! serially. The network fold loop is shared with
+//! [`crate::extensions::evaluate_network_variant`].
 
+use crate::extensions::{network_folds, NetworkVariant};
 use crate::features::ExtractedCorpus;
 use crate::pipeline::{ArtifactStore, Executor, Pipeline};
 use pharmaverify_ml::{
-    greedy_auc_selection, stratified_folds, CvOutcome, Dataset, DecisionTree, EvalSummary,
-    FoldOutcome, GaussianNaiveBayes, Learner, LinearSvm, Mlp, Model, MultinomialNaiveBayes,
-    Sampling,
+    greedy_auc_selection, CvOutcome, Dataset, DecisionTree, FoldOutcome, FoldSplit,
+    GaussianNaiveBayes, Learner, LinearSvm, Mlp, Model, MultinomialNaiveBayes, Sampling,
 };
 use pharmaverify_net::{CsrGraph, GraphBuilder, NodeId, TrustRankConfig};
 use pharmaverify_text::subsample::subsample_opt;
@@ -156,14 +164,6 @@ pub fn subsampled_documents(
         .collect()
 }
 
-fn fold_outcome(labels: Vec<bool>, scores: Vec<f64>, predictions: Vec<bool>) -> FoldOutcome {
-    FoldOutcome {
-        summary: EvalSummary::compute(&labels, &predictions, &scores),
-        scores,
-        labels,
-    }
-}
-
 /// TF-IDF text classification under cross-validation (§6.3.1).
 ///
 /// Convenience wrapper over [`evaluate_tfidf_in`] with a transient
@@ -203,40 +203,19 @@ pub fn evaluate_tfidf_in(
     assert!(!corpus.is_empty(), "corpus must not be empty");
     let docs = pipe.subsampled_docs(subsample, cv.seed);
     let split = pipe.fold_split(cv.k, cv.seed);
-    let (split_ref, docs_ref) = (&split, &docs);
-    let outcomes: Vec<FoldOutcome> = std::thread::scope(|scope| {
-        let handles: Vec<_> = (0..split_ref.k())
-            .map(|f| {
-                scope.spawn(move || {
-                    let test_idx = split_ref.test(f);
-                    let train_idx = split_ref.train(f);
-                    let tfidf = pipe.fitted_tfidf(subsample, cv.seed, Some(f), train_idx);
-                    let dim = tfidf.vocabulary().len().max(1);
-                    let mut train = Dataset::new(dim);
-                    for &i in train_idx {
-                        train.push(weighting.vectorize(&tfidf, &docs_ref[i]), corpus.labels[i]);
-                    }
-                    let train = sampling.apply(&train, cv.seed);
-                    let model = learner.fit(&train);
-                    let mut labels = Vec::with_capacity(test_idx.len());
-                    let mut scores = Vec::with_capacity(test_idx.len());
-                    let mut predictions = Vec::with_capacity(test_idx.len());
-                    for &i in test_idx {
-                        let x = weighting.vectorize(&tfidf, &docs_ref[i]);
-                        labels.push(corpus.labels[i]);
-                        scores.push(model.score(&x));
-                        predictions.push(model.predict(&x));
-                    }
-                    fold_outcome(labels, scores, predictions)
-                })
-            })
-            .collect();
-        handles
-            .into_iter()
-            .map(|h| h.join().unwrap_or_else(|p| std::panic::resume_unwind(p)))
-            .collect()
+    let folds = split.par_map(|f, train_idx, test_idx| {
+        let tfidf = pipe.fitted_tfidf(subsample, cv.seed, Some(f), train_idx);
+        let mut train = Dataset::new(tfidf.vocabulary().len().max(1));
+        for &i in train_idx {
+            train.push(weighting.vectorize(&tfidf, &docs[i]), corpus.labels[i]);
+        }
+        let model = learner.fit(&sampling.apply(&train, cv.seed));
+        let rows = test_idx
+            .iter()
+            .map(|&i| (weighting.vectorize(&tfidf, &docs[i]), corpus.labels[i]));
+        FoldOutcome::score(&model, rows)
     });
-    CvOutcome { folds: outcomes }
+    CvOutcome { folds }
 }
 
 /// Builds the per-document n-gram graphs of a (subsampled) corpus. The
@@ -278,41 +257,21 @@ pub fn evaluate_ngg_in(
     assert!(!corpus.is_empty(), "corpus must not be empty");
     let texts = pipe.ngg_texts(subsample, cv.seed);
     let split = pipe.fold_split(cv.k, cv.seed);
-    let (split_ref, texts_ref) = (&split, &texts);
-    let outcomes: Vec<FoldOutcome> = std::thread::scope(|scope| {
-        let handles: Vec<_> = (0..split_ref.k())
-            .map(|f| {
-                scope.spawn(move || {
-                    let test_idx = split_ref.test(f);
-                    let train_idx = split_ref.train(f);
-                    let class_graphs = pipe.ngg_class_graphs(subsample, cv.seed, f, train_idx);
-                    let featurize = |i: usize| -> SparseVector {
-                        SparseVector::from_dense(&class_graphs.features(&texts_ref[i]).to_vec())
-                    };
-                    let mut train = Dataset::new(8);
-                    for &i in train_idx {
-                        train.push(featurize(i), corpus.labels[i]);
-                    }
-                    let model = learner.fit(&train);
-                    let mut labels = Vec::with_capacity(test_idx.len());
-                    let mut scores = Vec::with_capacity(test_idx.len());
-                    let mut predictions = Vec::with_capacity(test_idx.len());
-                    for &i in test_idx {
-                        let x = featurize(i);
-                        labels.push(corpus.labels[i]);
-                        scores.push(model.score(&x));
-                        predictions.push(model.predict(&x));
-                    }
-                    fold_outcome(labels, scores, predictions)
-                })
-            })
-            .collect();
-        handles
-            .into_iter()
-            .map(|h| h.join().unwrap_or_else(|p| std::panic::resume_unwind(p)))
-            .collect()
+    let folds = split.par_map(|f, train_idx, test_idx| {
+        let class_graphs = pipe.ngg_class_graphs(subsample, cv.seed, f, train_idx);
+        let featurize =
+            |i: usize| SparseVector::from_dense(&class_graphs.features(&texts[i]).to_vec());
+        let mut train = Dataset::new(8);
+        for &i in train_idx {
+            train.push(featurize(i), corpus.labels[i]);
+        }
+        let model = learner.fit(&train);
+        FoldOutcome::score(
+            &model,
+            test_idx.iter().map(|&i| (featurize(i), corpus.labels[i])),
+        )
     });
-    CvOutcome { folds: outcomes }
+    CvOutcome { folds }
 }
 
 /// The link graph of Algorithm 1 plus the node id of each pharmacy.
@@ -395,43 +354,19 @@ pub fn evaluate_network(corpus: &ExtractedCorpus, cv: CvConfig) -> CvOutcome {
     evaluate_network_in(Pipeline::new(&store, corpus), cv)
 }
 
-/// [`evaluate_network`] against a shared artifact store: the link graph
-/// is built once per store and the per-fold TrustRank score vectors are
-/// memoized by their seed set.
+/// [`evaluate_network`] against a shared artifact store: the per-fold
+/// TrustRank score vectors are memoized by their seed set (the link
+/// graph behind them is built once per store). The fold loop is the one
+/// [`crate::extensions::evaluate_network_variant`] runs.
 pub fn evaluate_network_in(pipe: Pipeline<'_>, cv: CvConfig) -> CvOutcome {
-    let corpus = pipe.corpus();
-    assert!(!corpus.is_empty(), "corpus must not be empty");
-    let trust_config = TrustRankConfig::default();
-    let split = pipe.fold_split(cv.k, cv.seed);
-    let learner = GaussianNaiveBayes::default();
-    let mut outcomes = Vec::with_capacity(split.k());
-    for (_, train_idx, test_idx) in split.iter() {
-        let seed_idx: Vec<usize> = train_idx
-            .iter()
-            .copied()
-            .filter(|&i| corpus.labels[i])
-            .collect();
-        let trust = pipe.trust_scores(&trust_config, &seed_idx);
-        let mut train = Dataset::new(1);
-        for &i in train_idx {
-            train.push(
-                SparseVector::from_pairs(vec![(0, trust[i])]),
-                corpus.labels[i],
-            );
-        }
-        let model = learner.fit(&train);
-        let mut labels = Vec::with_capacity(test_idx.len());
-        let mut scores = Vec::with_capacity(test_idx.len());
-        let mut predictions = Vec::with_capacity(test_idx.len());
-        for &i in test_idx {
-            let x = SparseVector::from_pairs(vec![(0, trust[i])]);
-            labels.push(corpus.labels[i]);
-            scores.push(model.score(&x));
-            predictions.push(model.predict(&x));
-        }
-        outcomes.push(fold_outcome(labels, scores, predictions));
-    }
-    CvOutcome { folds: outcomes }
+    assert!(!pipe.corpus().is_empty(), "corpus must not be empty");
+    network_folds(
+        pipe.corpus(),
+        &pipe.fold_split(cv.k, cv.seed),
+        NetworkVariant::Trust,
+        |config, seeds| pipe.trust_scores(config, seeds),
+        || pipe.web_graph(),
+    )
 }
 
 /// Result of the ensemble-selection pipeline.
@@ -493,15 +428,9 @@ pub fn evaluate_ensemble_in(
         // Hold out a stratified fifth of the training split for
         // hillclimbing.
         let train_labels: Vec<bool> = train_idx.iter().map(|&i| corpus.labels[i]).collect();
-        let hill_folds = stratified_folds(&train_labels, 5, cv.seed ^ HILL_SEED);
-        let hill_local = &hill_folds[0];
-        let hill_idx: Vec<usize> = hill_local.iter().map(|&j| train_idx[j]).collect();
-        let sub_idx: Vec<usize> = train_idx
-            .iter()
-            .enumerate()
-            .filter(|(j, _)| !hill_local.contains(j))
-            .map(|(_, &i)| i)
-            .collect();
+        let hill = FoldSplit::stratified(&train_labels, 5, cv.seed ^ HILL_SEED);
+        let hill_idx: Vec<usize> = hill.test(0).iter().map(|&j| train_idx[j]).collect();
+        let sub_idx: Vec<usize> = hill.train(0).iter().map(|&j| train_idx[j]).collect();
         let hill_labels: Vec<bool> = hill_idx.iter().map(|&i| corpus.labels[i]).collect();
 
         // --- Fit the library on the sub-training split. ---
@@ -565,15 +494,12 @@ pub fn evaluate_ensemble_in(
             .filter(|&i| corpus.labels[i])
             .collect();
         let trust = pipe.trust_scores(&trust_config, &seed_idx);
+        let net_vec = |i: usize| SparseVector::from_pairs(vec![(0, trust[i])]);
         let mut net_train = Dataset::new(1);
         for &i in &sub_idx {
-            net_train.push(
-                SparseVector::from_pairs(vec![(0, trust[i])]),
-                corpus.labels[i],
-            );
+            net_train.push(net_vec(i), corpus.labels[i]);
         }
         let net_model = GaussianNaiveBayes::default().fit(&net_train);
-        let net_vec = |i: usize| SparseVector::from_pairs(vec![(0, trust[i])]);
         hill_scores.push(
             hill_idx
                 .iter()
@@ -593,21 +519,19 @@ pub fn evaluate_ensemble_in(
         for (slot, &c) in composition.iter_mut().zip(&counts) {
             slot.1 += c;
         }
-        let mut labels = Vec::with_capacity(test_idx.len());
-        let mut scores = Vec::with_capacity(test_idx.len());
-        let mut predictions = Vec::with_capacity(test_idx.len());
-        for (t, &i) in test_idx.iter().enumerate() {
-            let s: f64 = test_scores
-                .iter()
-                .zip(&counts)
-                .map(|(m, &c)| m[t] * c as f64)
-                .sum::<f64>()
-                / total as f64;
-            labels.push(corpus.labels[i]);
-            scores.push(s);
-            predictions.push(s >= 0.5);
-        }
-        outcomes.push(fold_outcome(labels, scores, predictions));
+        let scores: Vec<f64> = (0..test_idx.len())
+            .map(|t| {
+                test_scores
+                    .iter()
+                    .zip(&counts)
+                    .map(|(m, &c)| m[t] * c as f64)
+                    .sum::<f64>()
+                    / total as f64
+            })
+            .collect();
+        let labels = test_idx.iter().map(|&i| corpus.labels[i]).collect();
+        let predictions = scores.iter().map(|&s| s >= 0.5).collect();
+        outcomes.push(FoldOutcome::new(labels, scores, predictions));
     }
     EnsembleOutcome {
         outcome: CvOutcome { folds: outcomes },

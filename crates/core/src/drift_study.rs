@@ -15,7 +15,7 @@
 use crate::classify::{evaluate_tfidf_in, CvConfig, TextLearnerKind};
 use crate::features::ExtractedCorpus;
 use crate::pipeline::{ArtifactStore, Pipeline};
-use pharmaverify_ml::{Dataset, EvalSummary, Sampling};
+use pharmaverify_ml::{Dataset, EvalSummary, FoldOutcome, Sampling};
 
 /// One cell of Tables 16/17.
 #[derive(Debug, Clone, Copy, PartialEq)]
@@ -96,14 +96,8 @@ pub fn train_old_test_new_in(
     }
     let train = sampling.apply(&train, seed);
     let model = kind.learner().fit(&train);
-    let mut scores = Vec::with_capacity(new.len());
-    let mut predictions = Vec::with_capacity(new.len());
-    for doc in new_docs.iter() {
-        let x = weighting.vectorize(&tfidf, doc);
-        scores.push(model.score(&x));
-        predictions.push(model.predict(&x));
-    }
-    EvalSummary::compute(&new.labels, &predictions, &scores)
+    let rows = new_docs.iter().map(|doc| weighting.vectorize(&tfidf, doc));
+    FoldOutcome::score(&model, rows.zip(new.labels.iter().copied())).summary
 }
 
 /// Runs all three scenarios for one classifier and subsample size.

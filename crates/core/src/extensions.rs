@@ -28,12 +28,13 @@ use crate::pipeline::{ArtifactStore, Pipeline};
 use pharmaverify_corpus::Snapshot;
 use pharmaverify_crawl::{CrawlConfig, Crawler, Url};
 use pharmaverify_ml::{
-    stratified_folds, CvOutcome, Dataset, EvalSummary, FoldOutcome, GaussianNaiveBayes,
-    HybridNaiveBayes, Learner, Sampling,
+    CvOutcome, Dataset, FoldOutcome, FoldSplit, GaussianNaiveBayes, HybridNaiveBayes, Learner,
 };
 use pharmaverify_net::{NodeId, TrustRankConfig};
 use pharmaverify_text::SparseVector;
-use std::collections::BTreeMap;
+use std::collections::{BTreeMap, HashSet};
+use std::ops::Deref;
+use std::sync::Arc;
 
 /// Crawls the snapshot's non-pharmacy health portals and returns each
 /// portal's outbound link endpoints (second-level domains with
@@ -79,6 +80,69 @@ pub fn build_extended_web_graph(
     }
 }
 
+/// A seed set's static teleport share `(1 − α)/|seeds|`, which
+/// [`SeedTeleport::propagated`] removes from a seed's raw TrustRank or
+/// Anti-TrustRank score (see [`pharmacy_distrust_scores`] for why). The
+/// distrust and propagated-trust features and the verifier's verdict
+/// scores all adjust through it.
+#[derive(Debug, Clone)]
+pub(crate) struct SeedTeleport {
+    seed_set: HashSet<NodeId>,
+    share: f64,
+}
+
+impl SeedTeleport {
+    pub(crate) fn new(seeds: &[NodeId], config: &TrustRankConfig) -> SeedTeleport {
+        let share = if seeds.is_empty() {
+            0.0
+        } else {
+            (1.0 - config.alpha) / seeds.len() as f64
+        };
+        SeedTeleport {
+            seed_set: seeds.iter().copied().collect(),
+            share,
+        }
+    }
+
+    /// `raw`, less the teleport share (floored at 0) when `node` is a seed.
+    pub(crate) fn propagated(&self, node: NodeId, raw: f64) -> f64 {
+        if self.seed_set.contains(&node) {
+            (raw - self.share).max(0.0)
+        } else {
+            raw
+        }
+    }
+}
+
+/// Per-pharmacy propagated scores seeded at the given corpus indices,
+/// with the seed teleport share removed and scaled like
+/// [`pharmacy_trust_scores`]: TrustRank forward, Anti-TrustRank when
+/// `reverse`.
+fn pharmacy_propagated_scores(
+    artifacts: &NetworkArtifacts,
+    corpus_seed_indices: &[usize],
+    config: &TrustRankConfig,
+    reverse: bool,
+) -> Vec<f64> {
+    let seeds: Vec<NodeId> = corpus_seed_indices
+        .iter()
+        .map(|&i| artifacts.pharmacy_nodes[i])
+        .collect();
+    let graph = &artifacts.graph;
+    let raw = if reverse {
+        graph.anti_trust_rank_with(&seeds, config, &rank_executor())
+    } else {
+        graph.trust_rank_with(&seeds, config, &rank_executor())
+    };
+    let teleport = SeedTeleport::new(&seeds, config);
+    let scale = graph.node_count() as f64;
+    artifacts
+        .pharmacy_nodes
+        .iter()
+        .map(|&n| teleport.propagated(n, raw[n as usize]) * scale)
+        .collect()
+}
+
 /// Per-pharmacy Anti-TrustRank distrust scores with the given
 /// illegitimate seed indices, scaled like [`pharmacy_trust_scores`].
 ///
@@ -94,33 +158,7 @@ pub fn pharmacy_distrust_scores(
     corpus_bad_seed_indices: &[usize],
     config: &TrustRankConfig,
 ) -> Vec<f64> {
-    let seeds: Vec<NodeId> = corpus_bad_seed_indices
-        .iter()
-        .map(|&i| artifacts.pharmacy_nodes[i])
-        .collect();
-    let distrust = artifacts
-        .graph
-        .anti_trust_rank_with(&seeds, config, &rank_executor());
-    let scale = artifacts.graph.node_count() as f64;
-    let teleport = if seeds.is_empty() {
-        0.0
-    } else {
-        (1.0 - config.alpha) / seeds.len() as f64
-    };
-    let seed_set: std::collections::HashSet<NodeId> = seeds.iter().copied().collect();
-    artifacts
-        .pharmacy_nodes
-        .iter()
-        .map(|&n| {
-            let raw = distrust[n as usize];
-            let adjusted = if seed_set.contains(&n) {
-                (raw - teleport).max(0.0)
-            } else {
-                raw
-            };
-            adjusted * scale
-        })
-        .collect()
+    pharmacy_propagated_scores(artifacts, corpus_bad_seed_indices, config, true)
 }
 
 /// Per-pharmacy TrustRank scores with the seed teleport mass removed —
@@ -133,33 +171,7 @@ pub fn pharmacy_propagated_trust_scores(
     corpus_seed_indices: &[usize],
     config: &TrustRankConfig,
 ) -> Vec<f64> {
-    let seeds: Vec<NodeId> = corpus_seed_indices
-        .iter()
-        .map(|&i| artifacts.pharmacy_nodes[i])
-        .collect();
-    let trust = artifacts
-        .graph
-        .trust_rank_with(&seeds, config, &rank_executor());
-    let scale = artifacts.graph.node_count() as f64;
-    let teleport = if seeds.is_empty() {
-        0.0
-    } else {
-        (1.0 - config.alpha) / seeds.len() as f64
-    };
-    let seed_set: std::collections::HashSet<NodeId> = seeds.iter().copied().collect();
-    artifacts
-        .pharmacy_nodes
-        .iter()
-        .map(|&n| {
-            let raw = trust[n as usize];
-            let adjusted = if seed_set.contains(&n) {
-                (raw - teleport).max(0.0)
-            } else {
-                raw
-            };
-            adjusted * scale
-        })
-        .collect()
+    pharmacy_propagated_scores(artifacts, corpus_seed_indices, config, false)
 }
 
 /// Per-pharmacy **spam mass**: the portion of a node's propagated trust
@@ -279,7 +291,8 @@ impl NetworkVariant {
 
 /// Network classification over a prebuilt (possibly extended) graph.
 /// With [`NetworkVariant::Trust`] and a base graph this is exactly the
-/// paper's §6.3.2 experiment (Gaussian naive Bayes on the trust score).
+/// paper's §6.3.2 experiment (Gaussian naive Bayes on the trust score),
+/// and runs the same fold loop as [`crate::classify::evaluate_network_in`].
 ///
 /// For [`NetworkVariant::TrustAndDistrust`] the distrust feature enters
 /// **binarized** (received any propagated distrust vs none). The raw
@@ -301,82 +314,74 @@ pub fn evaluate_network_variant(
     cv: CvConfig,
 ) -> CvOutcome {
     assert!(!corpus.is_empty(), "corpus must not be empty");
-    let trust_config = TrustRankConfig::default();
-    let folds = stratified_folds(&corpus.labels, cv.k, cv.seed);
-    let learner: Box<dyn Learner> = if variant == NetworkVariant::TrustAndDistrust {
+    network_folds(
+        corpus,
+        &FoldSplit::stratified(&corpus.labels, cv.k, cv.seed),
+        variant,
+        |config, seeds| Arc::new(pharmacy_trust_scores(artifacts, seeds, config)),
+        || artifacts,
+    )
+}
+
+/// The network fold loop behind both network evaluations. Per fold, the
+/// training split's legitimate members seed `trust(config, seeds)`, the
+/// TrustRank feature; the distrust and spam-mass variants also rank the
+/// graph `graph()` returns, seeded by the illegitimate members. Only
+/// those variants call `graph`, so a store-backed caller reads no graph
+/// artifact it does not use.
+pub(crate) fn network_folds<G>(
+    corpus: &ExtractedCorpus,
+    split: &FoldSplit,
+    variant: NetworkVariant,
+    trust: impl Fn(&TrustRankConfig, &[usize]) -> Arc<Vec<f64>>,
+    graph: impl Fn() -> G,
+) -> CvOutcome
+where
+    G: Deref<Target = NetworkArtifacts>,
+{
+    let config = TrustRankConfig::default();
+    let (learner, dim): (Box<dyn Learner>, usize) = match variant {
         // Feature 1 (distrust) is binarized; model it as a Bernoulli.
-        Box::new(HybridNaiveBayes::new([1]))
-    } else {
-        Box::new(GaussianNaiveBayes::default())
+        NetworkVariant::TrustAndDistrust => (Box::new(HybridNaiveBayes::new([1])), 2),
+        _ => (Box::new(GaussianNaiveBayes::default()), 1),
     };
-    let dim = if variant == NetworkVariant::TrustAndDistrust {
-        2
-    } else {
-        1
-    };
-    let mut outcomes = Vec::with_capacity(folds.len());
-    for test_idx in &folds {
-        let train_idx: Vec<usize> = (0..corpus.len())
-            .filter(|i| !test_idx.contains(i))
-            .collect();
-        let good_seeds: Vec<usize> = train_idx
-            .iter()
-            .copied()
-            .filter(|&i| corpus.labels[i])
-            .collect();
-        let bad_seeds: Vec<usize> = train_idx
-            .iter()
-            .copied()
-            .filter(|&i| !corpus.labels[i])
-            .collect();
-        let trust = pharmacy_trust_scores(artifacts, &good_seeds, &trust_config);
-        let distrust = if variant == NetworkVariant::TrustAndDistrust {
-            Some(pharmacy_distrust_scores(
-                artifacts,
-                &bad_seeds,
-                &trust_config,
-            ))
-        } else {
-            None
-        };
-        let defended = if variant == NetworkVariant::SpamMassDefense {
-            let sm = pharmacy_spam_mass(artifacts, &good_seeds, &bad_seeds, &trust_config);
-            Some(defended_trust_scores(&trust, &sm, &good_seeds))
-        } else {
-            None
-        };
-        let featurize = |i: usize| -> SparseVector {
-            let base = match &defended {
-                Some(def) => def[i],
-                None => trust[i],
+    let folds = split
+        .iter()
+        .map(|(_, train_idx, test_idx)| {
+            let (good, bad): (Vec<usize>, Vec<usize>) =
+                train_idx.iter().partition(|&&i| corpus.labels[i]);
+            let trust = trust(&config, &good);
+            let (defended, distrust) = match variant {
+                NetworkVariant::Trust => (None, None),
+                NetworkVariant::TrustAndDistrust => (
+                    None,
+                    Some(pharmacy_distrust_scores(&graph(), &bad, &config)),
+                ),
+                NetworkVariant::SpamMassDefense => {
+                    let mass = pharmacy_spam_mass(&graph(), &good, &bad, &config);
+                    (Some(defended_trust_scores(&trust, &mass, &good)), None)
+                }
             };
-            let mut pairs = vec![(0u32, base)];
-            if let Some(d) = &distrust {
-                pairs.push((1, if d[i] > 1e-9 { 1.0 } else { 0.0 }));
+            let base = defended.as_deref().unwrap_or(trust.as_slice());
+            let featurize = |i: usize| {
+                let mut pairs = vec![(0u32, base[i])];
+                if let Some(d) = &distrust {
+                    pairs.push((1, if d[i] > 1e-9 { 1.0 } else { 0.0 }));
+                }
+                SparseVector::from_pairs(pairs)
+            };
+            let mut train = Dataset::new(dim);
+            for &i in train_idx {
+                train.push(featurize(i), corpus.labels[i]);
             }
-            SparseVector::from_pairs(pairs)
-        };
-        let mut train = Dataset::new(dim);
-        for &i in &train_idx {
-            train.push(featurize(i), corpus.labels[i]);
-        }
-        let model = learner.fit(&train);
-        let labels: Vec<bool> = test_idx.iter().map(|&i| corpus.labels[i]).collect();
-        let scores: Vec<f64> = test_idx
-            .iter()
-            .map(|&i| model.score(&featurize(i)))
-            .collect();
-        let predictions: Vec<bool> = test_idx
-            .iter()
-            .map(|&i| model.predict(&featurize(i)))
-            .collect();
-        outcomes.push(FoldOutcome {
-            summary: EvalSummary::compute(&labels, &predictions, &scores),
-            scores,
-            labels,
-        });
-    }
-    CvOutcome { folds: outcomes }
+            let model = learner.fit(&train);
+            FoldOutcome::score(
+                &model,
+                test_idx.iter().map(|&i| (featurize(i), corpus.labels[i])),
+            )
+        })
+        .collect();
+    CvOutcome { folds }
 }
 
 /// §7(b): one classifier over the concatenation of every feature family —
@@ -408,7 +413,7 @@ pub fn evaluate_combined_in(
     let texts = pipe.ngg_texts(subsample, cv.seed);
     let trust_config = TrustRankConfig::default();
     let split = pipe.fold_split(cv.k, cv.seed);
-    let mut outcomes = Vec::with_capacity(split.k());
+    let mut folds = Vec::with_capacity(split.k());
 
     for (f, train_idx, test_idx) in split.iter() {
         // Text view.
@@ -438,24 +443,11 @@ pub fn evaluate_combined_in(
         for &i in train_idx {
             train.push(featurize(i), corpus.labels[i]);
         }
-        let train = Sampling::None.apply(&train, cv.seed);
         let model = TextLearnerKind::Svm.learner().fit(&train);
-        let labels: Vec<bool> = test_idx.iter().map(|&i| corpus.labels[i]).collect();
-        let scores: Vec<f64> = test_idx
-            .iter()
-            .map(|&i| model.score(&featurize(i)))
-            .collect();
-        let predictions: Vec<bool> = test_idx
-            .iter()
-            .map(|&i| model.predict(&featurize(i)))
-            .collect();
-        outcomes.push(FoldOutcome {
-            summary: EvalSummary::compute(&labels, &predictions, &scores),
-            scores,
-            labels,
-        });
+        let rows = test_idx.iter().map(|&i| (featurize(i), corpus.labels[i]));
+        folds.push(FoldOutcome::score(&model, rows));
     }
-    CvOutcome { folds: outcomes }
+    CvOutcome { folds }
 }
 
 #[cfg(test)]

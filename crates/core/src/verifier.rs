@@ -18,6 +18,7 @@
 //! per-site cost is the propagation itself, not a graph copy.
 
 use crate::classify::{build_web_graph, ngg_document_texts, NetworkArtifacts, TextLearnerKind};
+use crate::extensions::SeedTeleport;
 use crate::features::ExtractedCorpus;
 use pharmaverify_crawl::{summarize_crawl, CrawlConfig, Crawler, Url, WebHost};
 use pharmaverify_ml::{Dataset, GaussianNaiveBayes, Learner, Model};
@@ -221,14 +222,11 @@ pub struct TrainedVerifier {
     /// candidates get incremental distrust scores too.
     anti_trajectory: TrustTrajectory,
     incremental: IncrementalConfig,
-    /// Good-seed nodes and their teleport share: a seed's raw score
-    /// contains `(1 − α)/|seeds|` of static teleport mass that merely
-    /// restates its training label; the verdict's spam mass uses the
-    /// adjusted (propagated-only) scores.
-    good_seed_nodes: std::collections::HashSet<NodeId>,
-    good_teleport: f64,
-    bad_seed_nodes: std::collections::HashSet<NodeId>,
-    bad_teleport: f64,
+    /// The trust and anti-trust seed sets with their teleport shares:
+    /// the verdict's distrust and spam mass use the propagated-only
+    /// scores, as the evaluation pipelines do.
+    good_seeds: SeedTeleport,
+    bad_seeds: SeedTeleport,
     /// Per-class n-gram graphs fitted on the training texts: the fast
     /// path's second opinion (no link evidence needed).
     ngg: NggClassGraphs,
@@ -296,7 +294,7 @@ impl TrainedVerifier {
         seed: u64,
     ) -> Self {
         assert!(!corpus.is_empty(), "corpus must not be empty");
-        let (pos, _neg) = corpus.indices_by_class();
+        let (pos, neg) = corpus.indices_by_class();
         assert!(
             !pos.is_empty() && pos.len() < corpus.len(),
             "corpus must contain both classes"
@@ -318,55 +316,35 @@ impl TrainedVerifier {
         let train = kind.paper_sampling().apply(&train, seed);
         let text_model = kind.learner().fit(&train);
 
-        // Network model.
+        // Network model. The base graph's full propagation history is
+        // recorded once, so each verification can re-rank only the
+        // spliced neighborhood; its final iterate is the training
+        // population's TrustRank. Exact mode (tolerance 0.0): the
+        // incremental scores are bit-identical to a full recompute
+        // whether or not the frontier cap trips.
         let artifacts = build_web_graph(corpus);
         let trust_config = TrustRankConfig::default();
-        let seed_indices = pos;
-        let trust =
-            crate::classify::pharmacy_trust_scores(&artifacts, &seed_indices, &trust_config);
+        let node_of = |i: &usize| artifacts.pharmacy_nodes[*i];
+        let good_nodes: Vec<NodeId> = pos.iter().map(node_of).collect();
+        let trajectory = TrustTrajectory::compute(&artifacts.graph, &good_nodes, &trust_config);
         let trust_scale = artifacts.graph.node_count() as f64;
         let mut net_train = Dataset::new(1);
-        for (i, &t) in trust.iter().enumerate() {
-            net_train.push(SparseVector::from_pairs(vec![(0, t)]), corpus.labels[i]);
+        for (&node, &label) in artifacts.pharmacy_nodes.iter().zip(&corpus.labels) {
+            let t = trajectory.final_scores()[node as usize] * trust_scale;
+            net_train.push(SparseVector::from_pairs(vec![(0, t)]), label);
         }
         let trust_model = GaussianNaiveBayes::default().fit(&net_train);
-
-        // Record the base graph's full propagation history once, so each
-        // verification can re-rank only the spliced neighborhood. Exact
-        // mode (tolerance 0.0): the incremental scores are bit-identical
-        // to a full recompute whether or not the frontier cap trips.
-        let seed_nodes: Vec<_> = seed_indices
-            .iter()
-            .map(|&i| artifacts.pharmacy_nodes[i])
-            .collect();
-        let trajectory = TrustTrajectory::compute(&artifacts.graph, &seed_nodes, &trust_config);
         // The anti-trust history: distrust seeded at the training
         // population's illegitimate members, propagated on the transpose.
-        let bad_indices: Vec<usize> = (0..corpus.len()).filter(|&i| !corpus.labels[i]).collect();
-        let bad_seed_nodes_vec: Vec<_> = bad_indices
-            .iter()
-            .map(|&i| artifacts.pharmacy_nodes[i])
-            .collect();
-        let anti_trajectory = TrustTrajectory::compute(
-            &artifacts.graph.transposed(),
-            &bad_seed_nodes_vec,
-            &trust_config,
-        );
+        let bad_nodes: Vec<NodeId> = neg.iter().map(node_of).collect();
+        let anti_trajectory =
+            TrustTrajectory::compute(&artifacts.graph.transposed(), &bad_nodes, &trust_config);
         let incremental = IncrementalConfig {
             tolerance: 0.0,
             max_frontier: (artifacts.graph.node_count() / 2).max(64),
         };
-        let teleport = |count: usize| {
-            if count == 0 {
-                0.0
-            } else {
-                (1.0 - trust_config.alpha) / count as f64
-            }
-        };
-        let good_teleport = teleport(seed_nodes.len());
-        let bad_teleport = teleport(bad_seed_nodes_vec.len());
-        let good_seed_nodes = seed_nodes.iter().copied().collect();
-        let bad_seed_nodes = bad_seed_nodes_vec.iter().copied().collect();
+        let good_seeds = SeedTeleport::new(&good_nodes, &trust_config);
+        let bad_seeds = SeedTeleport::new(&bad_nodes, &trust_config);
 
         // Fast-path artifacts: per-class n-gram graphs plus a calibrated
         // text-rank threshold. The threshold is the midpoint of the two
@@ -426,10 +404,8 @@ impl TrainedVerifier {
             trajectory,
             anti_trajectory,
             incremental,
-            good_seed_nodes,
-            good_teleport,
-            bad_seed_nodes,
-            bad_teleport,
+            good_seeds,
+            bad_seeds,
             ngg,
             ngg_threshold,
             ngg_gap_half,
@@ -654,29 +630,13 @@ impl TrainedVerifier {
     }
 
     /// Teleport-adjusted, node-count-scaled network scores for a spliced
-    /// node: `(trust, distrust, spam mass)`. Seeds carry a static
-    /// teleport share `(1 − α)/|seeds|` that restates their training
-    /// label; spam mass is computed from the propagated-only scores, the
-    /// same adjustment the evaluation pipelines use.
+    /// node: `(trust, distrust, spam mass)`. The trust score keeps its
+    /// seed teleport share; distrust and spam mass are computed from the
+    /// propagated-only scores ([`SeedTeleport`]).
     fn network_scores(&self, node: NodeId, raw_trust: f64, raw_distrust: f64) -> (f64, f64, f64) {
-        let adjusted = |raw: f64, is_seed: bool, teleport: f64| {
-            if is_seed {
-                (raw - teleport).max(0.0)
-            } else {
-                raw
-            }
-        };
         let trust_score = raw_trust * self.trust_scale;
-        let propagated_trust = adjusted(
-            raw_trust,
-            self.good_seed_nodes.contains(&node),
-            self.good_teleport,
-        ) * self.trust_scale;
-        let distrust_score = adjusted(
-            raw_distrust,
-            self.bad_seed_nodes.contains(&node),
-            self.bad_teleport,
-        ) * self.trust_scale;
+        let propagated_trust = self.good_seeds.propagated(node, raw_trust) * self.trust_scale;
+        let distrust_score = self.bad_seeds.propagated(node, raw_distrust) * self.trust_scale;
         let spam_mass = propagated_trust.min(distrust_score);
         (trust_score, distrust_score, spam_mass)
     }

@@ -26,7 +26,7 @@ struct SnapshotFile {
     pages: Vec<(String, String)>,
 }
 
-/// Errors from JSON persistence; both variants name the file involved.
+/// Errors from JSON persistence; every variant names the file involved.
 #[derive(Debug)]
 pub enum PersistError {
     /// Filesystem failure at `path`.
@@ -44,6 +44,16 @@ pub enum PersistError {
         offset: Option<usize>,
         /// The underlying parse or shape error.
         source: serde_json::Error,
+    },
+    /// Well-formed JSON whose record `record` (0-based, in file order)
+    /// breaks a rule of the loader's schema.
+    Invalid {
+        /// The file being loaded.
+        path: PathBuf,
+        /// Index of the offending record.
+        record: usize,
+        /// The rule the record breaks, with the offending value.
+        rule: String,
     },
 }
 
@@ -67,6 +77,9 @@ impl std::fmt::Display for PersistError {
                 offset: None,
                 source,
             } => write!(f, "malformed JSON at {}: {source}", path.display()),
+            PersistError::Invalid { path, record, rule } => {
+                write!(f, "invalid record {record} in {}: {rule}", path.display())
+            }
         }
     }
 }

@@ -1,18 +1,27 @@
-//! Seeded stratified k-fold cross-validation.
+//! Seeded stratified k-fold cross-validation: the split, the fold
+//! helpers, and aggregation.
 //!
 //! The paper evaluates every classifier with 3-fold cross-validation
 //! ("two folds were used for training and the third for testing", §6.3.1)
 //! and reports per-fold stability via confidence intervals. Stratification
 //! keeps the 12/88 class ratio in every fold, which matters with only 167
 //! legitimate examples.
+//!
+//! No one routine runs a whole cross-validation: each evaluation
+//! pipeline featurizes its own folds. A pipeline walks a [`FoldSplit`]
+//! serially ([`FoldSplit::iter`]) or one scoped thread per fold
+//! ([`FoldSplit::par_map`]), fits on the training side, and measures the
+//! test side with [`FoldOutcome::score`] (or [`FoldOutcome::new`] when
+//! the decisions do not come from one model); [`CvOutcome`] aggregates
+//! the folds.
 
-use crate::dataset::Dataset;
 use crate::metrics::{ConfidenceInterval, EvalSummary};
-use crate::sampling::Sampling;
-use crate::Learner;
+use crate::Model;
+use pharmaverify_text::SparseVector;
 use rand::rngs::SmallRng;
 use rand::seq::SliceRandom;
 use rand::SeedableRng;
+use std::borrow::Borrow;
 
 /// Produces `k` stratified folds: each inner `Vec` holds the *test*
 /// indices of one fold. Every index appears in exactly one fold, and each
@@ -104,6 +113,27 @@ impl FoldSplit {
             .enumerate()
             .map(|(f, (train, test))| (f, train.as_slice(), test.as_slice()))
     }
+
+    /// Runs `f(fold, train indices, test indices)` for every fold, one
+    /// scoped thread per fold, and returns the results in fold order. A
+    /// panic in any fold resumes on the caller.
+    pub fn par_map<T, F>(&self, f: F) -> Vec<T>
+    where
+        T: Send,
+        F: Fn(usize, &[usize], &[usize]) -> T + Sync,
+    {
+        let f = &f;
+        std::thread::scope(|scope| {
+            let handles: Vec<_> = self
+                .iter()
+                .map(|(fold, train, test)| scope.spawn(move || f(fold, train, test)))
+                .collect();
+            handles
+                .into_iter()
+                .map(|h| h.join().unwrap_or_else(|p| std::panic::resume_unwind(p)))
+                .collect()
+        })
+    }
 }
 
 /// The measurements of one cross-validation fold.
@@ -115,6 +145,35 @@ pub struct FoldOutcome {
     pub scores: Vec<f64>,
     /// True labels of the test instances, in test-index order.
     pub labels: Vec<bool>,
+}
+
+impl FoldOutcome {
+    /// The outcome of one fold from its test labels, positive-class
+    /// scores and hard decisions, all in test-index order.
+    pub fn new(labels: Vec<bool>, scores: Vec<f64>, predictions: Vec<bool>) -> FoldOutcome {
+        FoldOutcome {
+            summary: EvalSummary::compute(&labels, &predictions, &scores),
+            scores,
+            labels,
+        }
+    }
+
+    /// Measures `model` on a fold's test rows `(features, label)`, given
+    /// in test-index order. Each row is featurized once: its score and
+    /// its hard decision both come from that one vector.
+    pub fn score<M, X>(model: &M, rows: impl IntoIterator<Item = (X, bool)>) -> FoldOutcome
+    where
+        M: Model + ?Sized,
+        X: Borrow<SparseVector>,
+    {
+        let (mut labels, mut scores, mut predictions) = (Vec::new(), Vec::new(), Vec::new());
+        for (x, label) in rows {
+            labels.push(label);
+            scores.push(model.score(x.borrow()));
+            predictions.push(model.predict(x.borrow()));
+        }
+        FoldOutcome::new(labels, scores, predictions)
+    }
 }
 
 /// Aggregated cross-validation results.
@@ -162,76 +221,13 @@ impl CvOutcome {
     }
 }
 
-/// Cross-validation driver for precomputed feature sets.
-#[derive(Debug, Clone, Copy)]
-pub struct CrossValidation {
-    /// Number of folds (paper: 3).
-    pub k: usize,
-    /// Fold-assignment seed.
-    pub seed: u64,
-    /// Resampling applied to each training split (never to test data).
-    pub sampling: Sampling,
-}
-
-impl Default for CrossValidation {
-    fn default() -> Self {
-        CrossValidation {
-            k: 3,
-            seed: 0xf01d,
-            sampling: Sampling::None,
-        }
-    }
-}
-
-impl CrossValidation {
-    /// Runs cross-validation of `learner` over `data`, training folds in
-    /// parallel on scoped threads.
-    pub fn run(&self, data: &Dataset, learner: &dyn Learner) -> CvOutcome {
-        let split = FoldSplit::stratified(data.labels(), self.k, self.seed);
-        let split_ref = &split;
-        let sampling = self.sampling;
-        let seed = self.seed;
-        let outcomes: Vec<FoldOutcome> = std::thread::scope(|scope| {
-            let handles: Vec<_> = (0..split_ref.k())
-                .map(|f| {
-                    scope.spawn(move || {
-                        let obs = pharmaverify_obs::global();
-                        let test_idx = split_ref.test(f);
-                        let train = sampling.apply(&data.subset(split_ref.train(f)), seed);
-                        let model = {
-                            // lint:allow(obs-name): learner names are a closed compile-time set of well-formed segments.
-                            let _fit = obs.span(&format!("ml/fit/{}", learner.name()));
-                            learner.fit(&train)
-                        };
-                        // lint:allow(obs-name): learner names are a closed compile-time set of well-formed segments.
-                        let _predict = obs.span(&format!("ml/predict/{}", learner.name()));
-                        let labels: Vec<bool> = test_idx.iter().map(|&i| data.y(i)).collect();
-                        let scores: Vec<f64> =
-                            test_idx.iter().map(|&i| model.score(data.x(i))).collect();
-                        let predictions: Vec<bool> =
-                            test_idx.iter().map(|&i| model.predict(data.x(i))).collect();
-                        FoldOutcome {
-                            summary: EvalSummary::compute(&labels, &predictions, &scores),
-                            scores,
-                            labels,
-                        }
-                    })
-                })
-                .collect();
-            handles
-                .into_iter()
-                .map(|h| h.join().unwrap_or_else(|p| std::panic::resume_unwind(p)))
-                .collect()
-        });
-        CvOutcome { folds: outcomes }
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::dataset::Dataset;
     use crate::nbm::MultinomialNaiveBayes;
-    use pharmaverify_text::SparseVector;
+    use crate::sampling::Sampling;
+    use crate::Learner;
 
     fn v(pairs: &[(u32, f64)]) -> SparseVector {
         SparseVector::from_pairs(pairs.to_vec())
@@ -302,10 +298,46 @@ mod tests {
         d
     }
 
+    /// Cross-validates `learner` over `data` through the fold helpers,
+    /// resampling each training split (never the test side).
+    fn cross_validate(data: &Dataset, learner: &dyn Learner, sampling: Sampling) -> CvOutcome {
+        let split = FoldSplit::stratified(data.labels(), 3, 0xf01d);
+        let folds = split.par_map(|_, train, test| {
+            let model = learner.fit(&sampling.apply(&data.subset(train), 0xf01d));
+            FoldOutcome::score(&model, test.iter().map(|&i| (data.x(i), data.y(i))))
+        });
+        CvOutcome { folds }
+    }
+
+    #[test]
+    fn par_map_returns_folds_in_order() {
+        let split = FoldSplit::stratified(&labels(10, 20), 3, 1);
+        let tests = split.par_map(|f, _, test| (f, test.to_vec()));
+        let serial: Vec<_> = split
+            .iter()
+            .map(|(f, _, test)| (f, test.to_vec()))
+            .collect();
+        assert_eq!(tests, serial);
+    }
+
+    #[test]
+    fn score_matches_separate_score_and_predict_passes() {
+        let data = separable_dataset();
+        let model = MultinomialNaiveBayes::default().fit(&data);
+        let outcome = FoldOutcome::score(&model, data.iter());
+        let scores: Vec<f64> = data.features().iter().map(|x| model.score(x)).collect();
+        let predictions: Vec<bool> = data.features().iter().map(|x| model.predict(x)).collect();
+        let direct = FoldOutcome::new(data.labels().to_vec(), scores, predictions);
+        assert_eq!(outcome.scores, direct.scores);
+        assert_eq!(outcome.labels, direct.labels);
+        assert_eq!(outcome.summary.accuracy, direct.summary.accuracy);
+        assert_eq!(outcome.summary.auc, direct.summary.auc);
+    }
+
     #[test]
     fn cv_on_separable_data_is_accurate() {
         let data = separable_dataset();
-        let outcome = CrossValidation::default().run(&data, &MultinomialNaiveBayes::default());
+        let outcome = cross_validate(&data, &MultinomialNaiveBayes::default(), Sampling::None);
         let agg = outcome.aggregate();
         assert!(agg.accuracy > 0.9, "accuracy = {}", agg.accuracy);
         assert!(agg.auc > 0.9, "auc = {}", agg.auc);
@@ -315,7 +347,7 @@ mod tests {
     #[test]
     fn pooled_covers_every_instance_once() {
         let data = separable_dataset();
-        let outcome = CrossValidation::default().run(&data, &MultinomialNaiveBayes::default());
+        let outcome = cross_validate(&data, &MultinomialNaiveBayes::default(), Sampling::None);
         let (scores, labels) = outcome.pooled();
         assert_eq!(scores.len(), data.len());
         assert_eq!(labels.iter().filter(|&&l| l).count(), data.count_positive());
@@ -324,20 +356,19 @@ mod tests {
     #[test]
     fn cv_is_deterministic() {
         let data = separable_dataset();
-        let cv = CrossValidation::default();
-        let a = cv.run(&data, &MultinomialNaiveBayes::default());
-        let b = cv.run(&data, &MultinomialNaiveBayes::default());
+        let a = cross_validate(&data, &MultinomialNaiveBayes::default(), Sampling::None);
+        let b = cross_validate(&data, &MultinomialNaiveBayes::default(), Sampling::None);
         assert_eq!(a.pooled().0, b.pooled().0);
     }
 
     #[test]
     fn sampling_applies_only_to_training() {
         let data = separable_dataset();
-        let cv = CrossValidation {
-            sampling: Sampling::Undersample,
-            ..CrossValidation::default()
-        };
-        let outcome = cv.run(&data, &MultinomialNaiveBayes::default());
+        let outcome = cross_validate(
+            &data,
+            &MultinomialNaiveBayes::default(),
+            Sampling::Undersample,
+        );
         // Test instances are untouched: pooled size equals dataset size.
         assert_eq!(outcome.pooled().0.len(), data.len());
     }
@@ -345,7 +376,7 @@ mod tests {
     #[test]
     fn accuracy_interval_exists() {
         let data = separable_dataset();
-        let outcome = CrossValidation::default().run(&data, &MultinomialNaiveBayes::default());
+        let outcome = cross_validate(&data, &MultinomialNaiveBayes::default(), Sampling::None);
         let ci = outcome.accuracy_interval().unwrap();
         assert!(ci.mean > 0.8);
         assert!(ci.half_width >= 0.0);

@@ -23,8 +23,9 @@
 //! * [`metrics`] — confusion-matrix measures, pairwise orderedness (§6.2),
 //!   and confidence intervals;
 //! * [`roc`] — ROC curves and AUC;
-//! * [`crossval`] — seeded stratified k-fold cross-validation, run on
-//!   scoped threads;
+//! * [`crossval`] — the seeded stratified k-fold split, the per-fold
+//!   helpers every evaluation loop shares (a thread per fold, one
+//!   scoring pass per test row), and aggregation across folds;
 //! * [`scale`] — per-feature standardization.
 //!
 //! The *positive* class throughout is **legitimate**, matching §6.2.
@@ -46,7 +47,7 @@ pub mod svm;
 pub mod tree;
 
 pub use calibration::PlattScaler;
-pub use crossval::{stratified_folds, CrossValidation, CvOutcome, FoldOutcome, FoldSplit};
+pub use crossval::{stratified_folds, CvOutcome, FoldOutcome, FoldSplit};
 pub use dataset::{Dataset, DatasetError};
 pub use ensemble::{greedy_auc_selection, EnsembleSelection, EnsembleSelectionConfig};
 pub use feature_select::{information_gain, project, top_k_features};

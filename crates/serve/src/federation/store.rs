@@ -13,11 +13,14 @@
 //! [`pharmaverify_corpus::load_json_file`]): records are serialized as a
 //! BTreeMap-ordered vector, so the same store contents always produce
 //! the same bytes, and a malformed file reports its path and byte
-//! offset.
+//! offset. Loading also validates every record — unique keys, scores in
+//! range — and names the first record that breaks a rule, so a store
+//! never serves a verdict no slow path could have produced.
 
 use pharmaverify_core::{Verdict, VerdictSource};
 use pharmaverify_corpus::{load_json_file, save_json_file, PersistError};
 use serde::{Deserialize, Serialize};
+use std::collections::btree_map::Entry;
 use std::collections::BTreeMap;
 use std::path::Path;
 
@@ -52,6 +55,29 @@ pub struct StoredVerdict {
 }
 
 impl StoredVerdict {
+    /// The first range rule this record breaks, if any: the text score,
+    /// network score and confidence lie in [0, 1]; trust, distrust and
+    /// spam mass are finite and non-negative; the rank is finite.
+    fn broken_rule(&self) -> Option<String> {
+        let unit = [
+            ("text_score", self.text_score),
+            ("network_score", self.network_score),
+            ("confidence", self.confidence),
+        ];
+        let mass = [
+            ("trust_score", self.trust_score),
+            ("distrust_score", self.distrust_score),
+            ("spam_mass", self.spam_mass),
+        ];
+        if let Some((name, v)) = unit.iter().find(|(_, v)| !(0.0..=1.0).contains(v)) {
+            return Some(format!("{name} {v} outside [0, 1]"));
+        }
+        if let Some((name, v)) = mass.iter().find(|(_, v)| !(v.is_finite() && *v >= 0.0)) {
+            return Some(format!("{name} {v} negative or not finite"));
+        }
+        (!self.rank.is_finite()).then(|| format!("rank {} not finite", self.rank))
+    }
+
     /// Rebuilds a servable [`Verdict`] from this record, tagged with
     /// [`VerdictSource::VerdictStore`] provenance. Only clean crawls are
     /// ever recorded, so the verdict is never degraded and its coverage
@@ -145,15 +171,36 @@ impl VerdictStore {
         save_json_file(&records, path)
     }
 
-    /// Reads a store back from `path`.
+    /// Reads a store back from `path`, validating every record.
+    ///
+    /// # Errors
+    /// [`PersistError::Io`] or [`PersistError::Format`] when the file
+    /// cannot be read or parsed; [`PersistError::Invalid`] naming the
+    /// first record that repeats an earlier `(domain, model_version)` key
+    /// or carries a score outside its range.
     pub fn load(path: &Path) -> Result<VerdictStore, PersistError> {
         let records: Vec<StoredVerdict> = load_json_file(path)?;
-        Ok(VerdictStore {
-            records: records
-                .into_iter()
-                .map(|r| ((r.domain.clone(), r.model_version), r))
-                .collect(),
-        })
+        let mut store = VerdictStore::new();
+        for (record, r) in records.into_iter().enumerate() {
+            let invalid = |rule| PersistError::Invalid {
+                path: path.to_path_buf(),
+                record,
+                rule,
+            };
+            if let Some(rule) = r.broken_rule() {
+                return Err(invalid(rule));
+            }
+            match store.records.entry((r.domain.clone(), r.model_version)) {
+                Entry::Occupied(e) => {
+                    let (domain, version) = e.key();
+                    return Err(invalid(format!("duplicate key ({domain}, {version})")));
+                }
+                Entry::Vacant(e) => {
+                    e.insert(r);
+                }
+            }
+        }
+        Ok(store)
     }
 }
 
@@ -236,6 +283,116 @@ mod tests {
         );
         std::fs::remove_file(&path).unwrap();
         std::fs::remove_file(&path2).unwrap();
+    }
+
+    /// A saved two-record store's path and bytes, under a per-test name.
+    fn saved_store(name: &str) -> (std::path::PathBuf, Vec<u8>) {
+        let mut store = VerdictStore::new();
+        store.record(&verdict("b-pharmacy.com", false), 7);
+        store.record(&verdict("a-pharmacy.com", false), 9);
+        let dir = std::env::temp_dir().join("pharmaverify-verdict-store-test");
+        std::fs::create_dir_all(&dir).unwrap();
+        let path = dir.join(format!("{name}-{}.json", std::process::id()));
+        store.save(&path).unwrap();
+        let bytes = std::fs::read(&path).unwrap();
+        (path, bytes)
+    }
+
+    /// Loads `text` written to `path`, expecting [`PersistError::Invalid`]
+    /// at `want_record` with a rule containing `want_rule`.
+    fn assert_invalid(path: &Path, text: &str, want_record: usize, want_rule: &str) {
+        std::fs::write(path, text).unwrap();
+        match VerdictStore::load(path) {
+            Err(PersistError::Invalid {
+                path: p,
+                record,
+                rule,
+            }) => {
+                assert_eq!(p, path);
+                assert_eq!(record, want_record, "{rule}");
+                assert!(rule.contains(want_rule), "{rule}");
+            }
+            other => panic!("expected an invalid record, got {other:?}"),
+        }
+    }
+
+    #[test]
+    fn duplicate_keys_are_rejected() {
+        let (path, bytes) = saved_store("dup");
+        let text = String::from_utf8(bytes).unwrap();
+        let renamed = text.replacen("b-pharmacy.com", "a-pharmacy.com", 1);
+        assert_invalid(&path, &renamed, 1, "duplicate key (a-pharmacy.com, 2)");
+        std::fs::remove_file(&path).unwrap();
+    }
+
+    #[test]
+    fn unit_scores_outside_zero_one_are_rejected() {
+        let (path, bytes) = saved_store("unit");
+        let text = String::from_utf8(bytes).unwrap();
+        for (field, value) in [
+            ("text_score", "0.75"),
+            ("network_score", "0.5"),
+            ("confidence", "0.5"),
+        ] {
+            for bad in ["7.5", "-0.25"] {
+                let from = format!("\"{field}\":{value}");
+                let to = format!("\"{field}\":{bad}");
+                assert_invalid(&path, &text.replacen(&from, &to, 1), 0, field);
+            }
+        }
+        std::fs::remove_file(&path).unwrap();
+    }
+
+    #[test]
+    fn negative_or_infinite_masses_are_rejected() {
+        let (path, bytes) = saved_store("mass");
+        let text = String::from_utf8(bytes).unwrap();
+        for (field, value) in [
+            ("trust_score", "0.125"),
+            ("distrust_score", "0.0625"),
+            ("spam_mass", "0.0625"),
+        ] {
+            for bad in ["-0.5", "1e999"] {
+                let from = format!("\"{field}\":{value}");
+                let to = format!("\"{field}\":{bad}");
+                assert_invalid(&path, &text.replacen(&from, &to, 1), 0, field);
+            }
+        }
+        std::fs::remove_file(&path).unwrap();
+    }
+
+    #[test]
+    fn infinite_rank_is_rejected() {
+        let (path, bytes) = saved_store("rank");
+        let text = String::from_utf8(bytes).unwrap();
+        for bad in ["1e999", "-1e999"] {
+            let to = format!("\"rank\":{bad}");
+            assert_invalid(&path, &text.replacen("\"rank\":0.875", &to, 1), 0, "rank");
+        }
+        std::fs::remove_file(&path).unwrap();
+    }
+
+    #[test]
+    fn truncated_or_bit_flipped_stores_never_load_invalid() {
+        let (path, bytes) = saved_store("fuzz");
+        let mut damaged: Vec<Vec<u8>> = (0..bytes.len()).map(|n| bytes[..n].to_vec()).collect();
+        for i in 0..bytes.len() {
+            for bit in [0, 3, 5] {
+                let mut flipped = bytes.clone();
+                flipped[i] ^= 1 << bit;
+                damaged.push(flipped);
+            }
+        }
+        for file in damaged {
+            std::fs::write(&path, &file).unwrap();
+            if let Ok(store) = VerdictStore::load(&path) {
+                for ((domain, version), rec) in &store.records {
+                    assert_eq!((domain, *version), (&rec.domain, rec.model_version));
+                    assert_eq!(rec.broken_rule(), None);
+                }
+            }
+        }
+        std::fs::remove_file(&path).unwrap();
     }
 
     #[test]
