@@ -1,6 +1,7 @@
 //! Micro-benchmarks of the graph substrate: sharded corpus generation,
 //! CSR freeze, and the three power-iteration kernels on the frozen CSR
-//! graph, plus the overlay re-rank and federation tier pairs.
+//! graph, plus the overlay re-rank and federation tier pairs and the
+//! N-Gram-Graph class-graph build and featurization.
 //!
 //! ```text
 //! microbench [--domains N] [--repeat R] [--out PATH]
@@ -18,6 +19,8 @@
 //! 50000) under the reproduction seed, so the numbers describe the same
 //! graph shape the `--scale web` report ranks.
 
+use pharmaverify_core::classify::{ngg_document_texts, subsampled_documents};
+use pharmaverify_core::verifier::ngg_fast_input;
 use pharmaverify_core::{extract_corpus, TextLearnerKind, TrainedVerifier};
 use pharmaverify_corpus::{
     CorpusConfig, DomainRecord, ShardedWebGenerator, SyntheticWeb, WebScaleConfig,
@@ -27,6 +30,7 @@ use pharmaverify_net::{
     CsrGraph, GraphBuilder, IncrementalConfig, NodeId, SpliceOverlay, TrustRankConfig,
     TrustTrajectory,
 };
+use pharmaverify_ngg::{NGramGraphBuilder, NggClassGraphs};
 use std::time::Instant;
 
 /// The reproduction's master seed (`bench::context::REPRO_SEED`).
@@ -38,7 +42,8 @@ struct BenchResult {
     name: &'static str,
     /// Work items processed per run (see `unit`).
     items: usize,
-    /// What `items` counts: `domains`, `edges`, or `edge-traversals`.
+    /// What `items` counts: `domains`, `edges`, `edge-traversals`,
+    /// `splices`, `requests` or `documents`.
     unit: &'static str,
     /// Minimum wall clock over the repeat runs, in seconds.
     wall_secs: f64,
@@ -318,6 +323,55 @@ fn main() {
             for site in &snap2.sites {
                 let _ = verifier.verify(&snap2.web, &site.seed_url);
             }
+        },
+    ));
+
+    // N-Gram-Graph pair: the fit's class-graph build over the same
+    // subsampled training texts (items: documents merged, a seeded half
+    // of each class), and the fast path's featurization of the
+    // snapshot-2 sites' NGG inputs against the fitted class graphs
+    // (items: documents).
+    let texts = ngg_document_texts(&subsampled_documents(&small_corpus, Some(250), SEED));
+    let class_texts = |legit: bool| -> Vec<&str> {
+        texts
+            .iter()
+            .zip(&small_corpus.labels)
+            .filter(|&(_, &label)| label == legit)
+            .map(|(t, _)| t.as_str())
+            .collect()
+    };
+    let (legit, illegit) = (class_texts(true), class_texts(false));
+    let merged = [&legit, &illegit]
+        .iter()
+        .map(|class| (class.len() / 2).max(1).min(class.len()))
+        .sum();
+    results.push(bench(
+        "ngg/class_graphs",
+        merged,
+        "documents",
+        repeat,
+        || NggClassGraphs::build(NGramGraphBuilder::default(), &legit, &illegit, SEED),
+    ));
+    // lint:allow(no-panic): generator-produced snapshots extract by
+    // construction; a failure here is a generator bug.
+    #[allow(clippy::expect_used)]
+    let fast_inputs: Vec<String> = extract_corpus(snap2, &CrawlConfig::default())
+        .expect("synthetic corpus extracts")
+        .tokens
+        .iter()
+        .map(|tokens| ngg_fast_input(tokens))
+        .collect();
+    let class_graphs = verifier.ngg_class_graphs();
+    results.push(bench(
+        "ngg/features",
+        fast_inputs.len(),
+        "documents",
+        repeat,
+        || {
+            fast_inputs
+                .iter()
+                .map(|input| class_graphs.features(input).text_rank())
+                .sum::<f64>()
         },
     ));
 

@@ -180,7 +180,9 @@ pub fn table6(grid: &GridResults) -> Table {
 /// Runs the full N-Gram-Graph grid (Tables 7–10). The per-fold class
 /// graphs and document features are computed once per subsample size and
 /// shared by all four classifiers — the expensive part is the graph work,
-/// not the learning. Subsample sizes dispatch across the executor.
+/// not the learning — and the features stay memoized in the class-graph
+/// artifacts for the other NGG studies. Subsample sizes dispatch across
+/// the executor.
 pub fn ngg_grid(ctx: &ReproContext, exec: Executor) -> GridResults {
     let corpus = &ctx.corpus1;
     let cv = ctx.cv;
@@ -191,15 +193,14 @@ pub fn ngg_grid(ctx: &ReproContext, exec: Executor) -> GridResults {
     // columns[size][row] — each size is one executor job.
     let columns: Vec<Vec<EvalSummary>> = exec.run(sizes.len(), |s| {
         let (size, _) = sizes[s];
-        let texts = pipe.ngg_texts(size, cv.seed);
         // Per fold: features for every document against this fold's class
         // graphs. Folds run in parallel.
         let fold_datasets: Vec<Dataset> = split.par_map(|f, train_idx, _| {
             let graphs = pipe.ngg_class_graphs(size, cv.seed, f, train_idx);
             let mut all = Dataset::new(8);
-            for (text, &label) in texts.iter().zip(&corpus.labels) {
+            for (i, &label) in corpus.labels.iter().enumerate() {
                 all.push(
-                    SparseVector::from_dense(&graphs.features(text).to_vec()),
+                    SparseVector::from_dense(&graphs.features(i).to_vec()),
                     label,
                 );
             }
@@ -793,12 +794,9 @@ pub fn ablation_svm_ranking(ctx: &ReproContext) -> Table {
         }
         let model = LinearSvm::default().fit_svm(&train);
         // Platt scaling fitted on the training decisions.
-        let train_decisions: Vec<f64> = train_idx
-            .iter()
-            .map(|&i| model.decision(&tfidf.transform(&docs[i])))
-            .collect();
-        let train_labels: Vec<bool> = train_idx.iter().map(|&i| corpus.labels[i]).collect();
-        let scaler = PlattScaler::fit(&train_decisions, &train_labels);
+        let train_decisions: Vec<f64> =
+            train.features().iter().map(|x| model.decision(x)).collect();
+        let scaler = PlattScaler::fit(&train_decisions, train.labels());
         for &i in test_idx {
             let d = model.decision(&tfidf.transform(&docs[i]));
             hard[i] = if d >= 0.0 { 1.0 } else { 0.0 };

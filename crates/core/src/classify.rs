@@ -218,18 +218,11 @@ pub fn evaluate_tfidf_in(
     CvOutcome { folds }
 }
 
-/// Builds the per-document n-gram graphs of a (subsampled) corpus. The
-/// graphs are built from the preprocessed token stream re-joined with
-/// spaces, so every subsample size uses the same representation.
-pub fn ngg_document_texts(
-    corpus: &ExtractedCorpus,
-    subsample: Option<usize>,
-    seed: u64,
-) -> Vec<String> {
-    subsampled_documents(corpus, subsample, seed)
-        .into_iter()
-        .map(|tokens| tokens.join(" "))
-        .collect()
+/// The N-Gram-Graph input texts of (subsampled) documents: each
+/// preprocessed token stream re-joined with spaces, so every subsample
+/// size uses the same representation.
+pub fn ngg_document_texts(docs: &[Vec<String>]) -> Vec<String> {
+    docs.iter().map(|tokens| tokens.join(" ")).collect()
 }
 
 /// N-Gram-Graph text classification under cross-validation (§6.3.1,
@@ -245,8 +238,9 @@ pub fn evaluate_ngg(
     evaluate_ngg_in(Pipeline::new(&store, corpus), learner, subsample, cv)
 }
 
-/// [`evaluate_ngg`] against a shared artifact store: the joined document
-/// texts, fold split, and per-fold class graphs come from the pipeline.
+/// [`evaluate_ngg`] against a shared artifact store: the fold split and
+/// the per-fold class graphs, with each document's features against
+/// them, come from the pipeline.
 pub fn evaluate_ngg_in(
     pipe: Pipeline<'_>,
     learner: &dyn Learner,
@@ -255,12 +249,10 @@ pub fn evaluate_ngg_in(
 ) -> CvOutcome {
     let corpus = pipe.corpus();
     assert!(!corpus.is_empty(), "corpus must not be empty");
-    let texts = pipe.ngg_texts(subsample, cv.seed);
     let split = pipe.fold_split(cv.k, cv.seed);
     let folds = split.par_map(|f, train_idx, test_idx| {
         let class_graphs = pipe.ngg_class_graphs(subsample, cv.seed, f, train_idx);
-        let featurize =
-            |i: usize| SparseVector::from_dense(&class_graphs.features(&texts[i]).to_vec());
+        let featurize = |i: usize| SparseVector::from_dense(&class_graphs.features(i).to_vec());
         let mut train = Dataset::new(8);
         for &i in train_idx {
             train.push(featurize(i), corpus.labels[i]);
@@ -393,10 +385,10 @@ pub fn evaluate_ensemble(
 }
 
 /// [`evaluate_ensemble`] against a shared artifact store. The subsample
-/// draw, joined texts, fold split, and link graph are shared artifacts;
-/// the per-fold TF-IDF fit and class graphs are keyed by the ensemble's
-/// sub-training index set, so they never collide with (or shadow) the
-/// standard fold-training models of [`evaluate_tfidf_in`].
+/// draw, fold split, and link graph are shared artifacts; the per-fold
+/// TF-IDF fit and class graphs are keyed by the ensemble's sub-training
+/// index set, so they never collide with (or shadow) the standard
+/// fold-training models of [`evaluate_tfidf_in`].
 pub fn evaluate_ensemble_in(
     pipe: Pipeline<'_>,
     subsample: Option<usize>,
@@ -413,7 +405,6 @@ pub fn evaluate_ensemble_in(
         ("NB/ngg", TextLearnerKind::Nb, true),
     ];
     let docs = pipe.subsampled_docs(subsample, cv.seed);
-    let texts = pipe.ngg_texts(subsample, cv.seed);
     let trust_config = TrustRankConfig::default();
     let split = pipe.fold_split(cv.k, cv.seed);
 
@@ -433,85 +424,66 @@ pub fn evaluate_ensemble_in(
         let sub_idx: Vec<usize> = hill.train(0).iter().map(|&j| train_idx[j]).collect();
         let hill_labels: Vec<bool> = hill_idx.iter().map(|&i| corpus.labels[i]).collect();
 
-        // --- Fit the library on the sub-training split. ---
-        let mut hill_scores: Vec<Vec<f64>> = Vec::new();
-        let mut test_scores: Vec<Vec<f64>> = Vec::new();
-
-        // TF-IDF view.
-        let tfidf = pipe.fitted_tfidf(subsample, cv.seed, Some(f), &sub_idx);
-        let tfidf_ref: &TfIdfModel = &tfidf;
-        let dim = tfidf.vocabulary().len().max(1);
-        // NGG view.
-        let class_graphs = pipe.ngg_class_graphs(subsample, cv.seed, f, &sub_idx);
-        let ngg_vec = |i: usize| -> SparseVector {
-            SparseVector::from_dense(&class_graphs.features(&texts[i]).to_vec())
+        // --- One view per feature family, each document vectorized
+        // once per view: the TF-IDF model under both term weightings,
+        // the NGG similarities and the trust score (seeded by the
+        // sub-training legitimate pharmacies). ---
+        let view = |dim: usize, vectorize: &dyn Fn(usize) -> SparseVector| {
+            let mut train = Dataset::new(dim);
+            for &i in &sub_idx {
+                train.push(vectorize(i), corpus.labels[i]);
+            }
+            EnsembleView {
+                train,
+                hill: hill_idx.iter().map(|&i| vectorize(i)).collect(),
+                test: test_idx.iter().map(|&i| vectorize(i)).collect(),
+            }
         };
-        let mut ngg_train = Dataset::new(8);
-        for &i in &sub_idx {
-            ngg_train.push(ngg_vec(i), corpus.labels[i]);
-        }
-
-        type Vectorizer<'v> = Box<dyn Fn(usize) -> SparseVector + 'v>;
-        for &(_, kind, use_ngg) in LIBRARY {
-            let learner = if use_ngg {
-                kind.ngg_learner()
-            } else {
-                kind.learner()
-            };
-            let (model, vectorize): (Box<dyn Model>, Vectorizer<'_>) = if use_ngg {
-                (learner.fit(&ngg_train), Box::new(ngg_vec))
-            } else {
-                let weighting = kind.weighting();
-                let mut train = Dataset::new(dim);
-                for &i in &sub_idx {
-                    train.push(weighting.vectorize(&tfidf, &docs[i]), corpus.labels[i]);
-                }
-                let train = kind.paper_sampling().apply(&train, cv.seed);
-                let docs_ref = &docs;
-                (
-                    learner.fit(&train),
-                    Box::new(move |i: usize| weighting.vectorize(tfidf_ref, &docs_ref[i])),
-                )
-            };
-            hill_scores.push(
-                hill_idx
-                    .iter()
-                    .map(|&i| model.score(&vectorize(i)))
-                    .collect(),
-            );
-            test_scores.push(
-                test_idx
-                    .iter()
-                    .map(|&i| model.score(&vectorize(i)))
-                    .collect(),
-            );
-        }
-
-        // Network view: seeds are the sub-training legitimate pharmacies.
+        let tfidf = pipe.fitted_tfidf(subsample, cv.seed, Some(f), &sub_idx);
+        let dim = tfidf.vocabulary().len().max(1);
+        let raw = view(dim, &|i| {
+            TermWeighting::RawCounts.vectorize(&tfidf, &docs[i])
+        });
+        let weighted = view(dim, &|i| TermWeighting::TfIdf.vectorize(&tfidf, &docs[i]));
+        let class_graphs = pipe.ngg_class_graphs(subsample, cv.seed, f, &sub_idx);
+        let ngg = view(8, &|i| {
+            SparseVector::from_dense(&class_graphs.features(i).to_vec())
+        });
         let seed_idx: Vec<usize> = sub_idx
             .iter()
             .copied()
             .filter(|&i| corpus.labels[i])
             .collect();
         let trust = pipe.trust_scores(&trust_config, &seed_idx);
-        let net_vec = |i: usize| SparseVector::from_pairs(vec![(0, trust[i])]);
-        let mut net_train = Dataset::new(1);
-        for &i in &sub_idx {
-            net_train.push(net_vec(i), corpus.labels[i]);
+        let network = view(1, &|i| SparseVector::from_pairs(vec![(0, trust[i])]));
+
+        // --- Fit the library on the sub-training split and score the
+        // hillclimb and test rows. ---
+        let members = LIBRARY
+            .iter()
+            .map(|&(_, kind, use_ngg)| {
+                if use_ngg {
+                    (&ngg, kind.ngg_learner(), Sampling::None)
+                } else {
+                    let view = match kind.weighting() {
+                        TermWeighting::RawCounts => &raw,
+                        TermWeighting::TfIdf => &weighted,
+                    };
+                    (view, kind.learner(), kind.paper_sampling())
+                }
+            })
+            .chain(std::iter::once((
+                &network,
+                Box::new(GaussianNaiveBayes::default()) as Box<dyn Learner>,
+                Sampling::None,
+            )));
+        let mut hill_scores: Vec<Vec<f64>> = Vec::new();
+        let mut test_scores: Vec<Vec<f64>> = Vec::new();
+        for (view, learner, sampling) in members {
+            let model = learner.fit(&sampling.apply(&view.train, cv.seed));
+            hill_scores.push(view.hill.iter().map(|x| model.score(x)).collect());
+            test_scores.push(view.test.iter().map(|x| model.score(x)).collect());
         }
-        let net_model = GaussianNaiveBayes::default().fit(&net_train);
-        hill_scores.push(
-            hill_idx
-                .iter()
-                .map(|&i| net_model.score(&net_vec(i)))
-                .collect(),
-        );
-        test_scores.push(
-            test_idx
-                .iter()
-                .map(|&i| net_model.score(&net_vec(i)))
-                .collect(),
-        );
 
         // --- Greedy selection on the hillclimb set. ---
         let counts = greedy_auc_selection(&hill_scores, &hill_labels, 25);
@@ -537,6 +509,14 @@ pub fn evaluate_ensemble_in(
         outcome: CvOutcome { folds: outcomes },
         composition,
     }
+}
+
+/// One feature family's rows in an ensemble fold: the sub-training
+/// dataset, and the hillclimb and test vectors in index order.
+struct EnsembleView {
+    train: Dataset,
+    hill: Vec<SparseVector>,
+    test: Vec<SparseVector>,
 }
 
 /// Seed tweak for the hillclimb split, so it never coincides with the

@@ -399,9 +399,10 @@ pub fn evaluate_combined(
 }
 
 /// [`evaluate_combined`] against a shared artifact store: every view it
-/// concatenates (subsample draw, per-fold TF-IDF model, class graphs,
-/// link graph, TrustRank vectors) is the same artifact the single-view
-/// pipelines request, so the combined run costs only the final SVM fit.
+/// concatenates (subsample draw, per-fold TF-IDF model, class graphs
+/// with their memoized document features, link graph, TrustRank
+/// vectors) is the same artifact the single-view pipelines request, so
+/// the combined run costs only the final SVM fit.
 pub fn evaluate_combined_in(
     pipe: Pipeline<'_>,
     subsample: Option<usize>,
@@ -410,7 +411,6 @@ pub fn evaluate_combined_in(
     let corpus = pipe.corpus();
     assert!(!corpus.is_empty(), "corpus must not be empty");
     let docs = pipe.subsampled_docs(subsample, cv.seed);
-    let texts = pipe.ngg_texts(subsample, cv.seed);
     let trust_config = TrustRankConfig::default();
     let split = pipe.fold_split(cv.k, cv.seed);
     let mut folds = Vec::with_capacity(split.k());
@@ -433,7 +433,7 @@ pub fn evaluate_combined_in(
             let mut pairs: Vec<(u32, f64)> = tfidf.transform(&docs[i]).iter().collect();
             // NGG similarities and trust, scaled ×10 so the SVM margin
             // treats them on a par with tf·idf weights.
-            for (k, v) in class_graphs.features(&texts[i]).to_vec().iter().enumerate() {
+            for (k, v) in class_graphs.features(i).to_vec().iter().enumerate() {
                 pairs.push((text_dim + k as u32, v * 10.0));
             }
             pairs.push((text_dim + 8, trust[i]));

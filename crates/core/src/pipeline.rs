@@ -17,8 +17,9 @@
 //!   [`ExtractedCorpus`] (identified by a content fingerprint, so one
 //!   store can serve both datasets of the drift study). Its methods are
 //!   the artifact accessors: subsampled documents, N-Gram-Graph texts,
-//!   fold splits, fitted TF-IDF models, per-fold class graphs, the
-//!   Algorithm 1 web graph, and TrustRank score vectors.
+//!   fold splits, fitted TF-IDF models, per-fold class graphs (which
+//!   memoize each document's features against them), the Algorithm 1
+//!   web graph, and TrustRank score vectors.
 //! * [`Executor`] — a scoped-thread work-stealing executor (the
 //!   `std::thread::scope` pattern the fold loops already used, made
 //!   reusable) that runs `n` indexed jobs on up to `PHARMAVERIFY_JOBS`
@@ -33,11 +34,11 @@
 //! results back to submission order before anyone observes them.
 
 use crate::classify::{build_web_graph, pharmacy_trust_scores, NetworkArtifacts};
-use crate::classify::{subsampled_documents, CvConfig};
+use crate::classify::{ngg_document_texts, subsampled_documents, CvConfig};
 use crate::features::ExtractedCorpus;
 use pharmaverify_ml::FoldSplit;
 use pharmaverify_net::TrustRankConfig;
-use pharmaverify_ngg::{NGramGraphBuilder, NggClassGraphs};
+use pharmaverify_ngg::{NGramGraphBuilder, NggClassGraphs, NggFeatures};
 use pharmaverify_obs::Registry;
 use pharmaverify_text::TfIdfModel;
 use std::collections::HashMap;
@@ -57,7 +58,8 @@ pub enum Stage {
     FoldSplit,
     /// A TF-IDF model fitted on one training-index set.
     FittedTfIdf,
-    /// Per-fold N-Gram-Graph class graphs.
+    /// Per-fold N-Gram-Graph class graphs, with their documents'
+    /// features filled on first request.
     NggClassGraphs,
     /// The Algorithm 1 outbound-link graph.
     WebGraph,
@@ -310,7 +312,7 @@ pub struct ArtifactStore {
     texts: Memo<Vec<String>>,
     folds: Memo<FoldSplit>,
     tfidf: Memo<TfIdfModel>,
-    ngg_graphs: Memo<NggClassGraphs>,
+    ngg_graphs: Memo<NggFoldGraphs>,
     web: Memo<NetworkArtifacts>,
     trust: Memo<Vec<f64>>,
     stats: [StageStats; 7],
@@ -482,7 +484,7 @@ impl<'a> Pipeline<'a> {
             key,
             &self.store.stats[stage.index()],
             &self.store.obs,
-            || docs.iter().map(|tokens| tokens.join(" ")).collect(),
+            || ngg_document_texts(&docs),
         )
     }
 
@@ -538,14 +540,17 @@ impl<'a> Pipeline<'a> {
     /// The per-fold N-Gram-Graph class graphs (stage: `ngg-class-graphs`):
     /// each class graph merges a seeded random half of that class's
     /// training documents. The build seed is `base_seed ^ fold`, the
-    /// discipline every existing call site uses.
+    /// discipline every existing call site uses. The artifact also
+    /// memoizes each corpus document's features against the graphs
+    /// ([`NggFoldGraphs::features`]), so every consumer of one fold's
+    /// graphs shares one featurization per document.
     pub fn ngg_class_graphs(
         &self,
         subsample: Option<usize>,
         base_seed: u64,
         fold: usize,
         train_idx: &[usize],
-    ) -> Arc<NggClassGraphs> {
+    ) -> Arc<NggFoldGraphs> {
         let stage = Stage::NggClassGraphs;
         let key = self.key(
             stage,
@@ -570,12 +575,17 @@ impl<'a> Pipeline<'a> {
                     .filter(|&&i| !self.corpus.labels[i])
                     .map(|&i| texts[i].as_str())
                     .collect();
-                NggClassGraphs::build(
+                let graphs = NggClassGraphs::build(
                     NGramGraphBuilder::default(),
                     &legit,
                     &illegit,
                     base_seed ^ (fold as u64),
-                )
+                );
+                NggFoldGraphs {
+                    graphs,
+                    features: texts.iter().map(|_| OnceLock::new()).collect(),
+                    texts: Arc::clone(&texts),
+                }
             },
         )
     }
@@ -611,6 +621,38 @@ impl<'a> Pipeline<'a> {
             &self.store.obs,
             || pharmacy_trust_scores(&web, seed_idx, config),
         )
+    }
+}
+
+/// One fold's class graphs (the `ngg-class-graphs` artifact) with the
+/// texts of the corpus they were built from, and one feature slot per
+/// corpus document, filled on first request.
+pub struct NggFoldGraphs {
+    graphs: NggClassGraphs,
+    texts: Arc<Vec<String>>,
+    features: Vec<OnceLock<NggFeatures>>,
+}
+
+impl NggFoldGraphs {
+    /// Document `i`'s features against the class graphs: computed from
+    /// its text on the first request, read from the slot after.
+    ///
+    /// # Panics
+    /// Panics if `i` is not a document of the corpus.
+    pub fn features(&self, i: usize) -> NggFeatures {
+        *self.features[i].get_or_init(|| self.graphs.features(&self.texts[i]))
+    }
+}
+
+impl fmt::Debug for NggFoldGraphs {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        f.debug_struct("NggFoldGraphs")
+            .field("documents", &self.texts.len())
+            .field(
+                "featurized",
+                &self.features.iter().filter(|s| s.get().is_some()).count(),
+            )
+            .finish()
     }
 }
 
@@ -748,6 +790,7 @@ mod tests {
     use crate::features::extract_corpus;
     use pharmaverify_corpus::{CorpusConfig, SyntheticWeb};
     use pharmaverify_crawl::CrawlConfig;
+    use pharmaverify_ngg::GraphSimilarities;
     use std::collections::HashSet;
 
     fn corpus() -> ExtractedCorpus {
@@ -780,7 +823,7 @@ mod tests {
         let store = ArtifactStore::new();
         let pipe = Pipeline::new(&store, &c);
         let cached = pipe.ngg_texts(Some(250), 3);
-        let fresh = crate::classify::ngg_document_texts(&c, Some(250), 3);
+        let fresh = ngg_document_texts(&subsampled_documents(&c, Some(250), 3));
         assert_eq!(*cached, fresh);
     }
 
@@ -822,7 +865,7 @@ mod tests {
         let split = pipe.fold_split(3, 5);
         let train_idx = split.train(1);
         let cached = pipe.ngg_class_graphs(Some(100), 5, 1, train_idx);
-        let texts = crate::classify::ngg_document_texts(&c, Some(100), 5);
+        let texts = ngg_document_texts(&subsampled_documents(&c, Some(100), 5));
         let legit: Vec<&str> = train_idx
             .iter()
             .filter(|&&i| c.labels[i])
@@ -835,9 +878,62 @@ mod tests {
             .collect();
         let fresh = NggClassGraphs::build(NGramGraphBuilder::default(), &legit, &illegit, 5 ^ 1);
         assert_eq!(
-            cached.features(&texts[0]).to_vec(),
+            cached.features(0).to_vec(),
             fresh.features(&texts[0]).to_vec()
         );
+    }
+
+    fn feature_bits(features: NggFeatures) -> Vec<u64> {
+        features.to_vec().iter().map(|v| v.to_bits()).collect()
+    }
+
+    #[test]
+    fn ngg_class_graphs_memoize_every_documents_features() {
+        let c = corpus();
+        let store = ArtifactStore::new();
+        let pipe = Pipeline::new(&store, &c);
+        let split = pipe.fold_split(3, 5);
+        let fold = pipe.ngg_class_graphs(Some(100), 5, 0, split.train(0));
+        let texts = pipe.ngg_texts(Some(100), 5);
+        assert_eq!(fold.features.len(), c.len());
+        assert!(fold.features.iter().all(|slot| slot.get().is_none()));
+        for (i, text) in texts.iter().enumerate() {
+            assert_eq!(
+                feature_bits(fold.features(i)),
+                feature_bits(fold.graphs.features(text)),
+                "document {i}"
+            );
+        }
+        // Every consumer of the fold gets the same artifact, filled.
+        let again = pipe.ngg_class_graphs(Some(100), 5, 0, split.train(0));
+        assert!(Arc::ptr_eq(&fold, &again));
+        assert!(again.features.iter().all(|slot| slot.get().is_some()));
+        assert!(format!("{again:?}").contains(&format!("featurized: {}", c.len())));
+    }
+
+    #[test]
+    fn filled_ngg_feature_slot_is_reused() {
+        let c = corpus();
+        let store = ArtifactStore::new();
+        let pipe = Pipeline::new(&store, &c);
+        let split = pipe.fold_split(3, 5);
+        let fold = pipe.ngg_class_graphs(Some(100), 5, 2, split.train(2));
+        let computed = fold.features(3);
+        assert_eq!(feature_bits(fold.features(3)), feature_bits(computed));
+        // A value the graphs never produce: a second request must read
+        // the slot instead of featurizing again.
+        let planted = GraphSimilarities {
+            cs: 7.0,
+            ss: 7.0,
+            vs: 7.0,
+            nvs: 7.0,
+        };
+        let planted = NggFeatures {
+            legitimate: planted,
+            illegitimate: planted,
+        };
+        assert!(fold.features[4].set(planted).is_ok());
+        assert_eq!(feature_bits(fold.features(4)), feature_bits(planted));
     }
 
     #[test]

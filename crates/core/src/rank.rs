@@ -198,10 +198,9 @@ fn evaluate_ranking_impl(
                 }
             }
             RankingMethod::NggEquation3 => {
-                let texts = pipe.ngg_texts(subsample, cv.seed);
                 let class_graphs = pipe.ngg_class_graphs(subsample, cv.seed, f, train_idx);
                 for &i in test_idx {
-                    text_rank[i] = class_graphs.features(&texts[i]).text_rank();
+                    text_rank[i] = class_graphs.features(i).text_rank();
                 }
             }
         }

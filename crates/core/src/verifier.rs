@@ -17,7 +17,9 @@
 //! propagated over base + delta, and the overlay is rolled back — so the
 //! per-site cost is the propagation itself, not a graph copy.
 
-use crate::classify::{build_web_graph, ngg_document_texts, NetworkArtifacts, TextLearnerKind};
+use crate::classify::{
+    build_web_graph, ngg_document_texts, subsampled_documents, NetworkArtifacts, TextLearnerKind,
+};
 use crate::extensions::SeedTeleport;
 use crate::features::ExtractedCorpus;
 use pharmaverify_crawl::{summarize_crawl, CrawlConfig, Crawler, Url, WebHost};
@@ -265,7 +267,7 @@ fn crawl_tokens(crawl: &pharmaverify_crawl::CrawlResult) -> Vec<String> {
 
 /// The fast path's NGG input: the first [`NGG_FAST_TOKENS`] tokens
 /// joined by spaces, cut to at most [`NGG_FAST_CHARS`] chars.
-fn ngg_fast_input(tokens: &[String]) -> String {
+pub fn ngg_fast_input(tokens: &[String]) -> String {
     let mut input = tokens
         .iter()
         .take(NGG_FAST_TOKENS)
@@ -299,13 +301,9 @@ impl TrainedVerifier {
             !pos.is_empty() && pos.len() < corpus.len(),
             "corpus must contain both classes"
         );
-        // Text model.
-        let docs: Vec<Vec<String>> = corpus
-            .tokens
-            .iter()
-            .enumerate()
-            .map(|(i, t)| subsample_opt(t, subsample, seed ^ ((i as u64) << 8)))
-            .collect();
+        // Text model. The same subsample draw, joined, feeds the class
+        // graphs below.
+        let docs = subsampled_documents(corpus, subsample, seed);
         let tfidf = TfIdfModel::fit(&docs);
         let weighting = kind.weighting();
         let text_uses_counts = weighting == crate::classify::TermWeighting::RawCounts;
@@ -351,7 +349,7 @@ impl TrainedVerifier {
         // class means over a small deterministic sample of training
         // texts; half the gap between the means is the distance at which
         // NGG confidence saturates.
-        let ngg_texts = ngg_document_texts(corpus, subsample, seed);
+        let ngg_texts = ngg_document_texts(&docs);
         let legit_texts: Vec<&str> = (0..corpus.len())
             .filter(|&i| corpus.labels[i])
             .map(|i| ngg_texts[i].as_str())
@@ -683,6 +681,12 @@ impl TrainedVerifier {
     /// frozen.
     pub fn graph(&self) -> &pharmaverify_net::CsrGraph {
         &self.artifacts.graph
+    }
+
+    /// The per-class n-gram graphs the fast path's NGG opinion compares
+    /// against.
+    pub fn ngg_class_graphs(&self) -> &NggClassGraphs {
+        &self.ngg
     }
 }
 

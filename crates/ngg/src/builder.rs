@@ -6,11 +6,20 @@
 //! co-occurrence of §4.1.2 — and each co-occurrence adds 1 to the directed
 //! edge's weight.
 //!
-//! Construction interns the grams, collects every in-window pair as one
-//! packed `u64`, sorts the pairs once and counts each run of equal pairs
-//! into its edge's weight. Counts are small integers, exact in `f64`.
+//! Construction interns the grams into a table sized once from the
+//! text and then writes each source's row directly, with no sort. A
+//! counting sort lists every gram's positions, grouped by gram id.
+//! Visiting the targets in ascending id order, and for each of its
+//! positions the `Dwin` positions before it, hands every source its
+//! in-window pairs in ascending target order, so a source's repeated
+//! target always continues its latest edge. One visit counts each
+//! row's distinct targets, and a second fills the exactly sized rows,
+//! adding 1 to an edge per repeat. Counts are small integers, exact in
+//! `f64`. Ids, edge order and weights are those of sorting every packed
+//! `(from, to)` pair and counting runs, without materializing the
+//! pairs: scratch memory is a few words per text position and per gram.
 
-use crate::graph::{edge_key, edge_of, NGramGraph};
+use crate::graph::NGramGraph;
 use crate::intern::GramTable;
 use crate::{NGRAM_RANK, WINDOW};
 
@@ -68,34 +77,82 @@ impl NGramGraphBuilder {
     /// produce an empty graph; a text with exactly one n-gram produces a
     /// single vertex and no edges.
     pub fn build(&self, text: &str) -> NGramGraph {
-        let mut grams = GramTable::default();
-        // Byte offsets of char boundaries let us slice n-grams without
-        // allocating per window.
-        let boundaries: Vec<usize> = text
-            .char_indices()
-            .map(|(i, _)| i)
-            .chain(std::iter::once(text.len()))
-            .collect();
-        let n_chars = boundaries.len() - 1;
+        let n_chars = text.chars().count();
         if n_chars < self.rank {
-            return NGramGraph::freeze(grams, []);
+            return NGramGraph::from_rows(GramTable::default(), vec![0], Vec::new(), Vec::new());
         }
         let n_grams = n_chars - self.rank + 1;
-        let ids: Vec<u32> = (0..n_grams)
-            .map(|start| grams.intern(&text[boundaries[start]..boundaries[start + self.rank]]))
+        let mut grams = GramTable::with_capacity(n_grams);
+        // Gram `k` spans from the `k`-th char boundary to the
+        // `(k + rank)`-th, the end of the text counting as the last.
+        let starts = text.char_indices().map(|(i, _)| i);
+        let ends = starts.clone().skip(self.rank).chain([text.len()]);
+        let ids: Vec<u32> = starts
+            .zip(ends)
+            .map(|(start, end)| grams.intern(&text[start..end]))
             .collect();
-        let mut pairs: Vec<u64> =
-            Vec::with_capacity(n_grams.saturating_mul(self.window.min(n_grams)));
-        for (pos, &from) in ids.iter().enumerate() {
-            let end = (pos + self.window).min(n_grams - 1);
-            pairs.extend(ids[pos + 1..=end].iter().map(|&to| edge_key(from, to)));
+        let n = grams.len();
+        // `occurrences[at[g]..at[g + 1]]`: the positions of gram `g`.
+        let mut at = vec![0usize; n + 1];
+        for &id in &ids {
+            at[id as usize + 1] += 1;
         }
-        pairs.sort_unstable();
-        let edges = pairs.chunk_by(|a, b| a == b).map(|run| {
-            let (from, to) = edge_of(run[0]);
-            (from, to, run.len() as f64)
+        for g in 0..n {
+            at[g + 1] += at[g];
+        }
+        let mut occurrences = vec![0usize; n_grams];
+        let mut cursor = at.clone();
+        for (pos, &id) in ids.iter().enumerate() {
+            occurrences[cursor[id as usize]] = pos;
+            cursor[id as usize] += 1;
+        }
+        // `last[f]`: the target of source `f`'s latest edge so far.
+        const NONE: u32 = u32::MAX;
+        let mut last = vec![NONE; n];
+        let mut offsets = vec![0usize; n + 1];
+        for_each_pair(&ids, &occurrences, &at, self.window, |from, to| {
+            if last[from] != to {
+                last[from] = to;
+                offsets[from + 1] += 1;
+            }
         });
-        NGramGraph::freeze(grams, edges)
+        for f in 0..n {
+            offsets[f + 1] += offsets[f];
+        }
+        let edges = offsets[n];
+        let mut targets = vec![0u32; edges];
+        let mut weights = vec![0.0f64; edges];
+        let mut end = offsets.clone();
+        last.fill(NONE);
+        for_each_pair(&ids, &occurrences, &at, self.window, |from, to| {
+            if last[from] != to {
+                last[from] = to;
+                targets[end[from]] = to;
+                end[from] += 1;
+            }
+            weights[end[from] - 1] += 1.0;
+        });
+        NGramGraph::from_rows(grams, offsets, targets, weights)
+    }
+}
+
+/// Calls `visit(from, to)` for every in-window pair of gram ids,
+/// grouped by target in ascending id order: for each position of `to`
+/// (`occurrences[at[to]..at[to + 1]]`), the `window` positions before
+/// it, in text order.
+fn for_each_pair(
+    ids: &[u32],
+    occurrences: &[usize],
+    at: &[usize],
+    window: usize,
+    mut visit: impl FnMut(usize, u32),
+) {
+    for (to, span) in at.windows(2).enumerate() {
+        for &pos in &occurrences[span[0]..span[1]] {
+            for &from in &ids[pos.saturating_sub(window)..pos] {
+                visit(from as usize, to as u32);
+            }
+        }
     }
 }
 

@@ -5,11 +5,17 @@
 //! half of that class's training documents (§6.3.1). Every document is then
 //! described by its four similarities against each class graph — an
 //! 8-dimensional feature vector fed to the downstream classifiers.
+//!
+//! The class graphs carry one joint gram index: every gram of either
+//! graph, with its id in each. A document's grams are looked up there
+//! once apiece, and one walk of its rows scores both class graphs
+//! ([`crate::similarity`]).
 
 use crate::builder::NGramGraphBuilder;
 use crate::graph::NGramGraph;
+use crate::intern::GramTable;
 use crate::merge::ClassGraph;
-use crate::similarity::GraphSimilarities;
+use crate::similarity::{compare, GraphSimilarities, ABSENT};
 use rand::rngs::SmallRng;
 use rand::seq::SliceRandom;
 use rand::SeedableRng;
@@ -20,6 +26,45 @@ pub struct NggClassGraphs {
     builder: NGramGraphBuilder,
     legitimate: NGramGraph,
     illegitimate: NGramGraph,
+    index: JointIndex,
+}
+
+/// Every gram of either class graph with its `[legitimate,
+/// illegitimate]` ids, [`ABSENT`] where a class lacks the gram: the
+/// source of the translation table [`compare`] reads.
+#[derive(Debug, Clone)]
+struct JointIndex {
+    grams: GramTable,
+    ids: Vec<[u32; 2]>,
+}
+
+impl JointIndex {
+    fn new(classes: [&NGramGraph; 2]) -> Self {
+        let mut grams = GramTable::with_capacity(classes.iter().map(|g| g.node_count()).sum());
+        let mut ids = Vec::new();
+        for (c, graph) in classes.into_iter().enumerate() {
+            for id in 0..graph.node_count() as u32 {
+                let joint = grams.intern(graph.gram(id)) as usize;
+                if joint == ids.len() {
+                    ids.push([ABSENT; 2]);
+                }
+                ids[joint][c] = id;
+            }
+        }
+        grams.shrink_to_fit();
+        JointIndex { grams, ids }
+    }
+
+    /// Each of `doc`'s grams in both class id spaces.
+    fn translate(&self, doc: &NGramGraph) -> Vec<[u32; 2]> {
+        (0..doc.node_count() as u32)
+            .map(|id| {
+                self.grams
+                    .get(doc.gram(id))
+                    .map_or([ABSENT; 2], |joint| self.ids[joint as usize])
+            })
+            .collect()
+    }
 }
 
 /// The 8 similarity features of one document against both class graphs.
@@ -90,11 +135,7 @@ impl NggClassGraphs {
         let mut rng = SmallRng::seed_from_u64(seed);
         let legitimate = Self::merge_half(&builder, legitimate_texts, &mut rng);
         let illegitimate = Self::merge_half(&builder, illegitimate_texts, &mut rng);
-        NggClassGraphs {
-            builder,
-            legitimate,
-            illegitimate,
-        }
+        Self::new(builder, legitimate, illegitimate)
     }
 
     /// Builds class graphs from *all* the given texts (no sampling) —
@@ -112,10 +153,16 @@ impl NggClassGraphs {
         for t in illegitimate_texts {
             illegit.merge(&builder.build(t));
         }
+        Self::new(builder, legit.into_graph(), illegit.into_graph())
+    }
+
+    fn new(builder: NGramGraphBuilder, legitimate: NGramGraph, illegitimate: NGramGraph) -> Self {
+        let index = JointIndex::new([&legitimate, &illegitimate]);
         NggClassGraphs {
             builder,
-            legitimate: legit.into_graph(),
-            illegitimate: illegit.into_graph(),
+            legitimate,
+            illegitimate,
+            index,
         }
     }
 
@@ -146,11 +193,16 @@ impl NggClassGraphs {
         self.features_of_graph(&doc)
     }
 
-    /// Extracts features for an already-built document graph.
+    /// Extracts features for an already-built document graph: equal to
+    /// [`GraphSimilarities::compute`] against each class graph, in one
+    /// walk of `doc`.
     pub fn features_of_graph(&self, doc: &NGramGraph) -> NggFeatures {
+        let translate = self.index.translate(doc);
+        let [legitimate, illegitimate] =
+            compare(doc, &translate, [&self.legitimate, &self.illegitimate]);
         NggFeatures {
-            legitimate: GraphSimilarities::compute(doc, &self.legitimate),
-            illegitimate: GraphSimilarities::compute(doc, &self.illegitimate),
+            legitimate,
+            illegitimate,
         }
     }
 }

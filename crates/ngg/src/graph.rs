@@ -9,16 +9,25 @@
 //! once built; [`crate::NGramGraphBuilder`] and [`crate::ClassGraph`]
 //! produce them.
 //!
-//! An edge lookup is a binary search in its source's row. Comparing a
-//! ~2,000-char document graph against the two class graphs of the
-//! medium corpus (101k and 396k edges) takes up to ~10,000 probes, which
-//! cost more than building the document graph when edges lived in a
-//! `BTreeMap<(u32, u32), f64>`. On the performance ledger's traced
-//! `fed-cold` run (2-vCPU Xeon VM), rows took the NGG opinion
-//! (`ngg.fast_opinion_ms_p50`) from 3.62 ms to 0.79 ms and
+//! Two constructors lay rows out. A document graph's rows are written
+//! directly, already sorted, by [`crate::NGramGraphBuilder`]; a class
+//! graph's edge sums are sorted once and frozen by
+//! [`crate::ClassGraph`]. An edge lookup is a binary search in its
+//! source's row. Scoring a document walks its rows once and probes the
+//! matching rows of both class graphs per edge ([`crate::similarity`]).
+//!
+//! Rows replaced a `BTreeMap<(u32, u32), f64>` edge store. On the
+//! performance ledger's traced `fed-cold` run (medium corpus, class
+//! graphs of 101k and 396k edges, 2-vCPU Xeon VM) they took the NGG
+//! opinion (`ngg.fast_opinion_ms_p50`) from 3.62 ms to 0.79 ms and
 //! `verify_text_only` (`core.verify_text_only_ms_p50`) from 4.28 ms to
-//! 1.33 ms; class-graph construction per `eval-small` run
-//! (`ngg.class_graphs.build_s`) went from 2.02 s to 0.46 s.
+//! 1.33 ms, and class-graph construction per `eval-small` run
+//! (`ngg.class_graphs.build_s`) from 2.02 s to 0.46 s. Writing document
+//! rows without a sort, and scoring both class graphs in one walk over
+//! a joint gram index, then took the opinion from 1.60 ms to 1.10 ms
+//! and class-graph construction from 0.76 s to 0.50 s (one traced run
+//! per side, `fed-cold` seed 32 and `eval-small` seed 31, on the same VM
+//! at a slower time; compare ratios, not times, across the two rounds).
 
 use crate::intern::GramTable;
 
@@ -44,10 +53,11 @@ pub struct NGramGraph {
 }
 
 impl NGramGraph {
-    /// Freezes `edges` over the grams of `grams`. The edges must come
-    /// sorted by `(from, to)` with no pair repeated, and name interned
-    /// ids only.
-    pub(crate) fn freeze<I>(mut grams: GramTable, edges: I) -> Self
+    /// Freezes `edges` over the grams of `grams` (how a class graph
+    /// comes out of [`crate::ClassGraph`]). The edges must come sorted
+    /// by `(from, to)` with no pair repeated, and name interned ids
+    /// only.
+    pub(crate) fn freeze<I>(grams: GramTable, edges: I) -> Self
     where
         I: IntoIterator<Item = (u32, u32, f64)>,
     {
@@ -63,14 +73,31 @@ impl NGramGraph {
                 offsets.push(targets.len());
             }
             debug_assert!(offsets.len() == from as usize + 1);
-            debug_assert!(targets.len() == offsets[from as usize] || targets.last() < Some(&to));
             targets.push(to);
             weights.push(weight);
         }
         offsets.resize(n + 1, targets.len());
-        grams.shrink_to_fit();
         targets.shrink_to_fit();
         weights.shrink_to_fit();
+        Self::from_rows(grams, offsets, targets, weights)
+    }
+
+    /// Wraps rows laid out already: `offsets` holds `grams.len() + 1`
+    /// row boundaries into `targets`/`weights`, and each row's targets
+    /// ascend.
+    pub(crate) fn from_rows(
+        mut grams: GramTable,
+        offsets: Vec<usize>,
+        targets: Vec<u32>,
+        weights: Vec<f64>,
+    ) -> Self {
+        debug_assert_eq!(offsets.len(), grams.len() + 1);
+        debug_assert_eq!(offsets.last(), Some(&targets.len()));
+        debug_assert_eq!(targets.len(), weights.len());
+        debug_assert!(offsets
+            .windows(2)
+            .all(|w| targets[w[0]..w[1]].windows(2).all(|t| t[0] < t[1])));
+        grams.shrink_to_fit();
         NGramGraph {
             grams,
             offsets,

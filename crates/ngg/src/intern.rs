@@ -66,6 +66,14 @@ pub(crate) struct GramTable {
 }
 
 impl GramTable {
+    /// An empty table whose slots hold `grams` ids without growing.
+    pub(crate) fn with_capacity(grams: usize) -> Self {
+        GramTable {
+            slots: vec![VACANT; (2 * grams).next_power_of_two().max(16)],
+            ..GramTable::default()
+        }
+    }
+
     /// Number of interned grams.
     pub(crate) fn len(&self) -> usize {
         self.ends.len()

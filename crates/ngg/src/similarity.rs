@@ -10,9 +10,22 @@
 //!
 //! Degenerate cases (not defined by the paper) are pinned down here: two
 //! empty graphs are identical (all similarities 1); comparing an empty
-//! graph with a non-empty one yields 0.
+//! graph with a non-empty one yields 0 (VS is the empty sum `-0.0`).
+//!
+//! One routine, [`compare`], scores a document graph against any number
+//! of class graphs in a single walk of the document's rows: each
+//! document gram arrives translated into every class's id space, and
+//! each document edge probes every class row with a binary search.
+//! Shared edges are counted and their weight ratios summed per class in
+//! the document's `(from, to)` edge order, which fixes the `f64` result.
+//! [`GraphSimilarities::compute`] is its one-class case, and
+//! [`crate::NggClassGraphs`] scores both class graphs in one walk.
 
 use crate::graph::NGramGraph;
+
+/// Marks a gram that a class graph does not hold, in [`compare`]'s
+/// translation table. Never an issued gram id.
+pub(crate) const ABSENT: u32 = u32::MAX;
 
 /// All four similarity values between a pair of graphs.
 #[derive(Debug, Clone, Copy, PartialEq)]
@@ -28,18 +41,21 @@ pub struct GraphSimilarities {
 }
 
 impl GraphSimilarities {
-    /// Computes all four measures between `gi` and `gj`.
-    ///
-    /// One pass over `gi`: its gram ids are translated into `gj`'s id
-    /// space once per gram, then each of `gi`'s rows is walked in order
-    /// and every edge is probed with a binary search in `gj`'s matching
-    /// row. Shared edges are counted and their weight ratios summed in
-    /// `gi`'s `(from, to)` edge order, which fixes the `f64` result.
+    /// Computes all four measures between `gi` and `gj`: [`compare`]
+    /// with `gj` as the one class graph, `gi`'s grams translated into
+    /// `gj`'s id space once per gram.
     pub fn compute(gi: &NGramGraph, gj: &NGramGraph) -> Self {
-        let (min, max) = (
-            gi.edge_count().min(gj.edge_count()),
-            gi.edge_count().max(gj.edge_count()),
-        );
+        let translate: Vec<[u32; 1]> = (0..gi.node_count() as u32)
+            .map(|id| [gj.gram_id(gi.gram(id)).unwrap_or(ABSENT)])
+            .collect();
+        let [sims] = compare(gi, &translate, [gj]);
+        sims
+    }
+
+    /// The measures from edge counts and the shared-edge tallies, with
+    /// the degenerate cases of the module docs.
+    fn from_tallies(doc_edges: usize, class_edges: usize, shared: usize, vs_sum: f64) -> Self {
+        let (min, max) = (doc_edges.min(class_edges), doc_edges.max(class_edges));
         if max == 0 {
             // Both empty: identical.
             return GraphSimilarities {
@@ -49,50 +65,73 @@ impl GraphSimilarities {
                 nvs: 1.0,
             };
         }
-        if min == 0 {
-            // One empty: nothing shared. `vs` is the empty sum divided
-            // by `max`, signed as below.
-            return GraphSimilarities {
-                cs: 0.0,
-                ss: 0.0,
-                vs: -0.0,
-                nvs: 0.0,
-            };
-        }
-        let translate: Vec<Option<u32>> = (0..gi.node_count() as u32)
-            .map(|id| gj.gram_id(gi.gram(id)))
-            .collect();
-        let mut shared = 0usize;
-        // Starting at `-0.0`, `Iterator::sum`'s f64 identity, makes VS
-        // `-0.0` when no edge is shared; report bytes pin that sign.
-        let mut vs_sum = -0.0f64;
-        for (from, from_j) in translate.iter().enumerate() {
-            let Some(from_j) = *from_j else {
-                continue;
-            };
-            let (targets_j, weights_j) = gj.row(from_j);
-            if targets_j.is_empty() {
-                continue;
-            }
-            let (targets_i, weights_i) = gi.row(from as u32);
-            for (&to, &wi) in targets_i.iter().zip(weights_i) {
-                let Some(to_j) = translate[to as usize] else {
-                    continue;
-                };
-                if let Ok(k) = targets_j.binary_search(&to_j) {
-                    let wj = weights_j[k];
-                    shared += 1;
-                    let (lo, hi) = if wi < wj { (wi, wj) } else { (wj, wi) };
-                    vs_sum += if hi == 0.0 { 0.0 } else { lo / hi };
-                }
-            }
-        }
-        let cs = shared as f64 / min as f64;
+        // With one graph empty nothing is shared: CS is pinned to 0 (its
+        // denominator `min` is 0), SS and NVS come out 0, and VS is the
+        // empty sum `-0.0` over `max`.
+        let cs = if min == 0 {
+            0.0
+        } else {
+            shared as f64 / min as f64
+        };
         let ss = min as f64 / max as f64;
         let vs = vs_sum / max as f64;
         let nvs = if ss == 0.0 { 0.0 } else { vs / ss };
         GraphSimilarities { cs, ss, vs, nvs }
     }
+}
+
+/// The similarities of `doc` against each of `classes`, in one walk of
+/// `doc`'s rows. `translate[g][c]` is class `c`'s id of `doc`'s gram
+/// `g`, or [`ABSENT`]; it holds one entry per `doc` gram.
+pub(crate) fn compare<const N: usize>(
+    doc: &NGramGraph,
+    translate: &[[u32; N]],
+    classes: [&NGramGraph; N],
+) -> [GraphSimilarities; N] {
+    debug_assert_eq!(translate.len(), doc.node_count());
+    let mut shared = [0usize; N];
+    // Starting at `-0.0`, `Iterator::sum`'s f64 identity, makes VS
+    // `-0.0` when no edge is shared; report bytes pin that sign.
+    let mut vs_sum = [-0.0f64; N];
+    for (from, from_ids) in translate.iter().enumerate() {
+        let (targets, weights) = doc.row(from as u32);
+        if targets.is_empty() {
+            continue;
+        }
+        let rows: [(&[u32], &[f64]); N] = std::array::from_fn(|c| match from_ids[c] {
+            ABSENT => (&[][..], &[][..]),
+            id => classes[c].row(id),
+        });
+        if rows
+            .iter()
+            .all(|(class_targets, _)| class_targets.is_empty())
+        {
+            continue;
+        }
+        for (&to, &wi) in targets.iter().zip(weights) {
+            let to_ids = &translate[to as usize];
+            for c in 0..N {
+                let (class_targets, class_weights) = rows[c];
+                if to_ids[c] == ABSENT {
+                    continue;
+                }
+                if let Ok(k) = class_targets.binary_search(&to_ids[c]) {
+                    let wj = class_weights[k];
+                    shared[c] += 1;
+                    let (lo, hi) = if wi < wj { (wi, wj) } else { (wj, wi) };
+                    vs_sum[c] += if hi == 0.0 { 0.0 } else { lo / hi };
+                }
+            }
+        }
+    }
+    std::array::from_fn(|c| {
+        GraphSimilarities::from_tallies(
+            doc.edge_count(),
+            classes[c].edge_count(),
+            shared[c],
+            vs_sum[c],
+        )
+    })
 }
 
 #[cfg(test)]

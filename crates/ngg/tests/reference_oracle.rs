@@ -191,6 +191,54 @@ proptest! {
     }
 }
 
+/// Legitimate texts over `[a-d ]` and illegitimate ones over `[c-fé ]`:
+/// the class graphs share only the grams over `[c-d ]`, so the joint
+/// gram index holds grams missing from one class. Documents over
+/// `[a-fé ]` also hold grams missing from both.
+const LEGIT_ONLY: &str = "[a-d ]{0,50}";
+const ILLEGIT_ONLY: &str = "[c-fé ]{0,50}";
+const EITHER: &str = "[a-fé ]{0,50}";
+
+proptest! {
+    #[test]
+    fn features_match_reference_over_partly_shared_grams(
+        legit in prop::collection::vec(LEGIT_ONLY, 1..5),
+        illegit in prop::collection::vec(ILLEGIT_ONLY, 1..5),
+        docs in prop::collection::vec(EITHER, 1..4),
+    ) {
+        let legit: Vec<&str> = legit.iter().map(String::as_str).collect();
+        let illegit: Vec<&str> = illegit.iter().map(String::as_str).collect();
+        let graphs = NggClassGraphs::build_full(NGramGraphBuilder::default(), &legit, &illegit);
+        let ref_class = |texts: &[&str]| {
+            RefGraph::class(&texts.iter().map(|t| RefGraph::build(t, 4, 4)).collect::<Vec<_>>())
+        };
+        let (ref_legit, ref_illegit) = (ref_class(&legit), ref_class(&illegit));
+        for doc in &docs {
+            let r = RefGraph::build(doc, 4, 4);
+            let (l, i) = (r.similarities(&ref_legit), r.similarities(&ref_illegit));
+            let expected: Vec<u64> = l.iter().chain(&i).map(|v| v.to_bits()).collect();
+            let features = graphs.features(doc);
+            let got: Vec<u64> = features.to_vec().iter().map(|v| v.to_bits()).collect();
+            prop_assert_eq!(got, expected);
+            prop_assert_eq!(features.text_rank().to_bits(), text_rank(l, i).to_bits());
+        }
+    }
+}
+
+/// A run of one char at the fast path's 4,096-char cap: one gram, whose
+/// row holds every window pair (16,362 equal targets) before they count
+/// into a single self-loop.
+#[test]
+fn one_char_run_at_the_fast_path_cap() {
+    for c in ['a', 'é'] {
+        let text: String = std::iter::repeat(c).take(4096).collect();
+        assert_doc_graph_matches(&text, 4, 4).unwrap();
+        let g = NGramGraphBuilder::default().build(&text);
+        assert_eq!((g.node_count(), g.edge_count()), (1, 1));
+        assert_eq!(g.edge_weight(0, 0), Some(16_362.0));
+    }
+}
+
 const LEGIT: &[&str] = &[
     "refill your prescription with a licensed pharmacist and insurance coverage",
     "consult our pharmacist about prescription refills and health insurance",
