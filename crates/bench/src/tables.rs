@@ -13,11 +13,11 @@
 use crate::context::{ReproContext, REPRO_SEED};
 use pharmaverify_core::classify::{
     evaluate_ensemble_in, evaluate_network_in, evaluate_ngg_in, evaluate_tfidf_in, CvConfig,
-    TextLearnerKind,
+    TermWeighting, TextLearnerKind,
 };
 use pharmaverify_core::drift_study;
 use pharmaverify_core::features::extract_corpus_from;
-use pharmaverify_core::pipeline::{Executor, Pipeline};
+use pharmaverify_core::pipeline::{Executor, NggFoldGraphs, Pipeline};
 use pharmaverify_core::rank::{evaluate_ranking_in, RankingMethod};
 use pharmaverify_core::report::{abbreviations, Table};
 use pharmaverify_crawl::{CrawlConfig, FaultConfig, FaultyWeb};
@@ -180,9 +180,10 @@ pub fn table6(grid: &GridResults) -> Table {
 /// Runs the full N-Gram-Graph grid (Tables 7–10). The per-fold class
 /// graphs and document features are computed once per subsample size and
 /// shared by all four classifiers — the expensive part is the graph work,
-/// not the learning — and the features stay memoized in the class-graph
-/// artifacts for the other NGG studies. Subsample sizes dispatch across
-/// the executor.
+/// not the learning — with each document's graph built once for all
+/// folds ([`NggFoldGraphs::fill_all`]); the features stay memoized in
+/// the class-graph artifacts for the other NGG studies. Subsample sizes
+/// dispatch across the executor.
 pub fn ngg_grid(ctx: &ReproContext, exec: Executor) -> GridResults {
     let corpus = &ctx.corpus1;
     let cv = ctx.cv;
@@ -194,18 +195,24 @@ pub fn ngg_grid(ctx: &ReproContext, exec: Executor) -> GridResults {
     let columns: Vec<Vec<EvalSummary>> = exec.run(sizes.len(), |s| {
         let (size, _) = sizes[s];
         // Per fold: features for every document against this fold's class
-        // graphs. Folds run in parallel.
-        let fold_datasets: Vec<Dataset> = split.par_map(|f, train_idx, _| {
-            let graphs = pipe.ngg_class_graphs(size, cv.seed, f, train_idx);
-            let mut all = Dataset::new(8);
-            for (i, &label) in corpus.labels.iter().enumerate() {
-                all.push(
-                    SparseVector::from_dense(&graphs.features(i).to_vec()),
-                    label,
-                );
-            }
-            all
-        });
+        // graphs, each document's graph built once for all folds. Folds
+        // build their class graphs in parallel.
+        let folds =
+            split.par_map(|f, train_idx, _| pipe.ngg_class_graphs(size, cv.seed, f, train_idx));
+        NggFoldGraphs::fill_all(&folds);
+        let fold_datasets: Vec<Dataset> = folds
+            .iter()
+            .map(|graphs| {
+                let mut all = Dataset::new(8);
+                for (i, &label) in corpus.labels.iter().enumerate() {
+                    all.push(
+                        SparseVector::from_dense(&graphs.features(i).to_vec()),
+                        label,
+                    );
+                }
+                all
+            })
+            .collect();
 
         NGG_ROWS
             .iter()
@@ -588,7 +595,6 @@ pub fn ablation_label_noise(ctx: &ReproContext) -> Table {
     let corpus = &ctx.corpus1;
     let cv = ctx.cv;
     let pipe = ctx.pipe1();
-    let docs = pipe.subsampled_docs(Some(1000), cv.seed);
     let split = pipe.fold_split(cv.k, cv.seed);
     let mut t = Table::new(
         "Ablation: training-label noise (1000-term subsamples)",
@@ -601,8 +607,8 @@ pub fn ablation_label_noise(ctx: &ReproContext) -> Table {
             for (f, train_idx, test_idx) in split.iter() {
                 let mut rng = SmallRng::seed_from_u64(cv.seed ^ 0x4015e ^ (f as u64));
                 let tfidf = pipe.fitted_tfidf(Some(1000), cv.seed, Some(f), train_idx);
-                let vectorize = |i: usize| kind.weighting().vectorize(&tfidf, &docs[i]);
-                let mut train = Dataset::new(tfidf.vocabulary().len().max(1));
+                let vectorize = |i: usize| tfidf.vector(i, kind.weighting());
+                let mut train = Dataset::new(tfidf.dim());
                 for &i in train_idx {
                     let label = if noise > 0.0 && rng.gen_bool(noise) {
                         !corpus.labels[i]
@@ -780,7 +786,6 @@ pub fn ablation_svm_ranking(ctx: &ReproContext) -> Table {
     let corpus = &ctx.corpus1;
     let cv = ctx.cv;
     let pipe = ctx.pipe1();
-    let docs = pipe.subsampled_docs(Some(1000), cv.seed);
     let split = pipe.fold_split(cv.k, cv.seed);
     let mut hard = vec![0.0; corpus.len()];
     let mut margin = vec![0.0; corpus.len()];
@@ -788,9 +793,9 @@ pub fn ablation_svm_ranking(ctx: &ReproContext) -> Table {
 
     for (f, train_idx, test_idx) in split.iter() {
         let tfidf = pipe.fitted_tfidf(Some(1000), cv.seed, Some(f), train_idx);
-        let mut train = Dataset::new(tfidf.vocabulary().len().max(1));
+        let mut train = Dataset::new(tfidf.dim());
         for &i in train_idx {
-            train.push(tfidf.transform(&docs[i]), corpus.labels[i]);
+            train.push(tfidf.vector(i, TermWeighting::TfIdf), corpus.labels[i]);
         }
         let model = LinearSvm::default().fit_svm(&train);
         // Platt scaling fitted on the training decisions.
@@ -798,7 +803,7 @@ pub fn ablation_svm_ranking(ctx: &ReproContext) -> Table {
             train.features().iter().map(|x| model.decision(x)).collect();
         let scaler = PlattScaler::fit(&train_decisions, train.labels());
         for &i in test_idx {
-            let d = model.decision(&tfidf.transform(&docs[i]));
+            let d = model.decision(&tfidf.vector(i, TermWeighting::TfIdf));
             hard[i] = if d >= 0.0 { 1.0 } else { 0.0 };
             margin[i] = d;
             platt[i] = scaler.map(|s| s.calibrate(d)).unwrap_or(0.5);
@@ -828,7 +833,6 @@ pub fn ablation_feature_selection(ctx: &ReproContext) -> Table {
     let corpus = &ctx.corpus1;
     let cv = ctx.cv;
     let pipe = ctx.pipe1();
-    let docs = pipe.subsampled_docs(Some(1000), cv.seed);
     let split = pipe.fold_split(cv.k, cv.seed);
     let mut t = Table::new(
         "Ablation: information-gain feature selection (NBM, 1000-term subsamples)",
@@ -845,9 +849,9 @@ pub fn ablation_feature_selection(ctx: &ReproContext) -> Table {
         for (f, train_idx, test_idx) in split.iter() {
             let tfidf = pipe.fitted_tfidf(Some(1000), cv.seed, Some(f), train_idx);
             let counts = |idx: &[usize]| {
-                let mut data = Dataset::new(tfidf.vocabulary().len().max(1));
+                let mut data = Dataset::new(tfidf.dim());
                 for &i in idx {
-                    data.push(tfidf.term_counts(&docs[i]), corpus.labels[i]);
+                    data.push(tfidf.vector(i, TermWeighting::RawCounts), corpus.labels[i]);
                 }
                 data
             };

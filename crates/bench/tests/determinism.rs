@@ -8,7 +8,9 @@
 //! `report_digests.tsv`, so a change that moves a report byte against
 //! its parent fails here, naming the section.
 
-use pharmaverify_bench::{adversarial_study, render_report, ReproContext, Scale, Selection};
+use pharmaverify_bench::{
+    adversarial_study, render_report, tables, ReproContext, Scale, Selection,
+};
 use pharmaverify_core::pipeline::Executor;
 use pharmaverify_corpus::AttackKind;
 use std::collections::BTreeMap;
@@ -119,6 +121,15 @@ fn report_is_identical_across_thread_counts_and_cache_warmth() {
     let drift = digest_drift(
         "repro --scale small --attack link-farm --attack-strength 0.6",
         &format!("{adversarial}"),
+    );
+    assert!(drift.is_empty(), "{}", drift.join("\n"));
+
+    // The robustness section is the suffix `--fault-rate 0.2` appends:
+    // the TF-IDF and ranking pipelines on faulted re-crawls of Dataset 1.
+    let robustness = tables::robustness_study(&ctx, Executor::new(2), 0.2);
+    let drift = digest_drift(
+        "repro --scale small --fault-rate 0.2",
+        &format!("{robustness}"),
     );
     assert!(drift.is_empty(), "{}", drift.join("\n"));
 }

@@ -21,15 +21,17 @@
 //!
 //! Every pipeline is one loop over the stratified [`FoldSplit`] its
 //! artifact store caches: featurize the training split, fit, and measure
-//! the test split with [`FoldOutcome::score`] (one featurization per
-//! test row). The TF-IDF and N-Gram-Graph pipelines run a scoped thread
-//! per fold ([`FoldSplit::par_map`]); the others run their folds
-//! serially. The network fold loop is shared with
+//! the test split with [`FoldOutcome::score`], reading each document's
+//! vector from the fold artifact that owns it (the fitted TF-IDF model
+//! or the class graphs, which compute it once). The TF-IDF,
+//! N-Gram-Graph and ensemble pipelines run a scoped thread per fold
+//! ([`FoldSplit::par_map`]); the network pipeline runs its folds
+//! serially, in the loop it shares with
 //! [`crate::extensions::evaluate_network_variant`].
 
 use crate::extensions::{network_folds, NetworkVariant};
 use crate::features::ExtractedCorpus;
-use crate::pipeline::{ArtifactStore, Executor, Pipeline};
+use crate::pipeline::{ArtifactStore, Executor, NggFoldGraphs, Pipeline};
 use pharmaverify_ml::{
     greedy_auc_selection, CvOutcome, Dataset, DecisionTree, FoldOutcome, FoldSplit,
     GaussianNaiveBayes, Learner, LinearSvm, Mlp, Model, MultinomialNaiveBayes, Sampling,
@@ -141,6 +143,9 @@ pub enum TermWeighting {
 
 impl TermWeighting {
     /// Vectorizes a document under this weighting with a fitted model.
+    /// Corpus documents are vectorized once per model by the
+    /// `fitted-tfidf` artifact ([`crate::pipeline::FittedTfIdf::vector`]);
+    /// this is the path for documents outside it.
     pub fn vectorize(self, model: &TfIdfModel, doc: &[String]) -> SparseVector {
         match self {
             TermWeighting::RawCounts => model.term_counts(doc),
@@ -188,9 +193,9 @@ pub fn evaluate_tfidf(
     )
 }
 
-/// [`evaluate_tfidf`] against a shared artifact store: the subsample
-/// draw, fold split, and per-fold TF-IDF models are requested from the
-/// pipeline instead of rebuilt.
+/// [`evaluate_tfidf`] against a shared artifact store: the fold split
+/// and the per-fold TF-IDF models, with each document's vector over
+/// them, are requested from the pipeline instead of rebuilt.
 pub fn evaluate_tfidf_in(
     pipe: Pipeline<'_>,
     learner: &dyn Learner,
@@ -201,18 +206,17 @@ pub fn evaluate_tfidf_in(
 ) -> CvOutcome {
     let corpus = pipe.corpus();
     assert!(!corpus.is_empty(), "corpus must not be empty");
-    let docs = pipe.subsampled_docs(subsample, cv.seed);
     let split = pipe.fold_split(cv.k, cv.seed);
     let folds = split.par_map(|f, train_idx, test_idx| {
         let tfidf = pipe.fitted_tfidf(subsample, cv.seed, Some(f), train_idx);
-        let mut train = Dataset::new(tfidf.vocabulary().len().max(1));
+        let mut train = Dataset::new(tfidf.dim());
         for &i in train_idx {
-            train.push(weighting.vectorize(&tfidf, &docs[i]), corpus.labels[i]);
+            train.push(tfidf.vector(i, weighting), corpus.labels[i]);
         }
         let model = learner.fit(&sampling.apply(&train, cv.seed));
         let rows = test_idx
             .iter()
-            .map(|&i| (weighting.vectorize(&tfidf, &docs[i]), corpus.labels[i]));
+            .map(|&i| (tfidf.vector(i, weighting), corpus.labels[i]));
         FoldOutcome::score(&model, rows)
     });
     CvOutcome { folds }
@@ -384,11 +388,11 @@ pub fn evaluate_ensemble(
     evaluate_ensemble_in(Pipeline::new(&store, corpus), subsample, cv)
 }
 
-/// [`evaluate_ensemble`] against a shared artifact store. The subsample
-/// draw, fold split, and link graph are shared artifacts; the per-fold
-/// TF-IDF fit and class graphs are keyed by the ensemble's sub-training
-/// index set, so they never collide with (or shadow) the standard
-/// fold-training models of [`evaluate_tfidf_in`].
+/// [`evaluate_ensemble`] against a shared artifact store. The fold
+/// split and link graph are shared artifacts; the per-fold TF-IDF fit
+/// and class graphs are keyed by the ensemble's sub-training index set,
+/// so they never collide with (or shadow) the standard fold-training
+/// models of [`evaluate_tfidf_in`]. Folds run on a scoped thread each.
 pub fn evaluate_ensemble_in(
     pipe: Pipeline<'_>,
     subsample: Option<usize>,
@@ -404,24 +408,32 @@ pub fn evaluate_ensemble_in(
         ("MLP/ngg", TextLearnerKind::Mlp, true),
         ("NB/ngg", TextLearnerKind::Nb, true),
     ];
-    let docs = pipe.subsampled_docs(subsample, cv.seed);
     let trust_config = TrustRankConfig::default();
     let split = pipe.fold_split(cv.k, cv.seed);
 
-    let mut outcomes = Vec::with_capacity(split.k());
-    let mut composition: Vec<(&'static str, usize)> = LIBRARY
+    // Hold out a stratified fifth of each training split for
+    // hillclimbing: `(sub-training, hillclimb)` indices per fold.
+    let holdouts: Vec<(Vec<usize>, Vec<usize>)> = split
         .iter()
-        .map(|&(name, _, _)| (name, 0))
-        .chain(std::iter::once(("NB/network", 0)))
+        .map(|(_, train_idx, _)| {
+            let train_labels: Vec<bool> = train_idx.iter().map(|&i| corpus.labels[i]).collect();
+            let hill = FoldSplit::stratified(&train_labels, 5, cv.seed ^ HILL_SEED);
+            let pick = |js: &[usize]| -> Vec<usize> { js.iter().map(|&j| train_idx[j]).collect() };
+            (pick(hill.train(0)), pick(hill.test(0)))
+        })
         .collect();
+    // The class graphs are built one fold at a time in the calling
+    // thread: run last in a report, when the store is fullest,
+    // concurrent builds raise peak memory (DESIGN §5).
+    let fold_graphs: Vec<_> = holdouts
+        .iter()
+        .enumerate()
+        .map(|(f, (sub_idx, _))| pipe.ngg_class_graphs(subsample, cv.seed, f, sub_idx))
+        .collect();
+    NggFoldGraphs::fill_all(&fold_graphs);
 
-    for (f, train_idx, test_idx) in split.iter() {
-        // Hold out a stratified fifth of the training split for
-        // hillclimbing.
-        let train_labels: Vec<bool> = train_idx.iter().map(|&i| corpus.labels[i]).collect();
-        let hill = FoldSplit::stratified(&train_labels, 5, cv.seed ^ HILL_SEED);
-        let hill_idx: Vec<usize> = hill.test(0).iter().map(|&j| train_idx[j]).collect();
-        let sub_idx: Vec<usize> = hill.train(0).iter().map(|&j| train_idx[j]).collect();
+    let folds: Vec<(FoldOutcome, Vec<usize>)> = split.par_map(|f, _, test_idx| {
+        let (sub_idx, hill_idx) = &holdouts[f];
         let hill_labels: Vec<bool> = hill_idx.iter().map(|&i| corpus.labels[i]).collect();
 
         // --- One view per feature family, each document vectorized
@@ -430,7 +442,7 @@ pub fn evaluate_ensemble_in(
         // sub-training legitimate pharmacies). ---
         let view = |dim: usize, vectorize: &dyn Fn(usize) -> SparseVector| {
             let mut train = Dataset::new(dim);
-            for &i in &sub_idx {
+            for &i in sub_idx {
                 train.push(vectorize(i), corpus.labels[i]);
             }
             EnsembleView {
@@ -439,13 +451,10 @@ pub fn evaluate_ensemble_in(
                 test: test_idx.iter().map(|&i| vectorize(i)).collect(),
             }
         };
-        let tfidf = pipe.fitted_tfidf(subsample, cv.seed, Some(f), &sub_idx);
-        let dim = tfidf.vocabulary().len().max(1);
-        let raw = view(dim, &|i| {
-            TermWeighting::RawCounts.vectorize(&tfidf, &docs[i])
-        });
-        let weighted = view(dim, &|i| TermWeighting::TfIdf.vectorize(&tfidf, &docs[i]));
-        let class_graphs = pipe.ngg_class_graphs(subsample, cv.seed, f, &sub_idx);
+        let tfidf = pipe.fitted_tfidf(subsample, cv.seed, Some(f), sub_idx);
+        let raw = view(tfidf.dim(), &|i| tfidf.vector(i, TermWeighting::RawCounts));
+        let weighted = view(tfidf.dim(), &|i| tfidf.vector(i, TermWeighting::TfIdf));
+        let class_graphs = &fold_graphs[f];
         let ngg = view(8, &|i| {
             SparseVector::from_dense(&class_graphs.features(i).to_vec())
         });
@@ -488,9 +497,6 @@ pub fn evaluate_ensemble_in(
         // --- Greedy selection on the hillclimb set. ---
         let counts = greedy_auc_selection(&hill_scores, &hill_labels, 25);
         let total: usize = counts.iter().sum::<usize>().max(1);
-        for (slot, &c) in composition.iter_mut().zip(&counts) {
-            slot.1 += c;
-        }
         let scores: Vec<f64> = (0..test_idx.len())
             .map(|t| {
                 test_scores
@@ -503,7 +509,20 @@ pub fn evaluate_ensemble_in(
             .collect();
         let labels = test_idx.iter().map(|&i| corpus.labels[i]).collect();
         let predictions = scores.iter().map(|&s| s >= 0.5).collect();
-        outcomes.push(FoldOutcome::new(labels, scores, predictions));
+        (FoldOutcome::new(labels, scores, predictions), counts)
+    });
+
+    let mut composition: Vec<(&'static str, usize)> = LIBRARY
+        .iter()
+        .map(|&(name, _, _)| (name, 0))
+        .chain(std::iter::once(("NB/network", 0)))
+        .collect();
+    let mut outcomes = Vec::with_capacity(folds.len());
+    for (outcome, counts) in folds {
+        for (slot, &c) in composition.iter_mut().zip(&counts) {
+            slot.1 += c;
+        }
+        outcomes.push(outcome);
     }
     EnsembleOutcome {
         outcome: CvOutcome { folds: outcomes },

@@ -84,19 +84,21 @@ pub fn train_old_test_new_in(
         !old.is_empty() && !new.is_empty(),
         "corpora must not be empty"
     );
-    let old_docs = old_pipe.subsampled_docs(subsample, seed);
-    let new_docs = new_pipe.subsampled_docs(subsample, seed ^ NEW_SEED);
     let weighting = kind.weighting();
     let all_old: Vec<usize> = (0..old.len()).collect();
     let tfidf = old_pipe.fitted_tfidf(subsample, seed, None, &all_old);
-    let dim = tfidf.vocabulary().len().max(1);
-    let mut train = Dataset::new(dim);
-    for (doc, &label) in old_docs.iter().zip(&old.labels) {
-        train.push(weighting.vectorize(&tfidf, doc), label);
+    let mut train = Dataset::new(tfidf.dim());
+    for (i, &label) in old.labels.iter().enumerate() {
+        train.push(tfidf.vector(i, weighting), label);
     }
     let train = sampling.apply(&train, seed);
     let model = kind.learner().fit(&train);
-    let rows = new_docs.iter().map(|doc| weighting.vectorize(&tfidf, doc));
+    // Dataset 2's documents are not the artifact's own: they are
+    // vectorized over the old model here.
+    let new_docs = new_pipe.subsampled_docs(subsample, seed ^ NEW_SEED);
+    let rows = new_docs
+        .iter()
+        .map(|doc| weighting.vectorize(tfidf.model(), doc));
     FoldOutcome::score(&model, rows.zip(new.labels.iter().copied())).summary
 }
 

@@ -21,7 +21,7 @@
 
 use crate::classify::{
     pharmacy_trust_scores, rank_executor, web_graph_builder, CvConfig, NetworkArtifacts,
-    TextLearnerKind,
+    TermWeighting, TextLearnerKind,
 };
 use crate::features::ExtractedCorpus;
 use crate::pipeline::{ArtifactStore, Pipeline};
@@ -410,7 +410,6 @@ pub fn evaluate_combined_in(
 ) -> CvOutcome {
     let corpus = pipe.corpus();
     assert!(!corpus.is_empty(), "corpus must not be empty");
-    let docs = pipe.subsampled_docs(subsample, cv.seed);
     let trust_config = TrustRankConfig::default();
     let split = pipe.fold_split(cv.k, cv.seed);
     let mut folds = Vec::with_capacity(split.k());
@@ -418,7 +417,7 @@ pub fn evaluate_combined_in(
     for (f, train_idx, test_idx) in split.iter() {
         // Text view.
         let tfidf = pipe.fitted_tfidf(subsample, cv.seed, Some(f), train_idx);
-        let text_dim = tfidf.vocabulary().len().max(1) as u32;
+        let text_dim = tfidf.dim() as u32;
         // NGG view.
         let class_graphs = pipe.ngg_class_graphs(subsample, cv.seed, f, train_idx);
         // Network view.
@@ -430,7 +429,7 @@ pub fn evaluate_combined_in(
         let trust = pipe.trust_scores(&trust_config, &good_seeds);
 
         let featurize = |i: usize| -> SparseVector {
-            let mut pairs: Vec<(u32, f64)> = tfidf.transform(&docs[i]).iter().collect();
+            let mut pairs: Vec<(u32, f64)> = tfidf.vector(i, TermWeighting::TfIdf).iter().collect();
             // NGG similarities and trust, scaled ×10 so the SVM margin
             // treats them on a par with tf·idf weights.
             for (k, v) in class_graphs.features(i).to_vec().iter().enumerate() {

@@ -17,9 +17,13 @@
 //!   [`ExtractedCorpus`] (identified by a content fingerprint, so one
 //!   store can serve both datasets of the drift study). Its methods are
 //!   the artifact accessors: subsampled documents, N-Gram-Graph texts,
-//!   fold splits, fitted TF-IDF models, per-fold class graphs (which
-//!   memoize each document's features against them), the Algorithm 1
-//!   web graph, and TrustRank score vectors.
+//!   fold splits, fitted TF-IDF models (which memoize each document's
+//!   term counts over their vocabulary), per-fold class graphs (which
+//!   memoize each document's features against them, and can be filled
+//!   document-major across the folds of one text set), the Algorithm 1
+//!   web graph, and TrustRank score vectors. An artifact requests the
+//!   artifacts it is derived from only when it is computed, so a cache
+//!   hit counts one lookup.
 //! * [`Executor`] — a scoped-thread work-stealing executor (the
 //!   `std::thread::scope` pattern the fold loops already used, made
 //!   reusable) that runs `n` indexed jobs on up to `PHARMAVERIFY_JOBS`
@@ -34,13 +38,13 @@
 //! results back to submission order before anyone observes them.
 
 use crate::classify::{build_web_graph, pharmacy_trust_scores, NetworkArtifacts};
-use crate::classify::{ngg_document_texts, subsampled_documents, CvConfig};
+use crate::classify::{ngg_document_texts, subsampled_documents, CvConfig, TermWeighting};
 use crate::features::ExtractedCorpus;
 use pharmaverify_ml::FoldSplit;
 use pharmaverify_net::TrustRankConfig;
 use pharmaverify_ngg::{NGramGraphBuilder, NggClassGraphs, NggFeatures};
 use pharmaverify_obs::Registry;
-use pharmaverify_text::TfIdfModel;
+use pharmaverify_text::{SparseVector, TfIdfModel};
 use std::collections::HashMap;
 use std::fmt;
 use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering};
@@ -56,7 +60,8 @@ pub enum Stage {
     NggTexts,
     /// A stratified fold split with precomputed training complements.
     FoldSplit,
-    /// A TF-IDF model fitted on one training-index set.
+    /// A TF-IDF model fitted on one training-index set, with its
+    /// documents' term counts filled on first request.
     FittedTfIdf,
     /// Per-fold N-Gram-Graph class graphs, with their documents'
     /// features filled on first request.
@@ -248,14 +253,20 @@ impl<V> Memo<V> {
         }
     }
 
-    fn get_or_compute(
+    /// The value of `key`, computed on the first request. `inputs`
+    /// requests the artifacts the value is computed from and runs only
+    /// on a miss, before the stage span opens: a hit counts one lookup,
+    /// and each stage span times that stage's own work.
+    fn get_or_compute<I>(
         &self,
         key: ArtifactKey,
-        stats: &StageStats,
-        obs: &Registry,
-        f: impl FnOnce() -> V,
+        store: &ArtifactStore,
+        inputs: impl FnOnce() -> I,
+        compute: impl FnOnce(I) -> V,
     ) -> Arc<V> {
         let stage = key.stage.name();
+        let stats = &store.stats[key.stage.index()];
+        let obs = &store.obs;
         let cell = {
             let mut cells = self.cells.lock().unwrap_or_else(PoisonError::into_inner);
             Arc::clone(cells.entry(key).or_default())
@@ -263,9 +274,10 @@ impl<V> Memo<V> {
         let mut computed = false;
         let value = Arc::clone(cell.get_or_init(|| {
             computed = true;
+            let inputs = inputs();
             // lint:allow(obs-name): stage names come from the fixed Stage enum, not input data.
             let _span = obs.span(&format!("pipeline/stage/{stage}"));
-            Arc::new(f())
+            Arc::new(compute(inputs))
         }));
         // Both counter families are deterministic: misses equal the number
         // of distinct keys (the closure runs once per key no matter how
@@ -311,7 +323,7 @@ pub struct ArtifactStore {
     docs: Memo<Vec<Vec<String>>>,
     texts: Memo<Vec<String>>,
     folds: Memo<FoldSplit>,
-    tfidf: Memo<TfIdfModel>,
+    tfidf: Memo<FittedTfIdf>,
     ngg_graphs: Memo<NggFoldGraphs>,
     web: Memo<NetworkArtifacts>,
     trust: Memo<Vec<f64>>,
@@ -467,9 +479,9 @@ impl<'a> Pipeline<'a> {
         let key = self.key(stage, seed, NO_FOLD, encode_subsample(subsample), 0);
         self.store.docs.get_or_compute(
             key,
-            &self.store.stats[stage.index()],
-            &self.store.obs,
-            || subsampled_documents(self.corpus, subsample, seed),
+            self.store,
+            || (),
+            |()| subsampled_documents(self.corpus, subsample, seed),
         )
     }
 
@@ -479,12 +491,11 @@ impl<'a> Pipeline<'a> {
     pub fn ngg_texts(&self, subsample: Option<usize>, seed: u64) -> Arc<Vec<String>> {
         let stage = Stage::NggTexts;
         let key = self.key(stage, seed, NO_FOLD, encode_subsample(subsample), 0);
-        let docs = self.subsampled_docs(subsample, seed);
         self.store.texts.get_or_compute(
             key,
-            &self.store.stats[stage.index()],
-            &self.store.obs,
-            || ngg_document_texts(&docs),
+            self.store,
+            || self.subsampled_docs(subsample, seed),
+            |docs| ngg_document_texts(&docs),
         )
     }
 
@@ -494,9 +505,9 @@ impl<'a> Pipeline<'a> {
         let key = self.key(stage, seed, NO_FOLD, k as u64, 0);
         self.store.folds.get_or_compute(
             key,
-            &self.store.stats[stage.index()],
-            &self.store.obs,
-            || FoldSplit::stratified(&self.corpus.labels, k, seed),
+            self.store,
+            || (),
+            |()| FoldSplit::stratified(&self.corpus.labels, k, seed),
         )
     }
 
@@ -506,17 +517,18 @@ impl<'a> Pipeline<'a> {
     }
 
     /// A TF-IDF model fitted on `train_idx`'s subsampled documents
-    /// (stage: `fitted-tfidf`). `fold` is `None` when the training set is
-    /// not one of the standard CV folds (e.g. the drift study's
-    /// whole-corpus fit); the `train_idx` fingerprint disambiguates
-    /// regardless.
+    /// (stage: `fitted-tfidf`), which also memoizes every corpus
+    /// document's vector over the model ([`FittedTfIdf::vector`]).
+    /// `fold` is `None` when the training set is not one of the standard
+    /// CV folds (e.g. the drift study's whole-corpus fit); the
+    /// `train_idx` fingerprint disambiguates regardless.
     pub fn fitted_tfidf(
         &self,
         subsample: Option<usize>,
         seed: u64,
         fold: Option<usize>,
         train_idx: &[usize],
-    ) -> Arc<TfIdfModel> {
+    ) -> Arc<FittedTfIdf> {
         let stage = Stage::FittedTfIdf;
         let key = self.key(
             stage,
@@ -525,14 +537,17 @@ impl<'a> Pipeline<'a> {
             encode_subsample(subsample),
             indices_fingerprint(train_idx),
         );
-        let docs = self.subsampled_docs(subsample, seed);
         self.store.tfidf.get_or_compute(
             key,
-            &self.store.stats[stage.index()],
-            &self.store.obs,
-            || {
+            self.store,
+            || self.subsampled_docs(subsample, seed),
+            |docs| {
                 let train_docs: Vec<&Vec<String>> = train_idx.iter().map(|&i| &docs[i]).collect();
-                TfIdfModel::fit(&train_docs)
+                FittedTfIdf {
+                    model: TfIdfModel::fit(&train_docs),
+                    counts: docs.iter().map(|_| OnceLock::new()).collect(),
+                    docs,
+                }
             },
         )
     }
@@ -559,12 +574,11 @@ impl<'a> Pipeline<'a> {
             encode_subsample(subsample),
             indices_fingerprint(train_idx),
         );
-        let texts = self.ngg_texts(subsample, base_seed);
         self.store.ngg_graphs.get_or_compute(
             key,
-            &self.store.stats[stage.index()],
-            &self.store.obs,
-            || {
+            self.store,
+            || self.ngg_texts(subsample, base_seed),
+            |texts| {
                 let legit: Vec<&str> = train_idx
                     .iter()
                     .filter(|&&i| self.corpus.labels[i])
@@ -584,7 +598,7 @@ impl<'a> Pipeline<'a> {
                 NggFoldGraphs {
                     graphs,
                     features: texts.iter().map(|_| OnceLock::new()).collect(),
-                    texts: Arc::clone(&texts),
+                    texts,
                 }
             },
         )
@@ -594,12 +608,9 @@ impl<'a> Pipeline<'a> {
     pub fn web_graph(&self) -> Arc<NetworkArtifacts> {
         let stage = Stage::WebGraph;
         let key = self.key(stage, 0, NO_FOLD, 0, 0);
-        self.store.web.get_or_compute(
-            key,
-            &self.store.stats[stage.index()],
-            &self.store.obs,
-            || build_web_graph(self.corpus),
-        )
+        self.store
+            .web
+            .get_or_compute(key, self.store, || (), |()| build_web_graph(self.corpus))
     }
 
     /// Per-pharmacy TrustRank scores over the base web graph, seeded by
@@ -614,13 +625,70 @@ impl<'a> Pipeline<'a> {
             trust_config_fingerprint(config),
             indices_fingerprint(seed_idx),
         );
-        let web = self.web_graph();
         self.store.trust.get_or_compute(
             key,
-            &self.store.stats[stage.index()],
-            &self.store.obs,
-            || pharmacy_trust_scores(&web, seed_idx, config),
+            self.store,
+            || self.web_graph(),
+            |web| pharmacy_trust_scores(&web, seed_idx, config),
         )
+    }
+}
+
+/// A TF-IDF model fitted on one training-index set (the `fitted-tfidf`
+/// artifact) with the subsampled documents of its text set, and one
+/// raw-term-count slot per corpus document, filled on first request.
+pub struct FittedTfIdf {
+    model: TfIdfModel,
+    docs: Arc<Vec<Vec<String>>>,
+    /// A document's [`TfIdfModel::term_counts`] as `(term id, count)`
+    /// pairs: the slots live as long as the store, and whole-number
+    /// counts take half the room of the vector's `f64` values.
+    counts: Vec<OnceLock<Box<[(u32, u32)]>>>,
+}
+
+impl FittedTfIdf {
+    /// The fitted model.
+    pub fn model(&self) -> &TfIdfModel {
+        &self.model
+    }
+
+    /// The dimension of the model's vectors: its vocabulary size, at
+    /// least 1.
+    pub fn dim(&self) -> usize {
+        self.model.vocabulary().len().max(1)
+    }
+
+    /// Document `i`'s vector under `weighting`, bit-identical to
+    /// `weighting.vectorize(model, doc)`: its term counts are computed
+    /// on the first request and read from the slot after, and weighed
+    /// by idf for [`TermWeighting::TfIdf`].
+    ///
+    /// # Panics
+    /// Panics if `i` is not a document of the corpus.
+    pub fn vector(&self, i: usize, weighting: TermWeighting) -> SparseVector {
+        let counts = self.counts[i].get_or_init(|| {
+            // Exact: a count is a whole number no larger than the document.
+            let counts = self.model.term_counts(&self.docs[i]);
+            counts.iter().map(|(id, n)| (id, n as u32)).collect()
+        });
+        let tf = counts.iter().map(|&(id, n)| (id, f64::from(n)));
+        match weighting {
+            TermWeighting::RawCounts => tf.collect(),
+            TermWeighting::TfIdf => self.model.weigh(tf),
+        }
+    }
+}
+
+impl fmt::Debug for FittedTfIdf {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        f.debug_struct("FittedTfIdf")
+            .field("vocabulary", &self.model.vocabulary().len())
+            .field("documents", &self.docs.len())
+            .field(
+                "vectorized",
+                &self.counts.iter().filter(|s| s.get().is_some()).count(),
+            )
+            .finish()
     }
 }
 
@@ -641,6 +709,34 @@ impl NggFoldGraphs {
     /// Panics if `i` is not a document of the corpus.
     pub fn features(&self, i: usize) -> NggFeatures {
         *self.features[i].get_or_init(|| self.graphs.features(&self.texts[i]))
+    }
+
+    /// Fills every document's feature slot in each of `folds`, the class
+    /// graphs of several folds over one text set: each document's n-gram
+    /// graph is built once and scored against every fold's class graphs.
+    /// Runs one thread per fold over the documents.
+    ///
+    /// # Panics
+    /// Panics if the folds were not built from one text set.
+    pub fn fill_all(folds: &[Arc<NggFoldGraphs>]) {
+        let Some(texts) = folds.first().map(|f| &f.texts) else {
+            return;
+        };
+        assert!(
+            folds.iter().all(|f| f.texts == *texts),
+            "the folds' class graphs must share one text set"
+        );
+        run_indexed(folds.len(), texts.len(), |i| {
+            if folds.iter().any(|f| f.features[i].get().is_none()) {
+                // The builder `Pipeline::ngg_class_graphs` builds the
+                // class graphs with, so each slot is what
+                // `NggFoldGraphs::features` would compute.
+                let doc = NGramGraphBuilder::default().build(&texts[i]);
+                for f in folds {
+                    f.features[i].get_or_init(|| f.graphs.features_of_graph(&doc));
+                }
+            }
+        });
     }
 }
 
@@ -730,36 +826,48 @@ impl Executor {
         obs.add("pipeline/executor/runs", 1);
         obs.observe("pipeline/executor/queue_depth", n as u64);
         obs.max_gauge_nondet("pipeline/executor/width", workers as i64);
-        if workers <= 1 {
-            return (0..n).map(&f).collect();
-        }
-        let next = AtomicUsize::new(0);
-        let mut indexed: Vec<(usize, T)> = std::thread::scope(|scope| {
-            let handles: Vec<_> = (0..workers)
-                .map(|_| {
-                    let next = &next;
-                    let f = &f;
-                    scope.spawn(move || {
-                        let mut out = Vec::new();
-                        loop {
-                            let i = next.fetch_add(1, Ordering::Relaxed);
-                            if i >= n {
-                                break;
-                            }
-                            out.push((i, f(i)));
-                        }
-                        out
-                    })
-                })
-                .collect();
-            handles
-                .into_iter()
-                .flat_map(|h| h.join().unwrap_or_else(|p| std::panic::resume_unwind(p)))
-                .collect()
-        });
-        indexed.sort_by_key(|&(i, _)| i);
-        indexed.into_iter().map(|(_, v)| v).collect()
+        run_indexed(workers, n, f)
     }
+}
+
+/// Evaluates `f(0) … f(n-1)` on up to `workers` scoped threads, which
+/// take indices off a shared atomic counter, and returns the results in
+/// index order; with one worker (or one job) the loop runs inline.
+fn run_indexed<T, F>(workers: usize, n: usize, f: F) -> Vec<T>
+where
+    T: Send,
+    F: Fn(usize) -> T + Sync,
+{
+    let workers = workers.min(n);
+    if workers <= 1 {
+        return (0..n).map(&f).collect();
+    }
+    let next = AtomicUsize::new(0);
+    let mut indexed: Vec<(usize, T)> = std::thread::scope(|scope| {
+        let handles: Vec<_> = (0..workers)
+            .map(|_| {
+                let next = &next;
+                let f = &f;
+                scope.spawn(move || {
+                    let mut out = Vec::new();
+                    loop {
+                        let i = next.fetch_add(1, Ordering::Relaxed);
+                        if i >= n {
+                            break;
+                        }
+                        out.push((i, f(i)));
+                    }
+                    out
+                })
+            })
+            .collect();
+        handles
+            .into_iter()
+            .flat_map(|h| h.join().unwrap_or_else(|p| std::panic::resume_unwind(p)))
+            .collect()
+    });
+    indexed.sort_by_key(|&(i, _)| i);
+    indexed.into_iter().map(|(_, v)| v).collect()
 }
 
 impl Default for Executor {
@@ -850,11 +958,68 @@ mod tests {
         // TfIdfModel has no Eq; compare the transforms every consumer
         // observes — bit-identical sparse vectors over all documents.
         for doc in docs.iter() {
-            assert_eq!(cached.transform(doc), fresh.transform(doc));
+            assert_eq!(
+                vector_bits(&cached.model().transform(doc)),
+                vector_bits(&fresh.transform(doc))
+            );
         }
         // A repeat request is a hit.
         let again = pipe.fitted_tfidf(Some(100), 11, Some(0), train_idx);
         assert!(Arc::ptr_eq(&cached, &again));
+    }
+
+    fn vector_bits(v: &SparseVector) -> Vec<(u32, u64)> {
+        v.iter().map(|(i, x)| (i, x.to_bits())).collect()
+    }
+
+    fn filled_slots(tfidf: &FittedTfIdf) -> usize {
+        tfidf.counts.iter().filter(|s| s.get().is_some()).count()
+    }
+
+    #[test]
+    fn tfidf_artifact_memoizes_every_documents_vector() {
+        let c = corpus();
+        let store = ArtifactStore::new();
+        let pipe = Pipeline::new(&store, &c);
+        let split = pipe.fold_split(3, 11);
+        let tfidf = pipe.fitted_tfidf(Some(250), 11, Some(1), split.train(1));
+        let docs = subsampled_documents(&c, Some(250), 11);
+        let model = tfidf.model();
+        assert_eq!(tfidf.counts.len(), c.len());
+        assert_eq!(filled_slots(&tfidf), 0);
+        for (i, doc) in docs.iter().enumerate() {
+            let raw = vector_bits(&model.term_counts(doc));
+            let weighted = vector_bits(&model.transform(doc));
+            assert_eq!(
+                vector_bits(&tfidf.vector(i, TermWeighting::TfIdf)),
+                weighted
+            );
+            assert_eq!(vector_bits(&tfidf.vector(i, TermWeighting::RawCounts)), raw);
+            // Read from the filled slot.
+            assert_eq!(
+                vector_bits(&tfidf.vector(i, TermWeighting::TfIdf)),
+                weighted
+            );
+            assert_eq!(
+                vector_bits(&TermWeighting::RawCounts.vectorize(model, doc)),
+                raw
+            );
+        }
+        // A second request returns the artifact with its slots filled.
+        let again = pipe.fitted_tfidf(Some(250), 11, Some(1), split.train(1));
+        assert!(Arc::ptr_eq(&tfidf, &again));
+        assert_eq!(filled_slots(&again), c.len());
+        assert!(format!("{again:?}").contains(&format!("vectorized: {}", c.len())));
+        // A value term counting never produces: reads must come from the
+        // slot, weighed by idf for TF-IDF.
+        let planted = SparseVector::from_pairs(vec![(0, 7.0)]);
+        let fresh = pipe.fitted_tfidf(Some(250), 11, Some(2), split.train(2));
+        assert!(fresh.counts[5].set(Box::new([(0, 7)])).is_ok());
+        assert_eq!(fresh.vector(5, TermWeighting::RawCounts), planted);
+        assert_eq!(
+            vector_bits(&fresh.vector(5, TermWeighting::TfIdf)),
+            vector_bits(&fresh.model().weigh(planted.iter()))
+        );
     }
 
     #[test]
@@ -934,6 +1099,79 @@ mod tests {
         };
         assert!(fold.features[4].set(planted).is_ok());
         assert_eq!(feature_bits(fold.features(4)), feature_bits(planted));
+    }
+
+    #[test]
+    fn fill_all_fills_every_fold_from_one_build_per_document() {
+        let c = corpus();
+        let store = ArtifactStore::new();
+        let pipe = Pipeline::new(&store, &c);
+        let split = pipe.fold_split(3, 5);
+        let folds: Vec<Arc<NggFoldGraphs>> = split
+            .iter()
+            .map(|(f, train, _)| pipe.ngg_class_graphs(Some(250), 5, f, train))
+            .collect();
+        // One slot filled beforehand, as another reader would leave it.
+        let early = folds[1].features(7);
+        NggFoldGraphs::fill_all(&folds);
+        assert_eq!(feature_bits(folds[1].features(7)), feature_bits(early));
+        let texts = pipe.ngg_texts(Some(250), 5);
+        for (f, fold) in folds.iter().enumerate() {
+            assert!(fold.features.iter().all(|slot| slot.get().is_some()));
+            for (i, text) in texts.iter().enumerate() {
+                assert_eq!(
+                    feature_bits(fold.features(i)),
+                    feature_bits(fold.graphs.features(text)),
+                    "fold {f}, document {i}"
+                );
+            }
+        }
+        NggFoldGraphs::fill_all(&[]);
+    }
+
+    #[test]
+    #[should_panic(expected = "share one text set")]
+    fn fill_all_rejects_folds_of_different_text_sets() {
+        let c = corpus();
+        let store = ArtifactStore::new();
+        let pipe = Pipeline::new(&store, &c);
+        let split = pipe.fold_split(3, 5);
+        NggFoldGraphs::fill_all(&[
+            pipe.ngg_class_graphs(Some(100), 5, 0, split.train(0)),
+            pipe.ngg_class_graphs(Some(250), 5, 1, split.train(1)),
+        ]);
+    }
+
+    #[test]
+    fn warm_requests_count_one_lookup() {
+        let c = corpus();
+        let obs = Arc::new(pharmaverify_obs::Registry::with_clock(Box::new(
+            pharmaverify_obs::VirtualClock::new(1),
+        )));
+        let store = ArtifactStore::with_obs(Arc::clone(&obs));
+        let pipe = Pipeline::new(&store, &c);
+        let train: Vec<usize> = (0..c.len()).step_by(2).collect();
+        let config = TrustRankConfig::default();
+        for _ in 0..2 {
+            pipe.fitted_tfidf(Some(100), 3, None, &train);
+            pipe.ngg_class_graphs(Some(100), 3, 0, &train);
+            // No seeds: the scores are zero without a propagation run,
+            // which would add to the process-wide executor counters.
+            pipe.trust_scores(&config, &[]);
+        }
+        // Each derived artifact requested its inputs once, on its miss;
+        // its warm request counted itself alone.
+        let lookups = |stage: Stage| {
+            let s = counters_for(&store, stage);
+            (s.hits, s.misses)
+        };
+        assert_eq!(lookups(Stage::FittedTfIdf), (1, 1));
+        assert_eq!(lookups(Stage::NggClassGraphs), (1, 1));
+        assert_eq!(lookups(Stage::TrustScores), (1, 1));
+        assert_eq!(lookups(Stage::NggTexts), (0, 1));
+        assert_eq!(lookups(Stage::SubsampledDocs), (1, 1));
+        assert_eq!(lookups(Stage::WebGraph), (0, 1));
+        assert_eq!(obs.counter("pipeline/cache/subsampled-docs/hits"), 1);
     }
 
     #[test]
@@ -1037,19 +1275,6 @@ mod tests {
         let stats = counters_for(&store, Stage::FoldSplit);
         assert_eq!((stats.hits, stats.misses), (1, 2));
         assert!(std::ptr::eq(store.obs(), obs.as_ref()));
-    }
-
-    #[test]
-    fn executor_records_runs_and_queue_depth() {
-        let obs = pharmaverify_obs::global();
-        let runs_before = obs.counter("pipeline/executor/runs");
-        Executor::new(2).run(5, |i| i);
-        Executor::serial().run(3, |i| i);
-        assert_eq!(obs.counter("pipeline/executor/runs"), runs_before + 2);
-        let depth = obs
-            .histogram("pipeline/executor/queue_depth")
-            .expect("executor ran");
-        assert!(depth.count >= 2);
     }
 
     #[test]

@@ -172,18 +172,16 @@ fn evaluate_ranking_impl(
         // textRank: per method.
         match method {
             RankingMethod::TfIdf { kind, sampling } => {
-                let docs = pipe.subsampled_docs(subsample, cv.seed);
                 let weighting = kind.weighting();
                 let tfidf = pipe.fitted_tfidf(subsample, cv.seed, Some(f), train_idx);
-                let dim = tfidf.vocabulary().len().max(1);
-                let mut train = Dataset::new(dim);
+                let mut train = Dataset::new(tfidf.dim());
                 for &i in train_idx {
-                    train.push(weighting.vectorize(&tfidf, &docs[i]), corpus.labels[i]);
+                    train.push(tfidf.vector(i, weighting), corpus.labels[i]);
                 }
                 let train = sampling.apply(&train, cv.seed);
                 let model = kind.learner().fit(&train);
                 for &i in test_idx {
-                    let x = weighting.vectorize(&tfidf, &docs[i]);
+                    let x = tfidf.vector(i, weighting);
                     text_rank[i] = if model.is_probabilistic() {
                         model.score(&x)
                     } else {

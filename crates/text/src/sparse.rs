@@ -33,6 +33,23 @@ impl SparseVector {
         SparseVector { entries }
     }
 
+    /// The occurrence count of every index in `indices`: the vector
+    /// [`SparseVector::from_pairs`] builds from `(index, 1.0)` pairs,
+    /// sized to its distinct indices.
+    pub fn from_occurrences(mut indices: Vec<u32>) -> Self {
+        indices.sort_unstable();
+        let distinct = indices.windows(2).filter(|w| w[0] != w[1]).count();
+        let mut entries: Vec<(u32, f64)> =
+            Vec::with_capacity(distinct + usize::from(!indices.is_empty()));
+        for i in indices {
+            match entries.last_mut() {
+                Some(last) if last.0 == i => last.1 += 1.0,
+                _ => entries.push((i, 1.0)),
+            }
+        }
+        SparseVector { entries }
+    }
+
     /// Builds from a dense slice, skipping zeros.
     pub fn from_dense(dense: &[f64]) -> Self {
         SparseVector {
@@ -212,6 +229,17 @@ mod tests {
         let s = v(&[(3, 1.0), (1, 2.0), (3, 2.0), (5, 0.0)]);
         assert_eq!(s.iter().collect::<Vec<_>>(), vec![(1, 2.0), (3, 3.0)]);
         assert_eq!(s.nnz(), 2);
+    }
+
+    #[test]
+    fn from_occurrences_allocates_its_distinct_indices_only() {
+        let counts = SparseVector::from_occurrences(vec![7, 2, 7, 0, 2, 7, 9]);
+        assert_eq!(
+            counts.iter().collect::<Vec<_>>(),
+            vec![(0, 1.0), (2, 2.0), (7, 3.0), (9, 1.0)]
+        );
+        assert_eq!(counts.entries.capacity(), 4);
+        assert!(SparseVector::from_occurrences(Vec::new()).is_empty());
     }
 
     #[test]

@@ -67,9 +67,16 @@ impl TfIdfModel {
     /// Terms unseen at fit time are dropped (the standard convention for a
     /// fitted vectorizer applied to test data).
     pub fn transform(&self, doc: &[String]) -> SparseVector {
-        let counts = self.term_counts(doc);
+        self.weigh(self.term_counts(doc).iter())
+    }
+
+    /// Weighs a document's [`TfIdfModel::term_counts`], given as
+    /// `(term id, count)` pairs, by idf: the `tf · idf` vector
+    /// [`TfIdfModel::transform`] returns, for callers that keep a
+    /// document's counts.
+    pub fn weigh(&self, counts: impl IntoIterator<Item = (u32, f64)>) -> SparseVector {
         counts
-            .iter()
+            .into_iter()
             .map(|(id, tf)| (id, tf * self.idf[id as usize]))
             .collect()
     }
@@ -83,10 +90,7 @@ impl TfIdfModel {
     /// Raw term-occurrence counts over the fitted vocabulary — the input
     /// representation for the multinomial naive Bayes classifier.
     pub fn term_counts(&self, doc: &[String]) -> SparseVector {
-        doc.iter()
-            .filter_map(|t| self.vocab.id(t))
-            .map(|id| (id, 1.0))
-            .collect()
+        SparseVector::from_occurrences(doc.iter().filter_map(|t| self.vocab.id(t)).collect())
     }
 
     /// Transforms a whole corpus.

@@ -110,4 +110,15 @@ proptest! {
         let norm_ref = ad.iter().map(|x| x * x).sum::<f64>().sqrt();
         prop_assert!((sa.norm() - norm_ref).abs() < 1e-9);
     }
+
+    /// Counting occurrences builds the vector that summing one
+    /// `(index, 1.0)` pair per occurrence builds, bit for bit.
+    #[test]
+    fn occurrence_counts_match_pairs_of_ones(indices in prop::collection::vec(0u32..24, 0..80)) {
+        let ones: Vec<(u32, f64)> = indices.iter().map(|&i| (i, 1.0)).collect();
+        prop_assert_eq!(
+            SparseVector::from_occurrences(indices),
+            SparseVector::from_pairs(ones)
+        );
+    }
 }
