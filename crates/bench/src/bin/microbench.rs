@@ -1,7 +1,8 @@
 //! Micro-benchmarks of the graph substrate: sharded corpus generation,
 //! CSR freeze, and the three power-iteration kernels on the frozen CSR
-//! graph, plus the overlay re-rank and federation tier pairs and the
-//! N-Gram-Graph class-graph build and featurization.
+//! graph, plus the overlay re-rank and federation tier pairs, the text
+//! preparation of crawled sites, and the N-Gram-Graph class-graph build
+//! and featurization.
 //!
 //! ```text
 //! microbench [--domains N] [--repeat R] [--out PATH]
@@ -25,12 +26,13 @@ use pharmaverify_core::{extract_corpus, TextLearnerKind, TrainedVerifier};
 use pharmaverify_corpus::{
     CorpusConfig, DomainRecord, ShardedWebGenerator, SyntheticWeb, WebScaleConfig,
 };
-use pharmaverify_crawl::CrawlConfig;
+use pharmaverify_crawl::{summarize_crawl, CrawlConfig, CrawlResult, Crawler, Url};
 use pharmaverify_net::{
     CsrGraph, GraphBuilder, IncrementalConfig, NodeId, SpliceOverlay, TrustRankConfig,
     TrustTrajectory,
 };
 use pharmaverify_ngg::{NGramGraphBuilder, NggClassGraphs};
+use pharmaverify_text::preprocess;
 use std::time::Instant;
 
 /// The reproduction's master seed (`bench::context::REPRO_SEED`).
@@ -43,7 +45,7 @@ struct BenchResult {
     /// Work items processed per run (see `unit`).
     items: usize,
     /// What `items` counts: `domains`, `edges`, `edge-traversals`,
-    /// `splices`, `requests` or `documents`.
+    /// `splices`, `requests`, `bytes` or `documents`.
     unit: &'static str,
     /// Minimum wall clock over the repeat runs, in seconds.
     wall_secs: f64,
@@ -323,6 +325,34 @@ fn main() {
             for site in &snap2.sites {
                 let _ = verifier.verify(&snap2.web, &site.seed_url);
             }
+        },
+    ));
+
+    // Text preparation: the summary and preprocessing (tokenize,
+    // lowercase, drop stop words) both verifying tiers run on a crawl,
+    // over the snapshot-2 sites' crawls, made outside the timed loop.
+    // Items count summary bytes, so the unit counts input.
+    let crawler = Crawler::new(CrawlConfig::default());
+    let crawls: Vec<CrawlResult> = snap2
+        .sites
+        .iter()
+        .filter_map(|site| Url::parse(&site.seed_url).ok())
+        .map(|url| crawler.crawl(&snap2.web, &url))
+        .collect();
+    let summary_bytes = crawls
+        .iter()
+        .map(|crawl| summarize_crawl(crawl).text.len())
+        .sum();
+    results.push(bench(
+        "text/prepare",
+        summary_bytes,
+        "bytes",
+        repeat,
+        || {
+            crawls
+                .iter()
+                .map(|crawl| preprocess(&summarize_crawl(crawl).text).len())
+                .sum::<usize>()
         },
     ));
 

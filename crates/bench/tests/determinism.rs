@@ -9,11 +9,15 @@
 //! its parent fails here, naming the section.
 
 use pharmaverify_bench::{
-    adversarial_study, render_report, tables, ReproContext, Scale, Selection,
+    adversarial_study, federation_study_in, online_study_in, render_report, serving_study_in,
+    tables, ReproContext, Scale, Selection,
 };
 use pharmaverify_core::pipeline::Executor;
 use pharmaverify_corpus::AttackKind;
+use pharmaverify_obs::{Registry, VirtualClock};
+use pharmaverify_serve::FederationPolicy;
 use std::collections::BTreeMap;
+use std::sync::Arc;
 
 /// The golden digest table: configuration, digest, section title, lineage.
 const GOLDEN: &str = include_str!("report_digests.tsv");
@@ -131,6 +135,28 @@ fn report_is_identical_across_thread_counts_and_cache_warmth() {
         "repro --scale small --fault-rate 0.2",
         &format!("{robustness}"),
     );
+    assert!(drift.is_empty(), "{}", drift.join("\n"));
+}
+
+/// The serving, online and federation sections are the suffixes
+/// `--serve-workload 60`, `--online-waves 6` and `--federation 400`
+/// append: crawl, preprocess and verify over Dataset 2, at `repro`'s
+/// default two serve workers.
+#[test]
+fn serving_sections_match_their_golden_digests() {
+    let ctx = ReproContext::new(Scale::Small);
+    let obs = || Arc::new(Registry::with_clock(Box::new(VirtualClock::new(0))));
+    let (serving, _) = serving_study_in(&ctx, 60, 2, obs());
+    let (online, _) = online_study_in(&ctx, 6, 2, obs());
+    let (federation, _) = federation_study_in(&ctx, 400, 2, FederationPolicy::default(), obs());
+    let drift: Vec<String> = [
+        ("repro --scale small --serve-workload 60", serving),
+        ("repro --scale small --online-waves 6", online),
+        ("repro --scale small --federation 400", federation),
+    ]
+    .into_iter()
+    .flat_map(|(config, table)| digest_drift(config, &format!("{table}")))
+    .collect();
     assert!(drift.is_empty(), "{}", drift.join("\n"));
 }
 

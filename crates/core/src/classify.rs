@@ -165,7 +165,7 @@ pub fn subsampled_documents(
         .tokens
         .iter()
         .enumerate()
-        .map(|(i, tokens)| subsample_opt(tokens, subsample, seed ^ ((i as u64) << 8)))
+        .map(|(i, tokens)| subsample_opt(tokens, subsample, seed ^ ((i as u64) << 8)).into_owned())
         .collect()
 }
 
@@ -244,7 +244,9 @@ pub fn evaluate_ngg(
 
 /// [`evaluate_ngg`] against a shared artifact store: the fold split and
 /// the per-fold class graphs, with each document's features against
-/// them, come from the pipeline.
+/// them, come from the pipeline. Every document is read in every fold,
+/// so the folds' feature slots are filled together, one document graph
+/// each ([`NggFoldGraphs::fill_all`]).
 pub fn evaluate_ngg_in(
     pipe: Pipeline<'_>,
     learner: &dyn Learner,
@@ -254,8 +256,11 @@ pub fn evaluate_ngg_in(
     let corpus = pipe.corpus();
     assert!(!corpus.is_empty(), "corpus must not be empty");
     let split = pipe.fold_split(cv.k, cv.seed);
+    let fold_graphs =
+        split.par_map(|f, train_idx, _| pipe.ngg_class_graphs(subsample, cv.seed, f, train_idx));
+    NggFoldGraphs::fill_all(&fold_graphs);
     let folds = split.par_map(|f, train_idx, test_idx| {
-        let class_graphs = pipe.ngg_class_graphs(subsample, cv.seed, f, train_idx);
+        let class_graphs = &fold_graphs[f];
         let featurize = |i: usize| SparseVector::from_dense(&class_graphs.features(i).to_vec());
         let mut train = Dataset::new(8);
         for &i in train_idx {

@@ -24,7 +24,7 @@ use crate::classify::{
     TermWeighting, TextLearnerKind,
 };
 use crate::features::ExtractedCorpus;
-use crate::pipeline::{ArtifactStore, Pipeline};
+use crate::pipeline::{ArtifactStore, NggFoldGraphs, Pipeline};
 use pharmaverify_corpus::Snapshot;
 use pharmaverify_crawl::{CrawlConfig, Crawler, Url};
 use pharmaverify_ml::{
@@ -402,7 +402,9 @@ pub fn evaluate_combined(
 /// concatenates (subsample draw, per-fold TF-IDF model, class graphs
 /// with their memoized document features, link graph, TrustRank
 /// vectors) is the same artifact the single-view pipelines request, so
-/// the combined run costs only the final SVM fit.
+/// the combined run costs only the final SVM fit. The folds' NGG feature
+/// slots are filled together, one document graph each
+/// ([`NggFoldGraphs::fill_all`]).
 pub fn evaluate_combined_in(
     pipe: Pipeline<'_>,
     subsample: Option<usize>,
@@ -412,6 +414,11 @@ pub fn evaluate_combined_in(
     assert!(!corpus.is_empty(), "corpus must not be empty");
     let trust_config = TrustRankConfig::default();
     let split = pipe.fold_split(cv.k, cv.seed);
+    let fold_graphs: Vec<_> = split
+        .iter()
+        .map(|(f, train_idx, _)| pipe.ngg_class_graphs(subsample, cv.seed, f, train_idx))
+        .collect();
+    NggFoldGraphs::fill_all(&fold_graphs);
     let mut folds = Vec::with_capacity(split.k());
 
     for (f, train_idx, test_idx) in split.iter() {
@@ -419,7 +426,7 @@ pub fn evaluate_combined_in(
         let tfidf = pipe.fitted_tfidf(subsample, cv.seed, Some(f), train_idx);
         let text_dim = tfidf.dim() as u32;
         // NGG view.
-        let class_graphs = pipe.ngg_class_graphs(subsample, cv.seed, f, train_idx);
+        let class_graphs = &fold_graphs[f];
         // Network view.
         let good_seeds: Vec<usize> = train_idx
             .iter()

@@ -599,6 +599,7 @@ impl<'a> Pipeline<'a> {
                     graphs,
                     features: texts.iter().map(|_| OnceLock::new()).collect(),
                     texts,
+                    filling: Mutex::new(()),
                 }
             },
         )
@@ -699,6 +700,8 @@ pub struct NggFoldGraphs {
     graphs: NggClassGraphs,
     texts: Arc<Vec<String>>,
     features: Vec<OnceLock<NggFeatures>>,
+    /// Held by [`NggFoldGraphs::fill_all`] on the first of its folds.
+    filling: Mutex<()>,
 }
 
 impl NggFoldGraphs {
@@ -714,18 +717,22 @@ impl NggFoldGraphs {
     /// Fills every document's feature slot in each of `folds`, the class
     /// graphs of several folds over one text set: each document's n-gram
     /// graph is built once and scored against every fold's class graphs.
-    /// Runs one thread per fold over the documents.
+    /// Runs one thread per fold over the documents. A fill over folds
+    /// that another fill with the same first fold is filling waits for
+    /// it, and then builds only what it left empty.
     ///
     /// # Panics
     /// Panics if the folds were not built from one text set.
     pub fn fill_all(folds: &[Arc<NggFoldGraphs>]) {
-        let Some(texts) = folds.first().map(|f| &f.texts) else {
+        let Some(first) = folds.first() else {
             return;
         };
+        let texts = &first.texts;
         assert!(
             folds.iter().all(|f| f.texts == *texts),
             "the folds' class graphs must share one text set"
         );
+        let _filling = first.filling.lock().unwrap_or_else(PoisonError::into_inner);
         run_indexed(folds.len(), texts.len(), |i| {
             if folds.iter().any(|f| f.features[i].get().is_none()) {
                 // The builder `Pipeline::ngg_class_graphs` builds the

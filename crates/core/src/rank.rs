@@ -16,7 +16,7 @@
 
 use crate::classify::{CvConfig, TextLearnerKind};
 use crate::features::ExtractedCorpus;
-use crate::pipeline::{ArtifactStore, Pipeline};
+use crate::pipeline::{ArtifactStore, NggFoldGraphs, Pipeline};
 use pharmaverify_corpus::SiteProfile;
 use pharmaverify_ml::metrics::pairwise_orderedness;
 use pharmaverify_ml::{Dataset, Sampling};
@@ -139,6 +139,19 @@ fn evaluate_ranking_impl(
     let split = pipe.fold_split(cv.k, cv.seed);
     let mut text_rank = vec![0.0; corpus.len()];
     let mut network_rank = vec![0.0; corpus.len()];
+    // The NGG textRank reads the folds' class graphs, their feature
+    // slots filled together, one document graph each.
+    let ngg_folds = match method {
+        RankingMethod::NggEquation3 => {
+            let folds: Vec<_> = split
+                .iter()
+                .map(|(f, train_idx, _)| pipe.ngg_class_graphs(subsample, cv.seed, f, train_idx))
+                .collect();
+            NggFoldGraphs::fill_all(&folds);
+            folds
+        }
+        RankingMethod::TfIdf { .. } => Vec::new(),
+    };
 
     for (f, train_idx, test_idx) in split.iter() {
         // networkRank: trust seeded by the training-fold legitimate sites.
@@ -196,9 +209,8 @@ fn evaluate_ranking_impl(
                 }
             }
             RankingMethod::NggEquation3 => {
-                let class_graphs = pipe.ngg_class_graphs(subsample, cv.seed, f, train_idx);
                 for &i in test_idx {
-                    text_rank[i] = class_graphs.features(i).text_rank();
+                    text_rank[i] = ngg_folds[f].features(i).text_rank();
                 }
             }
         }

@@ -557,7 +557,8 @@ impl TrainedVerifier {
     }
 
     /// Text component of a crawl's [`crawl_tokens`]: subsample,
-    /// vectorize, score.
+    /// vectorize, score. A document the subsample leaves whole is scored
+    /// in place.
     fn text_component(&self, tokens: &[String]) -> (f64, bool) {
         let doc = subsample_opt(tokens, self.subsample, self.seed);
         let x = if self.text_uses_counts {

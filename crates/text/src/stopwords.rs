@@ -10,9 +10,15 @@ pub const ENGLISH_STOP_WORDS: &[&str] = &[
     "they", "this", "to", "was", "will", "with",
 ];
 
-/// True when `term` (already lowercased) is in the stop set.
+/// The length in bytes of the longest stop word ("their", "there",
+/// "these"): a longer term is no stop word, whatever its letters.
+const MAX_STOP_WORD_LEN: usize = 5;
+
+/// True when `term` (already lowercased) is in the stop set. A term
+/// longer than [`MAX_STOP_WORD_LEN`] bytes is rejected before the
+/// binary search.
 pub fn is_stopword(term: &str) -> bool {
-    ENGLISH_STOP_WORDS.binary_search(&term).is_ok()
+    term.len() <= MAX_STOP_WORD_LEN && ENGLISH_STOP_WORDS.binary_search(&term).is_ok()
 }
 
 #[cfg(test)]
@@ -43,5 +49,14 @@ mod tests {
     #[test]
     fn has_exactly_33_words() {
         assert_eq!(ENGLISH_STOP_WORDS.len(), 33);
+    }
+
+    #[test]
+    fn length_gate_is_the_longest_stop_word() {
+        let longest = ENGLISH_STOP_WORDS.iter().map(|w| w.len()).max();
+        assert_eq!(longest, Some(MAX_STOP_WORD_LEN));
+        for w in ENGLISH_STOP_WORDS {
+            assert!(is_stopword(w), "{w} should pass the length gate");
+        }
     }
 }

@@ -9,6 +9,7 @@
 use rand::rngs::SmallRng;
 use rand::seq::index::sample;
 use rand::SeedableRng;
+use std::borrow::Cow;
 
 /// The subsample sizes used throughout the paper's evaluation; `None`
 /// denotes the full document ("All").
@@ -17,24 +18,24 @@ pub const PAPER_SUBSAMPLE_SIZES: &[Option<usize>] =
 
 /// Returns `n` term occurrences of `tokens` chosen uniformly at random
 /// without replacement, in original document order. If the document has at
-/// most `n` terms it is returned unchanged.
-pub fn subsample_terms(tokens: &[String], n: usize, seed: u64) -> Vec<String> {
+/// most `n` terms it is returned unchanged, as a borrow.
+pub fn subsample_terms(tokens: &[String], n: usize, seed: u64) -> Cow<'_, [String]> {
     if tokens.len() <= n {
-        return tokens.to_vec();
+        return Cow::Borrowed(tokens);
     }
     let mut rng = SmallRng::seed_from_u64(seed);
     let mut indices = sample(&mut rng, tokens.len(), n).into_vec();
     indices.sort_unstable();
-    indices.into_iter().map(|i| tokens[i].clone()).collect()
+    Cow::Owned(indices.into_iter().map(|i| tokens[i].clone()).collect())
 }
 
 /// Applies [`subsample_terms`] when `size` is `Some(n)`, otherwise returns
-/// the full document — mirroring the "#Terms ∈ {100, …, All}" axis of the
-/// paper's tables.
-pub fn subsample_opt(tokens: &[String], size: Option<usize>, seed: u64) -> Vec<String> {
+/// the full document as a borrow — mirroring the "#Terms ∈ {100, …, All}"
+/// axis of the paper's tables.
+pub fn subsample_opt(tokens: &[String], size: Option<usize>, seed: u64) -> Cow<'_, [String]> {
     match size {
         Some(n) => subsample_terms(tokens, n, seed),
-        None => tokens.to_vec(),
+        None => Cow::Borrowed(tokens),
     }
 }
 
@@ -49,8 +50,8 @@ mod tests {
     #[test]
     fn short_documents_unchanged() {
         let d = doc(5);
-        assert_eq!(subsample_terms(&d, 10, 1), d);
-        assert_eq!(subsample_terms(&d, 5, 1), d);
+        assert_eq!(*subsample_terms(&d, 10, 1), d);
+        assert_eq!(*subsample_terms(&d, 5, 1), d);
     }
 
     #[test]
@@ -77,7 +78,7 @@ mod tests {
     #[test]
     fn without_replacement() {
         let d = doc(30);
-        let mut s = subsample_terms(&d, 30, 2);
+        let mut s = subsample_terms(&d, 30, 2).into_owned();
         s.sort();
         s.dedup();
         assert_eq!(s.len(), 30);
@@ -86,7 +87,7 @@ mod tests {
     #[test]
     fn opt_none_is_identity() {
         let d = doc(10);
-        assert_eq!(subsample_opt(&d, None, 1), d);
+        assert_eq!(*subsample_opt(&d, None, 1), d);
         assert_eq!(subsample_opt(&d, Some(3), 1).len(), 3);
     }
 }

@@ -6,11 +6,19 @@
 //! `"FDA-approved 100mg"` tokenizes to `["fda", "approved", "mg"]`.
 
 /// Splits `text` into lowercased maximal runs of alphabetic characters.
+///
+/// ASCII characters are classified by byte tests: a letter is pushed as
+/// its ASCII lowercase and any other ASCII character ends the token. On
+/// ASCII, `char::is_alphabetic` and `char::to_lowercase` agree with
+/// those tests, so the fast path changes no token. Every other character
+/// takes the Unicode path.
 pub fn tokenize(text: &str) -> Vec<String> {
     let mut tokens = Vec::new();
     let mut current = String::new();
     for ch in text.chars() {
-        if ch.is_alphabetic() {
+        if ch.is_ascii_alphabetic() {
+            current.push(ch.to_ascii_lowercase());
+        } else if !ch.is_ascii() && ch.is_alphabetic() {
             // Some lowercase expansions contain non-alphabetic combining
             // marks (İ → "i\u{307}"); drop those so tokens stay purely
             // alphabetic.

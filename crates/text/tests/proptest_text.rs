@@ -44,7 +44,7 @@ proptest! {
         let sample = subsample_terms(&doc, n, seed);
         prop_assert_eq!(sample.len(), n.min(doc.len()));
         // Every sampled term occurs at least as often in the original.
-        for term in &sample {
+        for term in sample.iter() {
             let in_sample = sample.iter().filter(|t| *t == term).count();
             let in_doc = doc.iter().filter(|t| *t == term).count();
             prop_assert!(in_sample <= in_doc);
