@@ -1,8 +1,8 @@
 //! Micro-benchmarks of the graph substrate: sharded corpus generation,
 //! CSR freeze, and the three power-iteration kernels on the frozen CSR
-//! graph, plus the overlay re-rank and federation tier pairs, the text
-//! preparation of crawled sites, and the N-Gram-Graph class-graph build
-//! and featurization.
+//! graph, plus the overlay re-rank and federation tier pairs with their
+//! same-run ratios, the text preparation of crawled sites, and the
+//! N-Gram-Graph document build, class-graph build and featurization.
 //!
 //! ```text
 //! microbench [--domains N] [--repeat R] [--out PATH]
@@ -45,15 +45,34 @@ struct BenchResult {
     /// Work items processed per run (see `unit`).
     items: usize,
     /// What `items` counts: `domains`, `edges`, `edge-traversals`,
-    /// `splices`, `requests`, `bytes` or `documents`.
+    /// `splices`, `requests`, `bytes`, `documents` or `chars`; `ratio`
+    /// for a same-run ratio row.
     unit: &'static str,
-    /// Minimum wall clock over the repeat runs, in seconds.
+    /// Minimum wall clock over the repeat runs, in seconds; for a ratio
+    /// row, the two compared rows' wall clocks summed.
     wall_secs: f64,
+    /// Items per second; for a ratio row, the ratio.
+    throughput: f64,
 }
 
 impl BenchResult {
-    fn throughput(&self) -> f64 {
-        self.items as f64 / self.wall_secs.max(f64::EPSILON)
+    /// A same-run ratio row: `numerator`'s throughput over
+    /// `denominator`'s, both per item of one kind. Machine speed cancels
+    /// out of it, so it gates a relative cost that the absolute rows'
+    /// hardware noise hides.
+    fn ratio(name: &'static str, numerator: &BenchResult, denominator: &BenchResult) -> Self {
+        let out = BenchResult {
+            name,
+            items: 1,
+            unit: "ratio",
+            wall_secs: numerator.wall_secs + denominator.wall_secs,
+            throughput: numerator.throughput / denominator.throughput.max(f64::EPSILON),
+        };
+        eprintln!(
+            "[microbench] {:<24} {:>25.4} ratio",
+            out.name, out.throughput
+        );
+        out
     }
 }
 
@@ -77,13 +96,11 @@ fn bench<T>(
         items,
         unit,
         wall_secs: best,
+        throughput: items as f64 / best.max(f64::EPSILON),
     };
     eprintln!(
         "[microbench] {:<24} {:>9.4}s  {:>14.0} {}/s",
-        out.name,
-        out.wall_secs,
-        out.throughput(),
-        out.unit
+        out.name, out.wall_secs, out.throughput, out.unit
     );
     out
 }
@@ -132,14 +149,12 @@ fn render_json(domains: usize, repeat: usize, results: &[BenchResult]) -> String
     let benches: Vec<String> = results
         .iter()
         .map(|r| {
+            // A ratio near 1 needs more than one decimal to gate at 25%.
+            let decimals = if r.unit == "ratio" { 4 } else { 1 };
             format!(
                 "    {{\"name\": \"{}\", \"items\": {}, \"unit\": \"{}\", \
-                 \"wall_secs\": {:.6}, \"throughput_per_sec\": {:.1}}}",
-                r.name,
-                r.items,
-                r.unit,
-                r.wall_secs,
-                r.throughput()
+                 \"wall_secs\": {:.6}, \"throughput_per_sec\": {:.*}}}",
+                r.name, r.items, r.unit, r.wall_secs, decimals, r.throughput
             )
         })
         .collect();
@@ -262,11 +277,11 @@ fn main() {
         .iter()
         .map(|&i| (pharmaverify_corpus::domain_name(i), 1.0))
         .collect();
-    results.push(bench("overlay/full_rerank", 1, "splices", repeat, || {
+    let full_rerank = bench("overlay/full_rerank", 1, "splices", repeat, || {
         let mut overlay = SpliceOverlay::new(&graph);
         overlay.splice_pharmacy(&splice_domain, &splice_links);
         overlay.trust_rank(&seeds, &rank_config)
-    }));
+    });
     let incremental_rerank = || {
         let mut overlay = SpliceOverlay::new(&graph);
         overlay.splice_pharmacy(&splice_domain, &splice_links);
@@ -277,13 +292,15 @@ fn main() {
         "[microbench] overlay/incremental_rerank: peak frontier {}, {:?}",
         replay.peak_frontier, replay.outcome
     );
-    results.push(bench(
+    let incremental = bench(
         "overlay/incremental_rerank",
         1,
         "splices",
         repeat,
         incremental_rerank,
-    ));
+    );
+    let ratio = BenchResult::ratio("overlay/incremental_vs_full", &incremental, &full_rerank);
+    results.extend([full_rerank, incremental, ratio]);
 
     // Federation pair: per-request cost of the two verdict-producing
     // tiers on the same small synthetic web — the text-only fast path
@@ -305,7 +322,7 @@ fn main() {
     );
     let snap2 = web.snapshot2();
     let requests = snap2.sites.len();
-    results.push(bench(
+    let fast = bench(
         "federation/route/fast",
         requests,
         "requests",
@@ -315,8 +332,8 @@ fn main() {
                 let _ = verifier.verify_text_only(&snap2.web, &site.seed_url);
             }
         },
-    ));
-    results.push(bench(
+    );
+    let slow = bench(
         "federation/route/slow",
         requests,
         "requests",
@@ -326,7 +343,9 @@ fn main() {
                 let _ = verifier.verify(&snap2.web, &site.seed_url);
             }
         },
-    ));
+    );
+    let ratio = BenchResult::ratio("federation/route/fast_vs_slow", &fast, &slow);
+    results.extend([fast, slow, ratio]);
 
     // Text preparation: the summary and preprocessing (tokenize,
     // lowercase, drop stop words) both verifying tiers run on a crawl,
@@ -391,6 +410,15 @@ fn main() {
         .iter()
         .map(|tokens| ngg_fast_input(tokens))
         .collect();
+    // The fast path's document graphs alone (items: chars of input).
+    let chars = fast_inputs.iter().map(|input| input.chars().count()).sum();
+    results.push(bench("ngg/build", chars, "chars", repeat, || {
+        let builder = NGramGraphBuilder::default();
+        fast_inputs
+            .iter()
+            .map(|input| builder.build(input).edge_count())
+            .sum::<usize>()
+    }));
     let class_graphs = verifier.ngg_class_graphs();
     results.push(bench(
         "ngg/features",

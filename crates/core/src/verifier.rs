@@ -28,7 +28,7 @@ use pharmaverify_net::{
     IncrementalConfig, IncrementalOutcome, NodeId, SpliceOverlay, TrustRankConfig, TrustTrajectory,
 };
 use pharmaverify_ngg::{NGramGraphBuilder, NggClassGraphs};
-use pharmaverify_text::subsample::subsample_opt;
+use pharmaverify_text::subsample::subsample_indices;
 use pharmaverify_text::{preprocess, SparseVector, TfIdfModel};
 use std::fmt;
 
@@ -557,14 +557,19 @@ impl TrainedVerifier {
     }
 
     /// Text component of a crawl's [`crawl_tokens`]: subsample,
-    /// vectorize, score. A document the subsample leaves whole is scored
-    /// in place.
+    /// vectorize, score. The terms are counted in place, over the drawn
+    /// positions of a subsampled document, in draw order.
     fn text_component(&self, tokens: &[String]) -> (f64, bool) {
-        let doc = subsample_opt(tokens, self.subsample, self.seed);
+        let counts = match subsample_indices(tokens.len(), self.subsample, self.seed) {
+            Some(kept) => self
+                .tfidf
+                .count_terms(kept.into_iter().map(|i| tokens[i].as_str())),
+            None => self.tfidf.term_counts(tokens),
+        };
         let x = if self.text_uses_counts {
-            self.tfidf.term_counts(&doc)
+            counts
         } else {
-            self.tfidf.transform(&doc)
+            self.tfidf.weigh(counts.iter())
         };
         (self.text_model.score(&x), self.text_model.predict(&x))
     }
@@ -1065,5 +1070,68 @@ mod tests {
             .unwrap();
         assert!(verdict.degraded);
         assert_eq!(verdict.confidence, 0.0);
+    }
+
+    /// FNV-1a-64 of `bytes`, continued from `hash`.
+    fn fnv1a64(hash: u64, bytes: &[u8]) -> u64 {
+        bytes.iter().fold(hash, |h, &b| {
+            (h ^ u64::from(b)).wrapping_mul(0x100_0000_01b3)
+        })
+    }
+
+    /// Folds one served result into `hash`: every verdict field, each
+    /// `f64` by its bits, or the error's text.
+    fn fold_result(hash: u64, result: &Result<Verdict, VerifyError>) -> u64 {
+        let v = match result {
+            Ok(v) => v,
+            Err(e) => return fnv1a64(hash, e.to_string().as_bytes()),
+        };
+        let mut hash = fnv1a64(hash, v.domain.as_bytes());
+        for x in [
+            v.text_score,
+            v.trust_score,
+            v.distrust_score,
+            v.spam_mass,
+            v.network_score,
+            v.rank,
+            v.crawl_coverage,
+            v.confidence,
+        ] {
+            hash = fnv1a64(hash, &x.to_bits().to_le_bytes());
+        }
+        for n in [v.pages_crawled as u64, v.model_version] {
+            hash = fnv1a64(hash, &n.to_le_bytes());
+        }
+        let flags = [u8::from(v.predicted_legitimate), u8::from(v.degraded)];
+        hash = fnv1a64(hash, &flags);
+        fnv1a64(hash, v.source.as_str().as_bytes())
+    }
+
+    /// Golden verdict bits of the three serving entry points over every
+    /// snapshot-2 site, plus the NGG text rank of each site's fast input:
+    /// the values the text, subsample and NGG kernels under them must
+    /// keep. Lineage: recorded at 443bd4a.
+    #[test]
+    fn served_verdict_bits_match_their_golden_digest() {
+        let (verifier, web) = verifier_and_web();
+        let snap2 = web.snapshot2();
+        let urls: Vec<&str> = snap2.sites.iter().map(|s| s.seed_url.as_str()).collect();
+        let mut hash = 0xcbf2_9ce4_8422_2325;
+        for url in &urls {
+            hash = fold_result(hash, &verifier.verify_text_only(&snap2.web, url));
+            hash = fold_result(hash, &verifier.verify(&snap2.web, url));
+            if let Ok(crawl) = verifier.crawl_site(&snap2.web, url) {
+                let input = ngg_fast_input(&crawl_tokens(&crawl));
+                let rank = verifier.ngg.features(&input).text_rank();
+                hash = fnv1a64(hash, &rank.to_bits().to_le_bytes());
+            }
+        }
+        for batch in urls.chunks(8) {
+            for result in verifier.verify_batch(&snap2.web, batch) {
+                hash = fold_result(hash, &result);
+            }
+        }
+        assert_eq!(urls.len(), 60);
+        assert_eq!(format!("{hash:016x}"), "ebf23865b938529f");
     }
 }

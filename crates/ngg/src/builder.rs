@@ -7,20 +7,22 @@
 //! edge's weight.
 //!
 //! Construction interns the grams into a table sized once from the
-//! text and then writes each source's row directly, with no sort. A
+//! text and then writes each source's row directly, with no sort. An
+//! ASCII text's grams are read by byte offset and, up to 7 bytes, found
+//! by their packed bytes; any other text is cut at char boundaries. A
 //! counting sort lists every gram's positions, grouped by gram id.
 //! Visiting the targets in ascending id order, and for each of its
 //! positions the `Dwin` positions before it, hands every source its
 //! in-window pairs in ascending target order, so a source's repeated
 //! target always continues its latest edge. One visit counts each
 //! row's distinct targets, and a second fills the exactly sized rows,
-//! adding 1 to an edge per repeat. Counts are small integers, exact in
-//! `f64`. Ids, edge order and weights are those of sorting every packed
+//! adding 1 to an edge's `u32` count per repeat. Ids, edge order and
+//! counts are those of sorting every packed
 //! `(from, to)` pair and counting runs, without materializing the
 //! pairs: scratch memory is a few words per text position and per gram.
 
-use crate::graph::NGramGraph;
-use crate::intern::GramTable;
+use crate::graph::{EdgeTable, NGramGraph};
+use crate::intern::{packed_words, GramTable, WORD_BYTES};
 use crate::{NGRAM_RANK, WINDOW};
 
 /// Builds [`NGramGraph`]s from text with configurable rank and window.
@@ -76,21 +78,50 @@ impl NGramGraphBuilder {
     /// Builds the n-gram graph of `text`. Texts shorter than the rank
     /// produce an empty graph; a text with exactly one n-gram produces a
     /// single vertex and no edges.
+    ///
+    /// # Panics
+    /// Panics if the text holds more in-window gram pairs than a `u32`
+    /// edge count can hold (over 4·10⁹).
     pub fn build(&self, text: &str) -> NGramGraph {
-        let n_chars = text.chars().count();
+        let ascii = text.is_ascii();
+        let n_chars = if ascii {
+            text.len()
+        } else {
+            text.chars().count()
+        };
         if n_chars < self.rank {
-            return NGramGraph::from_rows(GramTable::default(), vec![0], Vec::new(), Vec::new());
+            let table = EdgeTable::from_rows(
+                GramTable::default(),
+                vec![0],
+                Vec::new(),
+                Vec::new(),
+                [1],
+                [0],
+            );
+            return NGramGraph { table };
         }
         let n_grams = n_chars - self.rank + 1;
+        assert!(
+            n_grams.saturating_mul(self.window.min(n_grams)) <= u32::MAX as usize,
+            "text too long for u32 edge counts"
+        );
         let mut grams = GramTable::with_capacity(n_grams);
-        // Gram `k` spans from the `k`-th char boundary to the
-        // `(k + rank)`-th, the end of the text counting as the last.
-        let starts = text.char_indices().map(|(i, _)| i);
-        let ends = starts.clone().skip(self.rank).chain([text.len()]);
-        let ids: Vec<u32> = starts
-            .zip(ends)
-            .map(|(start, end)| grams.intern(&text[start..end]))
-            .collect();
+        let ids: Vec<u32> = if ascii && self.rank <= WORD_BYTES {
+            // An ASCII text's gram `k` is bytes `k..k + rank`.
+            packed_words(text.as_bytes(), self.rank)
+                .enumerate()
+                .map(|(k, word)| grams.intern_word(word, &text[k..k + self.rank]))
+                .collect()
+        } else {
+            // Gram `k` spans from the `k`-th char boundary to the
+            // `(k + rank)`-th, the end of the text counting as the last.
+            let starts = text.char_indices().map(|(i, _)| i);
+            let ends = starts.clone().skip(self.rank).chain([text.len()]);
+            starts
+                .zip(ends)
+                .map(|(start, end)| grams.intern(&text[start..end]))
+                .collect()
+        };
         let n = grams.len();
         // `occurrences[at[g]..at[g + 1]]`: the positions of gram `g`.
         let mut at = vec![0usize; n + 1];
@@ -121,7 +152,7 @@ impl NGramGraphBuilder {
         }
         let edges = offsets[n];
         let mut targets = vec![0u32; edges];
-        let mut weights = vec![0.0f64; edges];
+        let mut counts = vec![[0u32]; edges];
         let mut end = offsets.clone();
         last.fill(NONE);
         for_each_pair(&ids, &occurrences, &at, self.window, |from, to| {
@@ -130,9 +161,10 @@ impl NGramGraphBuilder {
                 targets[end[from]] = to;
                 end[from] += 1;
             }
-            weights[end[from] - 1] += 1.0;
+            counts[end[from] - 1][0] += 1;
         });
-        NGramGraph::from_rows(grams, offsets, targets, weights)
+        let table = EdgeTable::from_rows(grams, offsets, targets, counts, [1], [edges]);
+        NGramGraph { table }
     }
 }
 

@@ -6,65 +6,29 @@
 //! described by its four similarities against each class graph — an
 //! 8-dimensional feature vector fed to the downstream classifiers.
 //!
-//! The class graphs carry one joint gram index: every gram of either
-//! graph, with its id in each. A document's grams are looked up there
-//! once apiece, and one walk of its rows scores both class graphs
+//! The two class graphs are one table: every gram of either class, and
+//! one row per joint gram listing both classes' targets with both
+//! counts. A document's grams are looked up there once apiece, and one
+//! walk of its rows scores both classes, one binary search per edge
 //! ([`crate::similarity`]).
 
 use crate::builder::NGramGraphBuilder;
-use crate::graph::NGramGraph;
+use crate::graph::{EdgeTable, NGramGraph};
 use crate::intern::GramTable;
-use crate::merge::ClassGraph;
-use crate::similarity::{compare, GraphSimilarities, ABSENT};
+use crate::merge::{join, ClassGraph};
+use crate::similarity::{compare, GraphSimilarities};
 use rand::rngs::SmallRng;
 use rand::seq::SliceRandom;
 use rand::SeedableRng;
 
-/// The two class graphs of the binary pharmacy-verification task.
+/// The two class graphs of the binary pharmacy-verification task, as one
+/// table whose edge sets are `[legitimate, illegitimate]`.
 #[derive(Debug, Clone)]
 pub struct NggClassGraphs {
     builder: NGramGraphBuilder,
-    legitimate: NGramGraph,
-    illegitimate: NGramGraph,
-    index: JointIndex,
-}
-
-/// Every gram of either class graph with its `[legitimate,
-/// illegitimate]` ids, [`ABSENT`] where a class lacks the gram: the
-/// source of the translation table [`compare`] reads.
-#[derive(Debug, Clone)]
-struct JointIndex {
-    grams: GramTable,
-    ids: Vec<[u32; 2]>,
-}
-
-impl JointIndex {
-    fn new(classes: [&NGramGraph; 2]) -> Self {
-        let mut grams = GramTable::with_capacity(classes.iter().map(|g| g.node_count()).sum());
-        let mut ids = Vec::new();
-        for (c, graph) in classes.into_iter().enumerate() {
-            for id in 0..graph.node_count() as u32 {
-                let joint = grams.intern(graph.gram(id)) as usize;
-                if joint == ids.len() {
-                    ids.push([ABSENT; 2]);
-                }
-                ids[joint][c] = id;
-            }
-        }
-        grams.shrink_to_fit();
-        JointIndex { grams, ids }
-    }
-
-    /// Each of `doc`'s grams in both class id spaces.
-    fn translate(&self, doc: &NGramGraph) -> Vec<[u32; 2]> {
-        (0..doc.node_count() as u32)
-            .map(|id| {
-                self.grams
-                    .get(doc.gram(id))
-                    .map_or([ABSENT; 2], |joint| self.ids[joint as usize])
-            })
-            .collect()
-    }
+    /// Joint gram ids are the legitimate class's, then the illegitimate
+    /// class's grams the legitimate class lacks, each in class id order.
+    classes: EdgeTable<2>,
 }
 
 /// The 8 similarity features of one document against both class graphs.
@@ -133,9 +97,9 @@ impl NggClassGraphs {
     ) -> Self {
         let _span = pharmaverify_obs::global().span("ngg/class-graphs/build");
         let mut rng = SmallRng::seed_from_u64(seed);
-        let legitimate = Self::merge_half(&builder, legitimate_texts, &mut rng);
-        let illegitimate = Self::merge_half(&builder, illegitimate_texts, &mut rng);
-        Self::new(builder, legitimate, illegitimate)
+        Self::new(builder, [legitimate_texts, illegitimate_texts], |texts| {
+            Self::merge_half(&builder, texts, &mut rng)
+        })
     }
 
     /// Builds class graphs from *all* the given texts (no sampling) —
@@ -145,28 +109,32 @@ impl NggClassGraphs {
         legitimate_texts: &[&str],
         illegitimate_texts: &[&str],
     ) -> Self {
-        let mut legit = ClassGraph::new();
-        for t in legitimate_texts {
-            legit.merge(&builder.build(t));
-        }
-        let mut illegit = ClassGraph::new();
-        for t in illegitimate_texts {
-            illegit.merge(&builder.build(t));
-        }
-        Self::new(builder, legit.into_graph(), illegit.into_graph())
+        Self::new(builder, [legitimate_texts, illegitimate_texts], |texts| {
+            let mut class = ClassGraph::new();
+            for t in texts {
+                class.merge(&builder.build(t));
+            }
+            class
+        })
     }
 
-    fn new(builder: NGramGraphBuilder, legitimate: NGramGraph, illegitimate: NGramGraph) -> Self {
-        let index = JointIndex::new([&legitimate, &illegitimate]);
+    /// Merges the legitimate, then the illegitimate class from `texts`
+    /// with `merge`, draining each into the joint gram table as soon as
+    /// it is merged, so at most one class's sums are live.
+    fn new(
+        builder: NGramGraphBuilder,
+        texts: [&[&str]; 2],
+        mut merge: impl FnMut(&[&str]) -> ClassGraph,
+    ) -> Self {
+        let mut grams = GramTable::default();
+        let classes = texts.map(|texts| merge(texts).drain_into(&mut grams));
         NggClassGraphs {
             builder,
-            legitimate,
-            illegitimate,
-            index,
+            classes: join(grams, classes),
         }
     }
 
-    fn merge_half(builder: &NGramGraphBuilder, texts: &[&str], rng: &mut SmallRng) -> NGramGraph {
+    fn merge_half(builder: &NGramGraphBuilder, texts: &[&str], rng: &mut SmallRng) -> ClassGraph {
         let mut indices: Vec<usize> = (0..texts.len()).collect();
         indices.shuffle(rng);
         let take = (texts.len() / 2).max(1).min(texts.len());
@@ -174,17 +142,37 @@ impl NggClassGraphs {
         for &i in indices.iter().take(take) {
             class.merge(&builder.build(texts[i]));
         }
-        class.into_graph()
+        class
     }
 
-    /// The merged legitimate-class graph.
-    pub fn legitimate(&self) -> &NGramGraph {
-        &self.legitimate
+    /// The `[legitimate, illegitimate]` class graphs' edge counts.
+    pub fn edge_counts(&self) -> [usize; 2] {
+        self.classes.edge_counts()
     }
 
-    /// The merged illegitimate-class graph.
-    pub fn illegitimate(&self) -> &NGramGraph {
-        &self.illegitimate
+    /// Number of grams of either class graph.
+    pub fn node_count(&self) -> usize {
+        self.classes.node_count()
+    }
+
+    /// The gram with the given joint id.
+    ///
+    /// # Panics
+    /// Panics if `id` is out of range.
+    pub fn gram(&self, id: u32) -> &str {
+        self.classes.grams.gram(id)
+    }
+
+    /// Iterates the edges of either class graph as `(from_gram, to_gram,
+    /// [legitimate, illegitimate])`, each weight `None` where that class
+    /// lacks the edge, in `(from, to)` joint id order.
+    pub fn iter_edges(&self) -> impl Iterator<Item = (&str, &str, [Option<f64>; 2])> {
+        let scales = self.classes.scales();
+        self.classes.iter().map(move |(from, to, counts)| {
+            let weights =
+                std::array::from_fn(|c| (counts[c] != 0).then(|| f64::from(counts[c]) * scales[c]));
+            (self.gram(from), self.gram(to), weights)
+        })
     }
 
     /// Extracts the 8 similarity features for one document text.
@@ -197,9 +185,7 @@ impl NggClassGraphs {
     /// [`GraphSimilarities::compute`] against each class graph, in one
     /// walk of `doc`.
     pub fn features_of_graph(&self, doc: &NGramGraph) -> NggFeatures {
-        let translate = self.index.translate(doc);
-        let [legitimate, illegitimate] =
-            compare(doc, &translate, [&self.legitimate, &self.illegitimate]);
+        let [legitimate, illegitimate] = compare(doc, &self.classes);
         NggFeatures {
             legitimate,
             illegitimate,
@@ -229,8 +215,14 @@ mod tests {
     #[test]
     fn class_graphs_nonempty() {
         let g = graphs();
-        assert!(g.legitimate().edge_count() > 0);
-        assert!(g.illegitimate().edge_count() > 0);
+        assert!(g.edge_counts().iter().all(|&edges| edges > 0));
+        let [legit, illegit] = g.edge_counts();
+        let edges: Vec<_> = g.iter_edges().collect();
+        assert!(edges.len() <= legit + illegit);
+        assert_eq!(edges.iter().filter(|e| e.2[0].is_some()).count(), legit);
+        assert_eq!(edges.iter().filter(|e| e.2[1].is_some()).count(), illegit);
+        assert_eq!(g.gram(0), &LEGIT[0][..4]);
+        assert!(g.node_count() > 0);
     }
 
     #[test]
@@ -278,7 +270,7 @@ mod tests {
         let b = NGramGraphBuilder::default();
         let g1 = NggClassGraphs::build(b, LEGIT, ILLEGIT, 11);
         let g2 = NggClassGraphs::build(b, LEGIT, ILLEGIT, 11);
-        assert_eq!(g1.legitimate().edge_count(), g2.legitimate().edge_count());
+        assert_eq!(g1.edge_counts(), g2.edge_counts());
         let f1 = g1.features(LEGIT[0]).to_vec();
         let f2 = g2.features(LEGIT[0]).to_vec();
         assert_eq!(f1, f2);
@@ -289,7 +281,7 @@ mod tests {
         let b = NGramGraphBuilder::default();
         let g = NggClassGraphs::build(b, LEGIT, ILLEGIT, 3);
         // 3 docs → half = 1 doc merged; graph must still be non-empty.
-        assert!(g.legitimate().edge_count() > 0);
+        assert!(g.edge_counts()[0] > 0);
     }
 
     #[test]

@@ -10,13 +10,14 @@
 //! `Lmin = Lmax = Dwin = 4`.
 //!
 //! * [`graph`] — the frozen n-gram graph: interned grams and sorted
-//!   edge rows;
+//!   edge rows of integer counts, with one scale per edge set;
 //! * [`builder`] — document → graph extraction;
-//! * [`merge`] — class-graph construction by averaging document graphs;
+//! * [`merge`] — class-graph construction by averaging document graphs,
+//!   and the joining of class graphs into one table;
 //! * [`similarity`] — the CS / SS / VS / NVS measures of §4.1.2;
 //! * [`features`] — the 8-value per-document feature extraction of the
-//!   classification process in Figure 2, plus the Equation (3) text-rank
-//!   score used for ranking.
+//!   classification process in Figure 2, against the class pair held as
+//!   one table, plus the Equation (3) text-rank score used for ranking.
 
 pub mod builder;
 pub mod features;

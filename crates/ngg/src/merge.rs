@@ -11,15 +11,30 @@
 //! value similarity (VS) between a document and a class graph is
 //! meaningful.
 //!
-//! Internally the builder accumulates plain edge-weight *sums* — merging
-//! a document costs O(document edges), not O(class-graph edges) — and the
-//! division by the document count happens once, when the averaged graph
-//! is frozen.
+//! Internally the builder accumulates integer co-occurrence *sums* —
+//! merging a document costs O(document edges), not O(class-graph edges)
+//! — and the division by the document count is the frozen graph's one
+//! scale ([`crate::graph`]). A finished class is drained into sorted
+//! edges over a joint gram table, freeing its sums, and [`join`] freezes
+//! the drained classes into one table: [`ClassGraph::into_graph`] is its
+//! one-class case, and [`crate::NggClassGraphs`] joins the two classes.
 
 use std::collections::HashMap;
+use std::hash::{Hash, Hasher};
 
-use crate::graph::{edge_key, edge_of, NGramGraph};
+use crate::graph::{edge_key, EdgeTable, NGramGraph};
 use crate::intern::{GramHashState, GramTable};
+
+/// An edge `(from, to)` of class gram ids, hashed as its [`edge_key`].
+/// Its 4-byte alignment makes a map entry with its `u32` count 12 bytes.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+struct EdgeIds([u32; 2]);
+
+impl Hash for EdgeIds {
+    fn hash<H: Hasher>(&self, state: &mut H) {
+        state.write_u64(edge_key(self.0[0], self.0[1]));
+    }
+}
 
 /// A class graph built by averaging document graphs.
 #[derive(Debug, Clone, Default)]
@@ -27,9 +42,9 @@ pub struct ClassGraph {
     /// Class gram ids, assigned in merge order as grams first appear in
     /// a document's edge order.
     grams: GramTable,
-    /// Edge-weight sums over all merged documents, keyed by
-    /// [`edge_key`] of class ids.
-    sums: HashMap<u64, f64, GramHashState>,
+    /// Co-occurrence counts summed over all merged documents, keyed by
+    /// class ids.
+    sums: HashMap<EdgeIds, u32, GramHashState>,
     merged: usize,
 }
 
@@ -45,23 +60,35 @@ impl ClassGraph {
     }
 
     /// Merges one document graph. O(edges of `doc`).
+    ///
+    /// # Panics
+    /// Panics if `doc` is an average of several documents (a class
+    /// graph), or if an edge's summed count overflows a `u32`.
     pub fn merge(&mut self, doc: &NGramGraph) {
+        let doc = &doc.table;
+        assert!(
+            doc.documents()[0] <= 1,
+            "only document graphs merge into a class graph"
+        );
         // Each document gram is looked up in the class once, on first
         // use in edge order, so class ids come out as if every edge
         // endpoint were interned in turn.
         let mut class_ids: Vec<Option<u32>> = vec![None; doc.node_count()];
         let mut class_id = |grams: &mut GramTable, id: u32| {
-            *class_ids[id as usize].get_or_insert_with(|| grams.intern(doc.gram(id)))
+            *class_ids[id as usize].get_or_insert_with(|| grams.intern_from(&doc.grams, id))
         };
         for from in 0..doc.node_count() as u32 {
-            let (targets, weights) = doc.row(from);
+            let (targets, counts) = doc.row(from);
             if targets.is_empty() {
                 continue;
             }
             let class_from = class_id(&mut self.grams, from);
-            for (&to, &w) in targets.iter().zip(weights) {
-                let key = edge_key(class_from, class_id(&mut self.grams, to));
-                *self.sums.entry(key).or_insert(0.0) += w;
+            for (&to, &[count]) in targets.iter().zip(counts) {
+                let edge = EdgeIds([class_from, class_id(&mut self.grams, to)]);
+                let sum = self.sums.entry(edge).or_insert(0);
+                let (total, overflowed) = sum.overflowing_add(count);
+                assert!(!overflowed, "class edge count overflows u32");
+                *sum = total;
             }
         }
         self.merged += 1;
@@ -78,24 +105,68 @@ impl ClassGraph {
     /// weight is the mean of that edge's weight across the merged
     /// documents.
     pub fn into_graph(self) -> NGramGraph {
-        let ClassGraph {
-            grams,
-            sums,
-            merged,
-        } = self;
-        // lint:allow(hash-iter): drained into a Vec that is sorted by
-        // edge key before anything reads it.
-        let mut edges: Vec<(u64, f64)> = sums.into_iter().collect();
-        edges.sort_unstable_by_key(|&(key, _)| key);
-        let factor = 1.0 / merged as f64;
-        NGramGraph::freeze(
-            grams,
-            edges.into_iter().map(|(key, sum)| {
-                let (from, to) = edge_of(key);
-                (from, to, if merged > 1 { sum * factor } else { sum })
-            }),
-        )
+        let mut grams = GramTable::default();
+        let edges = self.drain_into(&mut grams);
+        NGramGraph {
+            table: join(grams, [edges]),
+        }
     }
+
+    /// Drains the class into edges over the ids of `joint`, interning
+    /// its grams there in class id order, so a class drained into an
+    /// empty table keeps its ids. The sums are freed on return.
+    pub(crate) fn drain_into(self, joint: &mut GramTable) -> JointEdges {
+        let ids: Vec<u32> = (0..self.grams.len() as u32)
+            .map(|id| joint.intern_from(&self.grams, id))
+            .collect();
+        let mut edges: Vec<([u32; 2], u32)> = self
+            .sums
+            // lint:allow(hash-iter): drained into a Vec that is sorted by
+            // edge before anything reads it.
+            .into_iter()
+            .map(|(EdgeIds([from, to]), count)| ([ids[from as usize], ids[to as usize]], count))
+            .collect();
+        edges.sort_unstable_by_key(|&([from, to], _)| edge_key(from, to));
+        JointEdges {
+            edges,
+            documents: self.merged,
+        }
+    }
+}
+
+/// One class's summed counts, keyed by a joint gram table's ids and
+/// sorted in `(from, to)` order: 12 bytes an edge.
+#[derive(Debug)]
+pub(crate) struct JointEdges {
+    edges: Vec<([u32; 2], u32)>,
+    documents: usize,
+}
+
+/// Freezes classes drained into `grams` into one table: each row lists
+/// the union of the classes' targets, ascending by joint id, with every
+/// class's count (0 where it lacks the edge).
+pub(crate) fn join<const N: usize>(grams: GramTable, classes: [JointEdges; N]) -> EdgeTable<N> {
+    let documents = std::array::from_fn(|c| classes[c].documents);
+    let classes = &classes;
+    // The classes' edges merged in `(from, to)` order.
+    let union = || {
+        let mut next = [0usize; N];
+        std::iter::from_fn(move || {
+            let edge = (0..N)
+                .filter_map(|c| classes[c].edges.get(next[c]))
+                .map(|&(edge, _)| edge)
+                .min()?;
+            let counts = std::array::from_fn(|c| match classes[c].edges.get(next[c]) {
+                Some(&(e, count)) if e == edge => {
+                    next[c] += 1;
+                    count
+                }
+                _ => 0,
+            });
+            Some((edge, counts))
+        })
+    };
+    EdgeTable::freeze(grams, union().count(), union(), documents)
 }
 
 #[cfg(test)]
@@ -167,5 +238,31 @@ mod tests {
             assert!((w - rw).abs() < 1e-9, "{f}->{t}: {w} vs {rw}");
         }
         assert_eq!(fg.edge_count(), rg.edge_count());
+    }
+
+    #[test]
+    #[should_panic(expected = "only document graphs merge")]
+    fn merging_an_averaged_graph_panics() {
+        let mut class = ClassGraph::new();
+        class.merge_all([g("ab"), g("ba")].iter());
+        let averaged = class.into_graph();
+        ClassGraph::new().merge(&averaged);
+    }
+
+    #[test]
+    fn join_keeps_the_first_classes_ids_and_unions_rows() {
+        let mut first = ClassGraph::new();
+        first.merge(&g("abc")); // a→b, b→c
+        let mut second = ClassGraph::new();
+        second.merge_all([g("dbc"), g("db")].iter()); // d→b ×2, b→c
+        let mut grams = GramTable::default();
+        let edges = [first.drain_into(&mut grams), second.drain_into(&mut grams)];
+        let table = join(grams, edges);
+        let names: Vec<&str> = (0..4).map(|id| table.grams.gram(id)).collect();
+        assert_eq!(names, ["a", "b", "c", "d"]);
+        assert_eq!(table.edge_counts(), [2, 2]);
+        assert_eq!(table.documents(), [1, 2]);
+        let edges: Vec<_> = table.iter().collect();
+        assert_eq!(edges, [(0, 1, [1, 0]), (1, 2, [1, 1]), (3, 1, [0, 2])]);
     }
 }

@@ -13,19 +13,21 @@
 //! graph with a non-empty one yields 0 (VS is the empty sum `-0.0`).
 //!
 //! One routine, [`compare`], scores a document graph against any number
-//! of class graphs in a single walk of the document's rows: each
-//! document gram arrives translated into every class's id space, and
-//! each document edge probes every class row with a binary search.
-//! Shared edges are counted and their weight ratios summed per class in
-//! the document's `(from, to)` edge order, which fixes the `f64` result.
-//! [`GraphSimilarities::compute`] is its one-class case, and
-//! [`crate::NggClassGraphs`] scores both class graphs in one walk.
+//! of edge sets joined in one [`EdgeTable`], in a single walk of the
+//! document's rows: each document gram is translated into the table's
+//! ids once, and each document edge probes the matching table row with
+//! one binary search, whose one slot holds every set's count. Shared
+//! edges are counted and their weight ratios summed per set in the
+//! document's `(from, to)` edge order, which fixes the `f64` result, so
+//! no bit depends on the table's id order. [`GraphSimilarities::compute`]
+//! is its one-set case, and [`crate::NggClassGraphs`] scores both class
+//! graphs in one walk.
 
-use crate::graph::NGramGraph;
+use crate::graph::{EdgeTable, NGramGraph};
 
-/// Marks a gram that a class graph does not hold, in [`compare`]'s
-/// translation table. Never an issued gram id.
-pub(crate) const ABSENT: u32 = u32::MAX;
+/// Marks a document gram that the table does not hold, in [`compare`]'s
+/// translation. Never an issued gram id.
+const ABSENT: u32 = u32::MAX;
 
 /// All four similarity values between a pair of graphs.
 #[derive(Debug, Clone, Copy, PartialEq)]
@@ -42,13 +44,9 @@ pub struct GraphSimilarities {
 
 impl GraphSimilarities {
     /// Computes all four measures between `gi` and `gj`: [`compare`]
-    /// with `gj` as the one class graph, `gi`'s grams translated into
-    /// `gj`'s id space once per gram.
+    /// with `gj` as the one edge set.
     pub fn compute(gi: &NGramGraph, gj: &NGramGraph) -> Self {
-        let translate: Vec<[u32; 1]> = (0..gi.node_count() as u32)
-            .map(|id| [gj.gram_id(gi.gram(id)).unwrap_or(ABSENT)])
-            .collect();
-        let [sims] = compare(gi, &translate, [gj]);
+        let [sims] = compare(gi, &gj.table);
         sims
     }
 
@@ -80,57 +78,55 @@ impl GraphSimilarities {
     }
 }
 
-/// The similarities of `doc` against each of `classes`, in one walk of
-/// `doc`'s rows. `translate[g][c]` is class `c`'s id of `doc`'s gram
-/// `g`, or [`ABSENT`]; it holds one entry per `doc` gram.
+/// The similarities of `doc` against each edge set of `classes`, in
+/// one walk of `doc`'s rows.
 pub(crate) fn compare<const N: usize>(
     doc: &NGramGraph,
-    translate: &[[u32; N]],
-    classes: [&NGramGraph; N],
+    classes: &EdgeTable<N>,
 ) -> [GraphSimilarities; N] {
-    debug_assert_eq!(translate.len(), doc.node_count());
+    let doc = &doc.table;
+    let joint: Vec<u32> = (0..doc.node_count() as u32)
+        .map(|id| classes.grams.find(&doc.grams, id).unwrap_or(ABSENT))
+        .collect();
+    let [doc_scale] = doc.scales();
+    let scales = classes.scales();
     let mut shared = [0usize; N];
     // Starting at `-0.0`, `Iterator::sum`'s f64 identity, makes VS
     // `-0.0` when no edge is shared; report bytes pin that sign.
     let mut vs_sum = [-0.0f64; N];
-    for (from, from_ids) in translate.iter().enumerate() {
-        let (targets, weights) = doc.row(from as u32);
-        if targets.is_empty() {
+    for (from, &joint_from) in joint.iter().enumerate() {
+        if joint_from == ABSENT {
             continue;
         }
-        let rows: [(&[u32], &[f64]); N] = std::array::from_fn(|c| match from_ids[c] {
-            ABSENT => (&[][..], &[][..]),
-            id => classes[c].row(id),
-        });
-        if rows
-            .iter()
-            .all(|(class_targets, _)| class_targets.is_empty())
-        {
+        let (targets, counts) = doc.row(from as u32);
+        let (class_targets, class_counts) = classes.row(joint_from);
+        if targets.is_empty() || class_targets.is_empty() {
             continue;
         }
-        for (&to, &wi) in targets.iter().zip(weights) {
-            let to_ids = &translate[to as usize];
-            for c in 0..N {
-                let (class_targets, class_weights) = rows[c];
-                if to_ids[c] == ABSENT {
+        for (&to, &[count]) in targets.iter().zip(counts) {
+            let joint_to = joint[to as usize];
+            if joint_to == ABSENT {
+                continue;
+            }
+            let Ok(k) = class_targets.binary_search(&joint_to) else {
+                continue;
+            };
+            let wi = f64::from(count) * doc_scale;
+            for (c, &class_count) in class_counts[k].iter().enumerate() {
+                if class_count == 0 {
                     continue;
                 }
-                if let Ok(k) = class_targets.binary_search(&to_ids[c]) {
-                    let wj = class_weights[k];
-                    shared[c] += 1;
-                    let (lo, hi) = if wi < wj { (wi, wj) } else { (wj, wi) };
-                    vs_sum[c] += if hi == 0.0 { 0.0 } else { lo / hi };
-                }
+                let wj = f64::from(class_count) * scales[c];
+                shared[c] += 1;
+                let (lo, hi) = if wi < wj { (wi, wj) } else { (wj, wi) };
+                vs_sum[c] += if hi == 0.0 { 0.0 } else { lo / hi };
             }
         }
     }
+    let [doc_edges] = doc.edge_counts();
+    let class_edges = classes.edge_counts();
     std::array::from_fn(|c| {
-        GraphSimilarities::from_tallies(
-            doc.edge_count(),
-            classes[c].edge_count(),
-            shared[c],
-            vs_sum[c],
-        )
+        GraphSimilarities::from_tallies(doc_edges, class_edges[c], shared[c], vs_sum[c])
     })
 }
 

@@ -1,7 +1,8 @@
 //! Bit-identity of the frozen n-gram graph against a reference model:
 //! grams interned in first-appearance order, edges in a `BTreeMap` keyed
-//! by id pair, class graphs as running sums scaled once, and the four
-//! similarity measures computed one by one with by-name lookups.
+//! by id pair, class graphs as running sums scaled once, the class pair
+//! as one joint gram list with both classes' weights per edge, and the
+//! four similarity measures computed one by one with by-name lookups.
 
 use std::collections::{BTreeMap, HashMap};
 
@@ -100,6 +101,57 @@ impl RefGraph {
     }
 }
 
+/// Edges by name with both classes' weight bits.
+type PairEdges = Vec<(String, String, [Option<u64>; 2])>;
+
+/// The reference class pair: the first class's grams in id order, then
+/// the second's that the first lacks, and every edge of either class by
+/// name, in joint `(from, to)` id order, with both classes' weight bits.
+fn reference_pair(classes: [&RefGraph; 2]) -> (Vec<String>, PairEdges) {
+    let mut joint = RefGraph::default();
+    for class in classes {
+        for gram in &class.grams {
+            joint.intern(gram);
+        }
+    }
+    let mut edges: BTreeMap<(u32, u32), [Option<u64>; 2]> = BTreeMap::new();
+    for (c, class) in classes.iter().enumerate() {
+        for (&(f, t), w) in &class.edges {
+            let id = |g: u32| joint.index[&class.grams[g as usize]];
+            edges.entry((id(f), id(t))).or_insert([None; 2])[c] = Some(w.to_bits());
+        }
+    }
+    let name = |id: u32| joint.grams[id as usize].clone();
+    let edges = edges
+        .into_iter()
+        .map(|((f, t), w)| (name(f), name(t), w))
+        .collect();
+    (joint.grams, edges)
+}
+
+/// The pair table's joint grams and edges against [`reference_pair`].
+fn assert_pair_matches(
+    graphs: &NggClassGraphs,
+    legit: &RefGraph,
+    illegit: &RefGraph,
+) -> Result<(), TestCaseError> {
+    let (grams, edges) = reference_pair([legit, illegit]);
+    let got: Vec<&str> = (0..graphs.node_count() as u32)
+        .map(|id| graphs.gram(id))
+        .collect();
+    prop_assert_eq!(got, grams);
+    let got: PairEdges = graphs
+        .iter_edges()
+        .map(|(f, t, w)| (f.to_string(), t.to_string(), w.map(|w| w.map(f64::to_bits))))
+        .collect();
+    prop_assert_eq!(got, edges);
+    prop_assert_eq!(
+        graphs.edge_counts(),
+        [legit.edges.len(), illegit.edges.len()]
+    );
+    Ok(())
+}
+
 fn named_edges(g: &NGramGraph) -> Vec<(&str, &str, u64)> {
     g.iter_edges()
         .map(|(f, t, w)| (f, t, w.to_bits()))
@@ -138,7 +190,9 @@ proptest! {
         unicode in UNICODE,
         short in SHORTER_THAN_RANK,
         runs in RUNS,
-        rank in 1usize..6,
+        // Up to 9: ASCII grams of at most 7 bytes are keyed by their
+        // packed bytes, longer ones through the arena.
+        rank in 1usize..10,
         window in 1usize..6,
     ) {
         for text in [&ascii, &unicode, &short, &runs] {
@@ -179,6 +233,7 @@ proptest! {
             RefGraph::class(&texts.iter().map(|t| RefGraph::build(t, 4, 4)).collect::<Vec<_>>())
         };
         let (ref_legit, ref_illegit) = (ref_class(&legit), ref_class(&illegit));
+        assert_pair_matches(&graphs, &ref_legit, &ref_illegit)?;
         for doc in docs.iter().chain([&unicode, &runs]) {
             let features = graphs.features(doc);
             let r = RefGraph::build(doc, 4, 4);
@@ -192,8 +247,8 @@ proptest! {
 }
 
 /// Legitimate texts over `[a-d ]` and illegitimate ones over `[c-fé ]`:
-/// the class graphs share only the grams over `[c-d ]`, so the joint
-/// gram index holds grams missing from one class. Documents over
+/// the class graphs share only the grams over `[c-d ]`, so the pair
+/// table holds grams and edges missing from one class. Documents over
 /// `[a-fé ]` also hold grams missing from both.
 const LEGIT_ONLY: &str = "[a-d ]{0,50}";
 const ILLEGIT_ONLY: &str = "[c-fé ]{0,50}";
@@ -213,6 +268,7 @@ proptest! {
             RefGraph::class(&texts.iter().map(|t| RefGraph::build(t, 4, 4)).collect::<Vec<_>>())
         };
         let (ref_legit, ref_illegit) = (ref_class(&legit), ref_class(&illegit));
+        assert_pair_matches(&graphs, &ref_legit, &ref_illegit)?;
         for doc in &docs {
             let r = RefGraph::build(doc, 4, 4);
             let (l, i) = (r.similarities(&ref_legit), r.similarities(&ref_illegit));

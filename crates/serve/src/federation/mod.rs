@@ -32,7 +32,7 @@ pub mod policy;
 pub mod store;
 
 pub use policy::FederationPolicy;
-pub use store::{StoredVerdict, VerdictStore};
+pub use store::{Recorded, StoredVerdict, VerdictStore};
 
 use crate::cache::{Lookup, Reserve, ResponseCache};
 use crate::service::{ServeConfig, ServeError, Ticket, VerifyService};
@@ -237,12 +237,16 @@ impl<H: WebHost + Send + Sync + 'static> Federation<H> {
     }
 
     /// Records a completed slow-path verdict into the store and cache
-    /// (clean crawls only) and counts the tier-4 hit. Call in ticket
-    /// submission order to keep store/cache contents deterministic.
+    /// (clean crawls only) and counts the tier-4 hit. A verdict the
+    /// store refuses as out of range is counted under
+    /// `serve/federation/store/refused`. Call in ticket submission order
+    /// to keep store/cache contents deterministic.
     pub fn complete_slow(&mut self, verdict: &Verdict) {
         self.obs.add("serve/federation/tier/slow/hit", 1);
         let now = self.clock.now_micros();
-        self.store.record(verdict, now);
+        if let Recorded::Invalid(_) = self.store.record(verdict, now) {
+            self.obs.add("serve/federation/store/refused", 1);
+        }
         self.cache_insert(verdict, now);
     }
 
@@ -250,13 +254,28 @@ impl<H: WebHost + Send + Sync + 'static> Federation<H> {
     /// store to `path`, reloads it from disk, and drops the in-memory
     /// cache (which does not survive a restart). Returns
     /// `(records persisted, records reloaded)`.
+    ///
+    /// # Errors
+    /// The save's or the load's [`PersistError`], counted under
+    /// `serve/federation/checkpoint/save_failed` or `.../load_failed`;
+    /// either way the store and the cache stay as they were.
     pub fn checkpoint_restart(
         &mut self,
         path: &std::path::Path,
     ) -> Result<(u64, u64), PersistError> {
-        self.store.save(path)?;
+        if let Err(error) = self.store.save(path) {
+            self.obs.add("serve/federation/checkpoint/save_failed", 1);
+            return Err(error);
+        }
         let persisted = self.store.len() as u64;
-        self.store = VerdictStore::load(path)?;
+        let store = match VerdictStore::load(path) {
+            Ok(store) => store,
+            Err(error) => {
+                self.obs.add("serve/federation/checkpoint/load_failed", 1);
+                return Err(error);
+            }
+        };
+        self.store = store;
         let reloaded = self.store.len() as u64;
         self.cache = ResponseCache::new(self.cache_capacity, self.cache_ttl_micros);
         Ok((persisted, reloaded))

@@ -15,7 +15,9 @@
 //! the same bytes, and a malformed file reports its path and byte
 //! offset. Loading also validates every record — unique keys, scores in
 //! range — and names the first record that breaks a rule, so a store
-//! never serves a verdict no slow path could have produced.
+//! never serves a verdict no slow path could have produced. Recording
+//! refuses a verdict that breaks the same range rules, so a store never
+//! saves what it could not load back.
 
 use pharmaverify_core::{Verdict, VerdictSource};
 use pharmaverify_corpus::{load_json_file, save_json_file, PersistError};
@@ -102,6 +104,18 @@ impl StoredVerdict {
     }
 }
 
+/// How [`VerdictStore::record`] treated a verdict.
+#[derive(Debug, Clone, PartialEq, Eq)]
+pub enum Recorded {
+    /// Stored under its key, replacing any earlier record there.
+    Stored,
+    /// Refused: the crawl behind it was degraded.
+    Degraded,
+    /// Refused: it breaks the named range rule, which
+    /// [`VerdictStore::load`] would refuse it for.
+    Invalid(String),
+}
+
 /// A persisted map of slow-path verdicts keyed by
 /// `(domain, model_version)`. Iteration, serialization, and therefore
 /// the bytes [`VerdictStore::save`] writes are all BTreeMap-ordered: the
@@ -120,31 +134,34 @@ impl VerdictStore {
     /// Records a slow-path verdict stamped at virtual time `now`.
     /// Degraded verdicts are refused (like the response cache): a store
     /// outlives the crawl that produced it, so only full-coverage
-    /// evidence is worth remembering. Re-recording a key overwrites the
-    /// old record and refreshes its stamp. Returns whether the verdict
-    /// was stored.
-    pub fn record(&mut self, verdict: &Verdict, now: u64) -> bool {
+    /// evidence is worth remembering. A verdict that breaks a range rule
+    /// [`VerdictStore::load`] enforces is refused too, so every saved
+    /// store reloads. Re-recording a key overwrites the old record and
+    /// refreshes its stamp.
+    pub fn record(&mut self, verdict: &Verdict, now: u64) -> Recorded {
         if verdict.degraded {
-            return false;
+            return Recorded::Degraded;
         }
-        self.records.insert(
-            (verdict.domain.clone(), verdict.model_version),
-            StoredVerdict {
-                domain: verdict.domain.clone(),
-                model_version: verdict.model_version,
-                stamped_at_micros: now,
-                pages_crawled: verdict.pages_crawled as u64,
-                text_score: verdict.text_score,
-                trust_score: verdict.trust_score,
-                distrust_score: verdict.distrust_score,
-                spam_mass: verdict.spam_mass,
-                network_score: verdict.network_score,
-                rank: verdict.rank,
-                predicted_legitimate: verdict.predicted_legitimate,
-                confidence: verdict.confidence,
-            },
-        );
-        true
+        let record = StoredVerdict {
+            domain: verdict.domain.clone(),
+            model_version: verdict.model_version,
+            stamped_at_micros: now,
+            pages_crawled: verdict.pages_crawled as u64,
+            text_score: verdict.text_score,
+            trust_score: verdict.trust_score,
+            distrust_score: verdict.distrust_score,
+            spam_mass: verdict.spam_mass,
+            network_score: verdict.network_score,
+            rank: verdict.rank,
+            predicted_legitimate: verdict.predicted_legitimate,
+            confidence: verdict.confidence,
+        };
+        if let Some(rule) = record.broken_rule() {
+            return Recorded::Invalid(rule);
+        }
+        self.records
+            .insert((record.domain.clone(), record.model_version), record);
+        Recorded::Stored
     }
 
     /// The record for `(domain, model_version)`, if any. Staleness is
@@ -230,7 +247,10 @@ mod tests {
     #[test]
     fn record_and_lookup_round_trip() {
         let mut store = VerdictStore::new();
-        assert!(store.record(&verdict("a-pharmacy.com", false), 100));
+        assert_eq!(
+            store.record(&verdict("a-pharmacy.com", false), 100),
+            Recorded::Stored
+        );
         let rec = store.lookup("a-pharmacy.com", 2).unwrap();
         assert_eq!(rec.stamped_at_micros, 100);
         let back = rec.to_verdict();
@@ -244,7 +264,30 @@ mod tests {
     #[test]
     fn degraded_verdicts_are_refused() {
         let mut store = VerdictStore::new();
-        assert!(!store.record(&verdict("a-pharmacy.com", true), 100));
+        assert_eq!(
+            store.record(&verdict("a-pharmacy.com", true), 100),
+            Recorded::Degraded
+        );
+        assert!(store.is_empty());
+    }
+
+    #[test]
+    fn verdicts_load_would_refuse_are_refused() {
+        let mut store = VerdictStore::new();
+        let cases: [(fn(&mut Verdict), &str); 4] = [
+            (|v| v.confidence = f64::NAN, "confidence"),
+            (|v| v.text_score = 1.5, "text_score"),
+            (|v| v.spam_mass = -0.5, "spam_mass"),
+            (|v| v.rank = f64::INFINITY, "rank"),
+        ];
+        for (damage, field) in cases {
+            let mut bad = verdict("a-pharmacy.com", false);
+            damage(&mut bad);
+            match store.record(&bad, 100) {
+                Recorded::Invalid(rule) => assert!(rule.contains(field), "{rule}"),
+                other => panic!("{field}: expected a refusal, got {other:?}"),
+            }
+        }
         assert!(store.is_empty());
     }
 

@@ -42,7 +42,7 @@ pub mod workload;
 pub use cache::{Fill, Lookup, Reserve, ResponseCache};
 pub use drift::{DriftMonitor, DriftVerdict};
 pub use federation::{
-    Federation, FederationPolicy, FederationStats, Routed, StoredVerdict, VerdictStore,
+    Federation, FederationPolicy, FederationStats, Recorded, Routed, StoredVerdict, VerdictStore,
 };
 pub use registry::ModelRegistry;
 pub use replay::{replay_federation, replay_online, replay_workload, OnlineStats, ServingStats};

@@ -4,7 +4,7 @@
 //! degraded verdicts are never served from the cache, and a federation
 //! sends a repeated domain to the slow path once per flush window.
 
-use pharmaverify_core::{extract_corpus, TextLearnerKind, TrainedVerifier};
+use pharmaverify_core::{extract_corpus, TextLearnerKind, TrainedVerifier, VerdictSource};
 use pharmaverify_corpus::{
     apply_attack, AttackConfig, AttackKind, CorpusConfig, Snapshot, SyntheticWeb,
 };
@@ -546,5 +546,82 @@ fn slow_path_repeat_before_flush_shares_one_ticket() {
     assert_eq!(obs.counter("serve/batch"), 1, "the repeat entered the pool");
     assert_eq!(again.rank.to_bits(), first.rank.to_bits());
     federation.flush();
+    federation.shutdown();
+}
+
+/// A federation over the first snapshot whose every clean verdict falls
+/// through to the slow path, with its registry.
+fn slow_federation(
+    verifier: &Arc<TrainedVerifier>,
+    snap1: &Snapshot,
+) -> (Federation<InMemoryWeb>, Arc<Registry>) {
+    let (obs, clock) = test_obs();
+    let federation = Federation::with_observability(
+        Arc::clone(verifier),
+        Arc::new(snap1.web.clone()),
+        ServeConfig {
+            workers: 1,
+            ..ServeConfig::default()
+        },
+        FederationPolicy::default(),
+        Arc::clone(&obs),
+        Arc::new(clock),
+    );
+    (federation, obs)
+}
+
+/// A slow verdict the store could not load back (a NaN confidence) is
+/// refused and counted, so the next checkpoint still saves and reloads.
+#[test]
+fn out_of_range_slow_verdict_is_refused_and_checkpoints_still_reload() {
+    let (verifier, snap1, _snap2) = trained();
+    let (mut federation, obs) = slow_federation(&verifier, &snap1);
+    let good = verifier
+        .verify(&snap1.web, &snap1.sites[0].seed_url)
+        .expect("verifies");
+    let mut bad = verifier
+        .verify(&snap1.web, &snap1.sites[1].seed_url)
+        .expect("verifies");
+    bad.confidence = f64::NAN;
+    federation.complete_slow(&good);
+    federation.complete_slow(&bad);
+    assert_eq!(federation.store_len(), 1);
+    assert_eq!(obs.counter("serve/federation/store/refused"), 1);
+    let path = std::env::temp_dir().join(format!(
+        "pharmaverify-refused-store-{}.json",
+        std::process::id()
+    ));
+    assert_eq!(
+        federation.checkpoint_restart(&path).expect("reloads"),
+        (1, 1)
+    );
+    assert_eq!(obs.counter("serve/federation/checkpoint/save_failed"), 0);
+    assert_eq!(obs.counter("serve/federation/checkpoint/load_failed"), 0);
+    std::fs::remove_file(&path).expect("removes the saved store");
+    federation.shutdown();
+}
+
+/// A checkpoint into a missing directory fails to save: the failure is
+/// counted, and the store and the cache stay as they were.
+#[test]
+fn failed_checkpoint_is_counted_and_keeps_store_and_cache() {
+    let (verifier, snap1, _snap2) = trained();
+    let (mut federation, obs) = slow_federation(&verifier, &snap1);
+    let url = &snap1.sites[0].seed_url;
+    let verdict = verifier.verify(&snap1.web, url).expect("verifies");
+    federation.complete_slow(&verdict);
+    let missing = std::env::temp_dir()
+        .join(format!("pharmaverify-missing-{}", std::process::id()))
+        .join("store.json");
+    assert!(federation.checkpoint_restart(&missing).is_err());
+    assert_eq!(obs.counter("serve/federation/checkpoint/save_failed"), 1);
+    assert_eq!(federation.store_len(), 1);
+    match federation.submit(url) {
+        Routed::Done(cached) => {
+            assert_eq!(cached.source, VerdictSource::ResponseCache);
+            assert_eq!(cached.rank.to_bits(), verdict.rank.to_bits());
+        }
+        _ => panic!("the cache no longer answers the domain"),
+    }
     federation.shutdown();
 }

@@ -16,15 +16,24 @@ use std::borrow::Cow;
 pub const PAPER_SUBSAMPLE_SIZES: &[Option<usize>] =
     &[Some(100), Some(250), Some(1000), Some(2000), None];
 
+/// The positions of the term occurrences a subsample of `size` keeps of
+/// a document of `len` terms, in draw order: `n` positions drawn
+/// uniformly without replacement, or `None` when `size` is `None` or
+/// the document has at most `n` terms and is kept whole. The one draw
+/// behind [`subsample_terms`] and [`subsample_opt`], for callers that
+/// only count the kept terms and need neither their order nor a copy.
+pub fn subsample_indices(len: usize, size: Option<usize>, seed: u64) -> Option<Vec<usize>> {
+    let n = size?;
+    (len > n).then(|| sample(&mut SmallRng::seed_from_u64(seed), len, n).into_vec())
+}
+
 /// Returns `n` term occurrences of `tokens` chosen uniformly at random
 /// without replacement, in original document order. If the document has at
 /// most `n` terms it is returned unchanged, as a borrow.
 pub fn subsample_terms(tokens: &[String], n: usize, seed: u64) -> Cow<'_, [String]> {
-    if tokens.len() <= n {
+    let Some(mut indices) = subsample_indices(tokens.len(), Some(n), seed) else {
         return Cow::Borrowed(tokens);
-    }
-    let mut rng = SmallRng::seed_from_u64(seed);
-    let mut indices = sample(&mut rng, tokens.len(), n).into_vec();
+    };
     indices.sort_unstable();
     Cow::Owned(indices.into_iter().map(|i| tokens[i].clone()).collect())
 }
@@ -89,5 +98,16 @@ mod tests {
         let d = doc(10);
         assert_eq!(*subsample_opt(&d, None, 1), d);
         assert_eq!(subsample_opt(&d, Some(3), 1).len(), 3);
+    }
+
+    #[test]
+    fn indices_are_the_kept_positions() {
+        let d = doc(40);
+        assert_eq!(subsample_indices(40, None, 3), None);
+        assert_eq!(subsample_indices(40, Some(40), 3), None);
+        let mut indices = subsample_indices(40, Some(12), 3).unwrap();
+        indices.sort_unstable();
+        let kept: Vec<String> = indices.iter().map(|&i| d[i].clone()).collect();
+        assert_eq!(*subsample_terms(&d, 12, 3), kept);
     }
 }

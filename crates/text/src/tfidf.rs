@@ -90,7 +90,14 @@ impl TfIdfModel {
     /// Raw term-occurrence counts over the fitted vocabulary — the input
     /// representation for the multinomial naive Bayes classifier.
     pub fn term_counts(&self, doc: &[String]) -> SparseVector {
-        SparseVector::from_occurrences(doc.iter().filter_map(|t| self.vocab.id(t)).collect())
+        self.count_terms(doc.iter().map(String::as_str))
+    }
+
+    /// [`TfIdfModel::term_counts`] of a document holding `terms`, in any
+    /// order: counts do not depend on where a term occurs, so a caller
+    /// can count a borrowed subsample in draw order without copying it.
+    pub fn count_terms<'a>(&self, terms: impl IntoIterator<Item = &'a str>) -> SparseVector {
+        SparseVector::from_occurrences(terms.into_iter().filter_map(|t| self.vocab.id(t)).collect())
     }
 
     /// Transforms a whole corpus.
