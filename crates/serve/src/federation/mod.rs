@@ -236,18 +236,21 @@ impl<H: WebHost + Send + Sync + 'static> Federation<H> {
         self.service.flush();
     }
 
-    /// Records a completed slow-path verdict into the store and cache
-    /// (clean crawls only) and counts the tier-4 hit. A verdict the
-    /// store refuses as out of range is counted under
-    /// `serve/federation/store/refused`. Call in ticket submission order
-    /// to keep store/cache contents deterministic.
+    /// Records a completed slow-path verdict into the store, and into
+    /// the cache only if the store kept it, and counts the tier-4 hit.
+    /// The store refuses a degraded crawl's verdict, and one out of
+    /// range, counted under `serve/federation/store/refused`: no
+    /// checkpoint would keep either, so tier 1 must not answer it. Call
+    /// in ticket submission order to keep store/cache contents
+    /// deterministic.
     pub fn complete_slow(&mut self, verdict: &Verdict) {
         self.obs.add("serve/federation/tier/slow/hit", 1);
         let now = self.clock.now_micros();
-        if let Recorded::Invalid(_) = self.store.record(verdict, now) {
-            self.obs.add("serve/federation/store/refused", 1);
+        match self.store.record(verdict, now) {
+            Recorded::Stored => self.cache_insert(verdict, now),
+            Recorded::Degraded => {}
+            Recorded::Invalid(_) => self.obs.add("serve/federation/store/refused", 1),
         }
-        self.cache_insert(verdict, now);
     }
 
     /// Simulates a process restart at a wave boundary: persists the

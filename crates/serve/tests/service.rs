@@ -571,7 +571,8 @@ fn slow_federation(
 }
 
 /// A slow verdict the store could not load back (a NaN confidence) is
-/// refused and counted, so the next checkpoint still saves and reloads.
+/// refused and counted, never cached, so the next checkpoint still saves
+/// and reloads.
 #[test]
 fn out_of_range_slow_verdict_is_refused_and_checkpoints_still_reload() {
     let (verifier, snap1, _snap2) = trained();
@@ -579,14 +580,22 @@ fn out_of_range_slow_verdict_is_refused_and_checkpoints_still_reload() {
     let good = verifier
         .verify(&snap1.web, &snap1.sites[0].seed_url)
         .expect("verifies");
-    let mut bad = verifier
-        .verify(&snap1.web, &snap1.sites[1].seed_url)
-        .expect("verifies");
+    let bad_url = &snap1.sites[1].seed_url;
+    let mut bad = verifier.verify(&snap1.web, bad_url).expect("verifies");
     bad.confidence = f64::NAN;
     federation.complete_slow(&good);
     federation.complete_slow(&bad);
     assert_eq!(federation.store_len(), 1);
     assert_eq!(obs.counter("serve/federation/store/refused"), 1);
+    // Tier 1 answers only what the store kept.
+    if let Routed::Done(answer) = federation.submit(bad_url) {
+        assert_ne!(
+            answer.source,
+            VerdictSource::ResponseCache,
+            "the response cache answered a verdict the store refused"
+        );
+    }
+    federation.flush();
     let path = std::env::temp_dir().join(format!(
         "pharmaverify-refused-store-{}.json",
         std::process::id()

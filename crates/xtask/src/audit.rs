@@ -76,6 +76,13 @@
 //!
 //! The six double-runs after the plain one are the rows of one table,
 //! `MODES`, and each row makes the same checks in the same order.
+//!
+//! Every configuration's deterministic trace view is also pinned: its
+//! FNV-1a-64 must equal the configuration's `deterministic view` row in
+//! `crates/bench/tests/report_digests.tsv` (configuration column
+//! `<report configuration> --trace`). A change that moves a counter or
+//! a span count on purpose updates the row and appends a lineage entry
+//! that names what moved.
 
 use std::path::Path;
 use std::process::Command;
@@ -104,6 +111,15 @@ const REPRO_ARGS: &[&str] = &[
     "small",
 ];
 
+/// The golden digest table, relative to the workspace root.
+const GOLDEN: &str = "crates/bench/tests/report_digests.tsv";
+
+/// Configuration of the plain run's rows in [`GOLDEN`].
+const PLAIN_CONFIG: &str = "repro --scale small";
+
+/// Section-title column of a trace-view row in [`GOLDEN`].
+const TRACE_VIEW_TITLE: &str = "deterministic view";
+
 /// One double-run beyond the plain one. Its serial and parallel
 /// outputs and deterministic trace views must match; its output must
 /// start with the plain output; its trace must differ from the plain
@@ -111,6 +127,8 @@ const REPRO_ARGS: &[&str] = &[
 struct Mode {
     /// Name in failure messages and the report.
     name: &'static str,
+    /// Configuration column of the run's rows in [`GOLDEN`].
+    config: &'static str,
     /// Harness arguments of the serial (`PHARMAVERIFY_JOBS=1`) run.
     serial: &'static [&'static str],
     /// Harness arguments of the 4-worker run.
@@ -131,6 +149,7 @@ struct Mode {
 const MODES: &[Mode] = &[
     Mode {
         name: "fault-injected",
+        config: "repro --scale small --fault-rate 0.2",
         serial: &["--fault-rate", "0.2"],
         parallel: &["--fault-rate", "0.2"],
         study: "robustness study",
@@ -141,6 +160,7 @@ const MODES: &[Mode] = &[
     },
     Mode {
         name: "serve-workload",
+        config: "repro --scale small --serve-workload 60",
         serial: &["--serve-workload", "60", "--serve-workers", "1"],
         parallel: &["--serve-workload", "60", "--serve-workers", "4"],
         study: "serving study",
@@ -153,6 +173,7 @@ const MODES: &[Mode] = &[
     // and forces a retrain+swap.
     Mode {
         name: "online",
+        config: "repro --scale small --online-waves 6",
         serial: &["--online-waves", "6", "--serve-workers", "1"],
         parallel: &["--online-waves", "6", "--serve-workers", "4"],
         study: "online study",
@@ -171,6 +192,7 @@ const MODES: &[Mode] = &[
     // evaluation without dominating the audit's runtime.
     Mode {
         name: "adversarial",
+        config: "repro --scale small --attack link-farm --attack-strength 0.6",
         serial: &["--attack", "link-farm", "--attack-strength", "0.6"],
         parallel: &["--attack", "link-farm", "--attack-strength", "0.6"],
         study: "attack study",
@@ -185,6 +207,7 @@ const MODES: &[Mode] = &[
     // quick.
     Mode {
         name: "web-tier",
+        config: "repro --scale web --web-domains 70000",
         serial: &["--scale", "web", "--web-domains", "70000"],
         parallel: &["--scale", "web", "--web-domains", "70000"],
         study: "scale study",
@@ -202,6 +225,7 @@ const MODES: &[Mode] = &[
     // ticket instead of racing the worker that verifies the first.
     Mode {
         name: "federation",
+        config: "repro --scale small --federation 400",
         serial: &["--federation", "400", "--serve-workers", "1"],
         parallel: &["--federation", "400", "--serve-workers", "4"],
         study: "federation study",
@@ -218,12 +242,17 @@ const MODES: &[Mode] = &[
 ];
 
 /// Runs the table harness serially and with four workers — first plain,
-/// then once per [`MODES`] entry — and compares outputs byte-for-byte.
+/// then once per [`MODES`] entry — compares outputs byte-for-byte, and
+/// checks each deterministic trace view against its golden digest.
 pub fn run(workspace_root: &Path) -> Result<AuditReport, String> {
+    let golden_path = workspace_root.join(GOLDEN);
+    let golden = std::fs::read_to_string(&golden_path)
+        .map_err(|e| format!("cannot read {}: {e}", golden_path.display()))?;
     let (plain, plain_trace) = run_harness(workspace_root, "1", &[])?;
     let (parallel, parallel_trace) = run_harness(workspace_root, "4", &[])?;
     compare(&plain, &parallel, "fault-free")?;
     let det = compare_trace_views(&plain_trace, &parallel_trace, "fault-free")?;
+    check_view_digest(&golden, PLAIN_CONFIG, &det)?;
     let plain_text = String::from_utf8_lossy(&plain);
     let mut outputs = vec![("plain", plain.len())];
     for mode in MODES {
@@ -231,6 +260,7 @@ pub fn run(workspace_root: &Path) -> Result<AuditReport, String> {
         let (parallel, parallel_trace) = run_harness(workspace_root, "4", mode.parallel)?;
         compare(&serial, &parallel, mode.name)?;
         let mode_det = compare_trace_views(&serial_trace, &parallel_trace, mode.name)?;
+        check_view_digest(&golden, mode.config, &mode_det)?;
         if !serial.starts_with(&plain) {
             return Err(format!(
                 "{} output does not start with the plain output: the {} must \
@@ -292,6 +322,37 @@ fn swap_happened(report: &str) -> bool {
                 .and_then(|v| v.parse::<u64>().ok())
                 .is_some_and(|v| v > 0)
     })
+}
+
+/// FNV-1a-64, the digest [`GOLDEN`] records.
+fn fnv1a64(bytes: &[u8]) -> u64 {
+    bytes.iter().fold(0xcbf2_9ce4_8422_2325, |h, &b| {
+        (h ^ u64::from(b)).wrapping_mul(0x100_0000_01b3)
+    })
+}
+
+/// Checks the digest of `view`, a deterministic trace view of `config`,
+/// against its row in the `golden` table.
+fn check_view_digest(golden: &str, config: &str, view: &str) -> Result<(), String> {
+    let row_config = format!("{config} --trace");
+    let digest = format!("{:016x}", fnv1a64(view.as_bytes()));
+    let want: Vec<&str> = golden
+        .lines()
+        .filter(|line| !line.starts_with('#'))
+        .filter_map(|line| {
+            let cols: Vec<&str> = line.split('\t').collect();
+            (cols.len() > 2 && cols[0] == row_config && cols[2] == TRACE_VIEW_TITLE)
+                .then(|| cols[1])
+        })
+        .collect();
+    if want == [digest.as_str()] {
+        return Ok(());
+    }
+    Err(format!(
+        "{row_config}: the deterministic trace view digests to {digest}, but {GOLDEN} \
+         records {want:?}; a deliberate change updates the row and appends \
+         `; <parent commit>: <what moved>` to its lineage"
+    ))
 }
 
 /// Byte-compares the deterministic views of two rendered traces and

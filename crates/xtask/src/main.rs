@@ -145,7 +145,7 @@ fn cmd_check(args: &[String]) -> Result<bool, String> {
     let opts = parse_opts(args, true, false)?;
     let json = opts.format == Format::Json;
     let run = |layer: &str| !opts.skip.iter().any(|s| s == layer);
-    let root = walk::workspace_root();
+    let root = walk::workspace_root()?;
     let mut ok = true;
     let mut layers: Vec<LayerReport> = Vec::new();
     let mut findings: Vec<Diagnostic> = Vec::new();
@@ -203,7 +203,8 @@ fn cmd_check(args: &[String]) -> Result<bool, String> {
                     .map(|(mode, bytes)| format!("{mode} {bytes}"))
                     .collect();
                 let detail = format!(
-                    "bytes byte-identical: {}; {} bytes of deterministic trace view",
+                    "bytes byte-identical: {}; {} bytes of deterministic trace view; \
+                     every trace view matches its golden digest",
                     outputs.join(", "),
                     report.trace_bytes
                 );
@@ -263,7 +264,7 @@ fn cmd_bench(args: &[String]) -> Result<bool, String> {
             other => return Err(format!("unknown flag '{other}'")),
         }
     }
-    let root = walk::workspace_root();
+    let root = walk::workspace_root()?;
     if let Some(dir) = root.join(&out).parent() {
         std::fs::create_dir_all(dir)
             .map_err(|e| format!("cannot create {}: {e}", dir.display()))?;
@@ -351,7 +352,7 @@ fn cmd_lint(args: &[String]) -> Result<bool, String> {
 /// Reads every lintable workspace source plus the trace contract test
 /// and runs the full workspace analysis.
 fn workspace_findings() -> Result<Vec<Diagnostic>, String> {
-    let root = walk::workspace_root();
+    let root = walk::workspace_root()?;
     let paths = walk::lintable_sources(&root).map_err(|e| format!("cannot walk sources: {e}"))?;
     let mut files = Vec::with_capacity(paths.len());
     for path in paths {

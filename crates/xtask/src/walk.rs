@@ -50,23 +50,74 @@ fn collect_rs(dir: &Path, out: &mut Vec<PathBuf>) -> io::Result<()> {
     Ok(())
 }
 
-/// The workspace root, derived from this crate's manifest location.
-pub fn workspace_root() -> PathBuf {
-    let manifest = PathBuf::from(env!("CARGO_MANIFEST_DIR"));
-    manifest
-        .parent()
-        .and_then(Path::parent)
+/// The workspace root of the current directory (see
+/// [`workspace_root_from`]). It is read at run time, not from where
+/// xtask was compiled, so a copied tree that kept its `target/` checks
+/// its own files; `cargo run` keeps the caller's directory.
+///
+/// # Errors
+/// When the current directory cannot be read or lies in no workspace.
+pub fn workspace_root() -> Result<PathBuf, String> {
+    let cwd =
+        std::env::current_dir().map_err(|e| format!("cannot read the current directory: {e}"))?;
+    workspace_root_from(&cwd)
+}
+
+/// The nearest directory at or above `start` whose `Cargo.toml` has a
+/// `[workspace]` table.
+///
+/// # Errors
+/// When no such directory exists.
+pub fn workspace_root_from(start: &Path) -> Result<PathBuf, String> {
+    start
+        .ancestors()
+        .find(|dir| {
+            std::fs::read_to_string(dir.join("Cargo.toml"))
+                .is_ok_and(|manifest| manifest.lines().any(|l| l.trim() == "[workspace]"))
+        })
         .map(Path::to_path_buf)
-        .unwrap_or(manifest)
+        .ok_or_else(|| {
+            format!(
+                "no Cargo.toml with a [workspace] table at or above {}",
+                start.display()
+            )
+        })
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
 
+    fn repository_root() -> PathBuf {
+        Path::new(env!("CARGO_MANIFEST_DIR")).join("../..")
+    }
+
+    #[test]
+    fn workspace_root_walks_up_to_the_workspace_manifest() {
+        let root = workspace_root_from(&repository_root().join("crates/xtask/src")).unwrap();
+        assert_eq!(
+            root.canonicalize().unwrap(),
+            repository_root().canonicalize().unwrap()
+        );
+        // Tests run in the package directory, inside the same workspace.
+        assert_eq!(
+            workspace_root().unwrap().canonicalize().unwrap(),
+            root.canonicalize().unwrap()
+        );
+    }
+
+    #[test]
+    fn directory_outside_any_workspace_is_an_error() {
+        let dir = std::env::temp_dir().join(format!("xtask-no-manifest-{}", std::process::id()));
+        std::fs::create_dir_all(&dir).unwrap();
+        let err = workspace_root_from(&dir).unwrap_err();
+        std::fs::remove_dir(&dir).unwrap();
+        assert!(err.contains("[workspace]"), "{err}");
+    }
+
     #[test]
     fn finds_workspace_sources() {
-        let files = lintable_sources(&workspace_root()).unwrap();
+        let files = lintable_sources(&workspace_root().unwrap()).unwrap();
         assert!(files.iter().any(|f| f.ends_with("crates/ngg/src/graph.rs")));
         assert!(!files.iter().any(|f| f.to_string_lossy().contains("vendor")));
         assert!(!files

@@ -121,7 +121,7 @@ fn binaries_are_exempt_from_no_raw_eprintln() {
 
 #[test]
 fn whole_workspace_is_lint_clean() {
-    let root = xtask::walk::workspace_root();
+    let root = xtask::walk::workspace_root().unwrap();
     let paths = xtask::walk::lintable_sources(&root).unwrap();
     assert!(paths.len() > 50, "walker found only {} files", paths.len());
     let files: Vec<(PathBuf, String)> = paths
