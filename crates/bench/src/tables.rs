@@ -12,12 +12,12 @@
 
 use crate::context::{ReproContext, REPRO_SEED};
 use pharmaverify_core::classify::{
-    evaluate_ensemble_in, evaluate_network_in, evaluate_ngg_in, evaluate_tfidf_in, CvConfig,
-    TermWeighting, TextLearnerKind,
+    evaluate_ensemble_in, evaluate_network_in, evaluate_ngg_in, evaluate_tfidf_in,
+    ngg_document_texts, CvConfig, TermWeighting, TextLearnerKind,
 };
 use pharmaverify_core::drift_study;
 use pharmaverify_core::features::extract_corpus_from;
-use pharmaverify_core::pipeline::{Executor, NggFoldGraphs, Pipeline};
+use pharmaverify_core::pipeline::{Executor, Pipeline};
 use pharmaverify_core::rank::{evaluate_ranking_in, RankingMethod};
 use pharmaverify_core::report::{abbreviations, Table};
 use pharmaverify_crawl::{CrawlConfig, FaultConfig, FaultyWeb};
@@ -177,38 +177,29 @@ pub fn table6(grid: &GridResults) -> Table {
     grid.table("Table 6: TF-IDF - Area Under ROC Curve", |s| s.auc)
 }
 
-/// Runs the full N-Gram-Graph grid (Tables 7–10). The per-fold class
-/// graphs and document features are computed once per subsample size and
-/// shared by all four classifiers — the expensive part is the graph work,
-/// not the learning — with each document's graph built once for all
-/// folds ([`NggFoldGraphs::fill_all`]); the features stay memoized in
-/// the class-graph artifacts for the other NGG studies. Subsample sizes
+/// Runs the full N-Gram-Graph grid (Tables 7–10). Every document's
+/// features against each fold's class graphs are computed once per
+/// subsample size ([`Pipeline::ngg_features`]) and shared by all four
+/// classifiers — the expensive part is the graph work, not the learning
+/// — and by the other NGG studies of the same subsample. Subsample sizes
 /// dispatch across the executor.
 pub fn ngg_grid(ctx: &ReproContext, exec: Executor) -> GridResults {
     let corpus = &ctx.corpus1;
     let cv = ctx.cv;
     let pipe = ctx.pipe1();
     let split = pipe.fold_split(cv.k, cv.seed);
+    let train_sets: Vec<&[usize]> = split.iter().map(|(_, train, _)| train).collect();
     let sizes = ReproContext::subsample_sizes();
 
     // columns[size][row] — each size is one executor job.
     let columns: Vec<Vec<EvalSummary>> = exec.run(sizes.len(), |s| {
         let (size, _) = sizes[s];
-        // Per fold: features for every document against this fold's class
-        // graphs, each document's graph built once for all folds. Folds
-        // build their class graphs in parallel.
-        let folds =
-            split.par_map(|f, train_idx, _| pipe.ngg_class_graphs(size, cv.seed, f, train_idx));
-        NggFoldGraphs::fill_all(&folds);
-        let fold_datasets: Vec<Dataset> = folds
-            .iter()
-            .map(|graphs| {
+        let features = pipe.ngg_features(size, cv.seed, &train_sets);
+        let fold_datasets: Vec<Dataset> = (0..split.k())
+            .map(|f| {
                 let mut all = Dataset::new(8);
-                for (i, &label) in corpus.labels.iter().enumerate() {
-                    all.push(
-                        SparseVector::from_dense(&graphs.features(i).to_vec()),
-                        label,
-                    );
+                for (x, &label) in features.fold(f).iter().zip(&corpus.labels) {
+                    all.push(SparseVector::from_dense(&x.to_vec()), label);
                 }
                 all
             })
@@ -719,7 +710,7 @@ pub fn ablation_representations(ctx: &ReproContext) -> Table {
     let cv = ctx.cv;
     let pipe = ctx.pipe1();
     let split = pipe.fold_split(cv.k, cv.seed);
-    let texts = pipe.ngg_texts(Some(1000), cv.seed);
+    let texts = ngg_document_texts(&pipe.subsampled_docs(Some(1000), cv.seed));
 
     let mut t = Table::new(
         "Ablation: text representations under SVM (1000-term subsamples, cf. [13])",

@@ -144,7 +144,7 @@ fn span_tree_nests_sections_and_stages() {
 
     // Pipeline stages and crawl sites record under their own subtrees,
     // with counts matching the cache-miss counters.
-    for stage in ["fold-split", "fitted-tfidf", "trust-scores"] {
+    for stage in ["fold-split", "fitted-tfidf", "ngg-features", "trust-scores"] {
         assert_eq!(
             counter_value(view, &format!("pipeline/cache/{stage}/misses")),
             span_count(view, stage),

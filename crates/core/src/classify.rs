@@ -22,8 +22,8 @@
 //! Every pipeline is one loop over the stratified [`FoldSplit`] its
 //! artifact store caches: featurize the training split, fit, and measure
 //! the test split with [`FoldOutcome::score`], reading each document's
-//! vector from the fold artifact that owns it (the fitted TF-IDF model
-//! or the class graphs, which compute it once). The TF-IDF,
+//! vector from the artifact that owns it (the fitted TF-IDF model, or
+//! the NGG features of the split's folds). The TF-IDF,
 //! N-Gram-Graph and ensemble pipelines run a scoped thread per fold
 //! ([`FoldSplit::par_map`]); the network pipeline runs its folds
 //! serially, in the loop it shares with
@@ -31,7 +31,7 @@
 
 use crate::extensions::{network_folds, NetworkVariant};
 use crate::features::ExtractedCorpus;
-use crate::pipeline::{ArtifactStore, Executor, NggFoldGraphs, Pipeline};
+use crate::pipeline::{ArtifactStore, Executor, Pipeline};
 use pharmaverify_ml::{
     greedy_auc_selection, CvOutcome, Dataset, DecisionTree, FoldOutcome, FoldSplit,
     GaussianNaiveBayes, Learner, LinearSvm, Mlp, Model, MultinomialNaiveBayes, Sampling,
@@ -243,10 +243,8 @@ pub fn evaluate_ngg(
 }
 
 /// [`evaluate_ngg`] against a shared artifact store: the fold split and
-/// the per-fold class graphs, with each document's features against
-/// them, come from the pipeline. Every document is read in every fold,
-/// so the folds' feature slots are filled together, one document graph
-/// each ([`NggFoldGraphs::fill_all`]).
+/// every document's features against each fold's class graphs come from
+/// the pipeline ([`Pipeline::ngg_features`]).
 pub fn evaluate_ngg_in(
     pipe: Pipeline<'_>,
     learner: &dyn Learner,
@@ -256,12 +254,11 @@ pub fn evaluate_ngg_in(
     let corpus = pipe.corpus();
     assert!(!corpus.is_empty(), "corpus must not be empty");
     let split = pipe.fold_split(cv.k, cv.seed);
-    let fold_graphs =
-        split.par_map(|f, train_idx, _| pipe.ngg_class_graphs(subsample, cv.seed, f, train_idx));
-    NggFoldGraphs::fill_all(&fold_graphs);
+    let train_sets: Vec<&[usize]> = split.iter().map(|(_, train, _)| train).collect();
+    let features = pipe.ngg_features(subsample, cv.seed, &train_sets);
     let folds = split.par_map(|f, train_idx, test_idx| {
-        let class_graphs = &fold_graphs[f];
-        let featurize = |i: usize| SparseVector::from_dense(&class_graphs.features(i).to_vec());
+        let fold = features.fold(f);
+        let featurize = |i: usize| SparseVector::from_dense(&fold[i].to_vec());
         let mut train = Dataset::new(8);
         for &i in train_idx {
             train.push(featurize(i), corpus.labels[i]);
@@ -395,9 +392,10 @@ pub fn evaluate_ensemble(
 
 /// [`evaluate_ensemble`] against a shared artifact store. The fold
 /// split and link graph are shared artifacts; the per-fold TF-IDF fit
-/// and class graphs are keyed by the ensemble's sub-training index set,
-/// so they never collide with (or shadow) the standard fold-training
-/// models of [`evaluate_tfidf_in`]. Folds run on a scoped thread each.
+/// and the NGG features are keyed by the ensemble's sub-training index
+/// sets, so they never collide with (or shadow) the standard
+/// fold-training artifacts of [`evaluate_tfidf_in`] and
+/// [`evaluate_ngg_in`]. Folds run on a scoped thread each.
 pub fn evaluate_ensemble_in(
     pipe: Pipeline<'_>,
     subsample: Option<usize>,
@@ -427,15 +425,8 @@ pub fn evaluate_ensemble_in(
             (pick(hill.train(0)), pick(hill.test(0)))
         })
         .collect();
-    // The class graphs are built one fold at a time in the calling
-    // thread: run last in a report, when the store is fullest,
-    // concurrent builds raise peak memory (DESIGN §5).
-    let fold_graphs: Vec<_> = holdouts
-        .iter()
-        .enumerate()
-        .map(|(f, (sub_idx, _))| pipe.ngg_class_graphs(subsample, cv.seed, f, sub_idx))
-        .collect();
-    NggFoldGraphs::fill_all(&fold_graphs);
+    let sub_sets: Vec<&[usize]> = holdouts.iter().map(|(sub, _)| sub.as_slice()).collect();
+    let ngg_features = pipe.ngg_features(subsample, cv.seed, &sub_sets);
 
     let folds: Vec<(FoldOutcome, Vec<usize>)> = split.par_map(|f, _, test_idx| {
         let (sub_idx, hill_idx) = &holdouts[f];
@@ -459,10 +450,8 @@ pub fn evaluate_ensemble_in(
         let tfidf = pipe.fitted_tfidf(subsample, cv.seed, Some(f), sub_idx);
         let raw = view(tfidf.dim(), &|i| tfidf.vector(i, TermWeighting::RawCounts));
         let weighted = view(tfidf.dim(), &|i| tfidf.vector(i, TermWeighting::TfIdf));
-        let class_graphs = &fold_graphs[f];
-        let ngg = view(8, &|i| {
-            SparseVector::from_dense(&class_graphs.features(i).to_vec())
-        });
+        let ngg_fold = ngg_features.fold(f);
+        let ngg = view(8, &|i| SparseVector::from_dense(&ngg_fold[i].to_vec()));
         let seed_idx: Vec<usize> = sub_idx
             .iter()
             .copied()

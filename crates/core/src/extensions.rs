@@ -24,7 +24,7 @@ use crate::classify::{
     TermWeighting, TextLearnerKind,
 };
 use crate::features::ExtractedCorpus;
-use crate::pipeline::{ArtifactStore, NggFoldGraphs, Pipeline};
+use crate::pipeline::{ArtifactStore, Pipeline};
 use pharmaverify_corpus::Snapshot;
 use pharmaverify_crawl::{CrawlConfig, Crawler, Url};
 use pharmaverify_ml::{
@@ -399,12 +399,10 @@ pub fn evaluate_combined(
 }
 
 /// [`evaluate_combined`] against a shared artifact store: every view it
-/// concatenates (subsample draw, per-fold TF-IDF model, class graphs
-/// with their memoized document features, link graph, TrustRank
-/// vectors) is the same artifact the single-view pipelines request, so
-/// the combined run costs only the final SVM fit. The folds' NGG feature
-/// slots are filled together, one document graph each
-/// ([`NggFoldGraphs::fill_all`]).
+/// concatenates (subsample draw, per-fold TF-IDF model, the folds' NGG
+/// features, link graph, TrustRank vectors) is the same artifact the
+/// single-view pipelines request, so the combined run costs only the
+/// final SVM fit.
 pub fn evaluate_combined_in(
     pipe: Pipeline<'_>,
     subsample: Option<usize>,
@@ -414,11 +412,8 @@ pub fn evaluate_combined_in(
     assert!(!corpus.is_empty(), "corpus must not be empty");
     let trust_config = TrustRankConfig::default();
     let split = pipe.fold_split(cv.k, cv.seed);
-    let fold_graphs: Vec<_> = split
-        .iter()
-        .map(|(f, train_idx, _)| pipe.ngg_class_graphs(subsample, cv.seed, f, train_idx))
-        .collect();
-    NggFoldGraphs::fill_all(&fold_graphs);
+    let train_sets: Vec<&[usize]> = split.iter().map(|(_, train, _)| train).collect();
+    let ngg_features = pipe.ngg_features(subsample, cv.seed, &train_sets);
     let mut folds = Vec::with_capacity(split.k());
 
     for (f, train_idx, test_idx) in split.iter() {
@@ -426,7 +421,7 @@ pub fn evaluate_combined_in(
         let tfidf = pipe.fitted_tfidf(subsample, cv.seed, Some(f), train_idx);
         let text_dim = tfidf.dim() as u32;
         // NGG view.
-        let class_graphs = &fold_graphs[f];
+        let ngg_fold = ngg_features.fold(f);
         // Network view.
         let good_seeds: Vec<usize> = train_idx
             .iter()
@@ -439,7 +434,7 @@ pub fn evaluate_combined_in(
             let mut pairs: Vec<(u32, f64)> = tfidf.vector(i, TermWeighting::TfIdf).iter().collect();
             // NGG similarities and trust, scaled ×10 so the SVM margin
             // treats them on a par with tf·idf weights.
-            for (k, v) in class_graphs.features(i).to_vec().iter().enumerate() {
+            for (k, v) in ngg_fold[i].to_vec().iter().enumerate() {
                 pairs.push((text_dim + k as u32, v * 10.0));
             }
             pairs.push((text_dim + 8, trust[i]));

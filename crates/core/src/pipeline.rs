@@ -16,14 +16,13 @@
 //! * [`Pipeline`] — a cheap handle binding a store to one
 //!   [`ExtractedCorpus`] (identified by a content fingerprint, so one
 //!   store can serve both datasets of the drift study). Its methods are
-//!   the artifact accessors: subsampled documents, N-Gram-Graph texts,
-//!   fold splits, fitted TF-IDF models (which memoize each document's
-//!   term counts over their vocabulary), per-fold class graphs (which
-//!   memoize each document's features against them, and can be filled
-//!   document-major across the folds of one text set), the Algorithm 1
-//!   web graph, and TrustRank score vectors. An artifact requests the
-//!   artifacts it is derived from only when it is computed, so a cache
-//!   hit counts one lookup.
+//!   the artifact accessors: subsampled documents, fold splits, fitted
+//!   TF-IDF models (with every document's term counts over their
+//!   vocabulary), every document's N-Gram-Graph features against the
+//!   class graphs of each fold of a split, the Algorithm 1 web graph,
+//!   and TrustRank score vectors. An artifact requests the artifacts it
+//!   is derived from only when it is computed, so a cache hit counts one
+//!   lookup.
 //! * [`Executor`] — a scoped-thread work-stealing executor (the
 //!   `std::thread::scope` pattern the fold loops already used, made
 //!   reusable) that runs `n` indexed jobs on up to `PHARMAVERIFY_JOBS`
@@ -38,7 +37,7 @@
 //! results back to submission order before anyone observes them.
 
 use crate::classify::{build_web_graph, pharmacy_trust_scores, NetworkArtifacts};
-use crate::classify::{ngg_document_texts, subsampled_documents, CvConfig, TermWeighting};
+use crate::classify::{ngg_document_texts, subsampled_documents, TermWeighting};
 use crate::features::ExtractedCorpus;
 use pharmaverify_ml::FoldSplit;
 use pharmaverify_net::TrustRankConfig;
@@ -56,16 +55,14 @@ use std::sync::{Arc, Mutex, OnceLock, PoisonError};
 pub enum Stage {
     /// Per-document term subsamples (`Vec<Vec<String>>`).
     SubsampledDocs,
-    /// Subsampled documents re-joined into N-Gram-Graph input strings.
-    NggTexts,
     /// A stratified fold split with precomputed training complements.
     FoldSplit,
-    /// A TF-IDF model fitted on one training-index set, with its
-    /// documents' term counts filled on first request.
+    /// A TF-IDF model fitted on one training-index set, with every
+    /// document's term counts.
     FittedTfIdf,
-    /// Per-fold N-Gram-Graph class graphs, with their documents'
-    /// features filled on first request.
-    NggClassGraphs,
+    /// Every document's N-Gram-Graph features against each fold's class
+    /// graphs.
+    NggFeatures,
     /// The Algorithm 1 outbound-link graph.
     WebGraph,
     /// Per-pharmacy TrustRank scores for one seed set.
@@ -74,12 +71,11 @@ pub enum Stage {
 
 impl Stage {
     /// Every stage, in display order.
-    pub const ALL: [Stage; 7] = [
+    pub const ALL: [Stage; 6] = [
         Stage::SubsampledDocs,
-        Stage::NggTexts,
         Stage::FoldSplit,
         Stage::FittedTfIdf,
-        Stage::NggClassGraphs,
+        Stage::NggFeatures,
         Stage::WebGraph,
         Stage::TrustScores,
     ];
@@ -88,10 +84,9 @@ impl Stage {
     pub fn name(self) -> &'static str {
         match self {
             Stage::SubsampledDocs => "subsampled-docs",
-            Stage::NggTexts => "ngg-texts",
             Stage::FoldSplit => "fold-split",
             Stage::FittedTfIdf => "fitted-tfidf",
-            Stage::NggClassGraphs => "ngg-class-graphs",
+            Stage::NggFeatures => "ngg-features",
             Stage::WebGraph => "web-graph",
             Stage::TrustScores => "trust-scores",
         }
@@ -100,12 +95,11 @@ impl Stage {
     fn index(self) -> usize {
         match self {
             Stage::SubsampledDocs => 0,
-            Stage::NggTexts => 1,
-            Stage::FoldSplit => 2,
-            Stage::FittedTfIdf => 3,
-            Stage::NggClassGraphs => 4,
-            Stage::WebGraph => 5,
-            Stage::TrustScores => 6,
+            Stage::FoldSplit => 1,
+            Stage::FittedTfIdf => 2,
+            Stage::NggFeatures => 3,
+            Stage::WebGraph => 4,
+            Stage::TrustScores => 5,
         }
     }
 }
@@ -131,9 +125,10 @@ pub struct ArtifactKey {
     /// configuration fingerprint — whatever the stage varies over.
     pub param: u64,
     /// Fingerprint of the exact index set the artifact was computed from
-    /// ([`indices_fingerprint`]), 0 when the whole corpus is used. This
-    /// is what keeps e.g. the ensemble's sub-training TF-IDF model from
-    /// colliding with the standard fold-training model at the same seed.
+    /// ([`indices_fingerprint`]), or of the ordered list of index sets
+    /// for NGG features, 0 when the whole corpus is used. This is what
+    /// keeps e.g. the ensemble's sub-training TF-IDF model from colliding
+    /// with the standard fold-training model at the same seed.
     pub variant: u64,
 }
 
@@ -211,6 +206,17 @@ pub fn indices_fingerprint(indices: &[usize]) -> u64 {
     h.write_u64(indices.len() as u64);
     for &i in indices {
         h.write_u64(i as u64);
+    }
+    h.finish()
+}
+
+/// Fingerprint of an ordered list of index sets (the training sets of
+/// the folds an NGG features artifact covers).
+fn index_sets_fingerprint(sets: &[&[usize]]) -> u64 {
+    let mut h = Fnv::new();
+    h.write_u64(sets.len() as u64);
+    for set in sets {
+        h.write_u64(indices_fingerprint(set));
     }
     h.finish()
 }
@@ -321,13 +327,12 @@ pub struct CacheCounters {
 /// experiment run.
 pub struct ArtifactStore {
     docs: Memo<Vec<Vec<String>>>,
-    texts: Memo<Vec<String>>,
     folds: Memo<FoldSplit>,
     tfidf: Memo<FittedTfIdf>,
-    ngg_graphs: Memo<NggFoldGraphs>,
+    ngg_features: Memo<NggFoldFeatures>,
     web: Memo<NetworkArtifacts>,
     trust: Memo<Vec<f64>>,
-    stats: [StageStats; 7],
+    stats: [StageStats; 6],
     obs: Arc<Registry>,
 }
 
@@ -343,10 +348,9 @@ impl ArtifactStore {
     pub fn with_obs(obs: Arc<Registry>) -> ArtifactStore {
         ArtifactStore {
             docs: Memo::new(),
-            texts: Memo::new(),
             folds: Memo::new(),
             tfidf: Memo::new(),
-            ngg_graphs: Memo::new(),
+            ngg_features: Memo::new(),
             web: Memo::new(),
             trust: Memo::new(),
             stats: Default::default(),
@@ -384,10 +388,9 @@ impl ArtifactStore {
     /// Number of distinct artifacts currently cached.
     pub fn len(&self) -> usize {
         self.docs.len()
-            + self.texts.len()
             + self.folds.len()
             + self.tfidf.len()
-            + self.ngg_graphs.len()
+            + self.ngg_features.len()
             + self.web.len()
             + self.trust.len()
     }
@@ -485,20 +488,6 @@ impl<'a> Pipeline<'a> {
         )
     }
 
-    /// Subsampled documents re-joined with spaces — the N-Gram-Graph
-    /// input representation (stage: `ngg-texts`). Derived from the
-    /// `subsampled-docs` artifact so both views share one subsample draw.
-    pub fn ngg_texts(&self, subsample: Option<usize>, seed: u64) -> Arc<Vec<String>> {
-        let stage = Stage::NggTexts;
-        let key = self.key(stage, seed, NO_FOLD, encode_subsample(subsample), 0);
-        self.store.texts.get_or_compute(
-            key,
-            self.store,
-            || self.subsampled_docs(subsample, seed),
-            |docs| ngg_document_texts(&docs),
-        )
-    }
-
     /// The stratified fold split for `(k, seed)` (stage: `fold-split`).
     pub fn fold_split(&self, k: usize, seed: u64) -> Arc<FoldSplit> {
         let stage = Stage::FoldSplit;
@@ -511,14 +500,9 @@ impl<'a> Pipeline<'a> {
         )
     }
 
-    /// Convenience: the fold split of a [`CvConfig`].
-    pub fn cv_split(&self, cv: CvConfig) -> Arc<FoldSplit> {
-        self.fold_split(cv.k, cv.seed)
-    }
-
     /// A TF-IDF model fitted on `train_idx`'s subsampled documents
-    /// (stage: `fitted-tfidf`), which also memoizes every corpus
-    /// document's vector over the model ([`FittedTfIdf::vector`]).
+    /// (stage: `fitted-tfidf`), with every corpus document's term counts
+    /// over the model ([`FittedTfIdf::vector`]).
     /// `fold` is `None` when the training set is not one of the standard
     /// CV folds (e.g. the drift study's whole-corpus fit); the
     /// `train_idx` fingerprint disambiguates regardless.
@@ -543,63 +527,77 @@ impl<'a> Pipeline<'a> {
             || self.subsampled_docs(subsample, seed),
             |docs| {
                 let train_docs: Vec<&Vec<String>> = train_idx.iter().map(|&i| &docs[i]).collect();
-                FittedTfIdf {
-                    model: TfIdfModel::fit(&train_docs),
-                    counts: docs.iter().map(|_| OnceLock::new()).collect(),
-                    docs,
-                }
+                let model = TfIdfModel::fit(&train_docs);
+                // Exact: a count is a whole number no larger than the document.
+                let counts = docs
+                    .iter()
+                    .map(|doc| {
+                        let counts = model.term_counts(doc);
+                        counts.iter().map(|(id, n)| (id, n as u32)).collect()
+                    })
+                    .collect();
+                FittedTfIdf { model, counts }
             },
         )
     }
 
-    /// The per-fold N-Gram-Graph class graphs (stage: `ngg-class-graphs`):
-    /// each class graph merges a seeded random half of that class's
-    /// training documents. The build seed is `base_seed ^ fold`, the
-    /// discipline every existing call site uses. The artifact also
-    /// memoizes each corpus document's features against the graphs
-    /// ([`NggFoldGraphs::features`]), so every consumer of one fold's
-    /// graphs shares one featurization per document.
-    pub fn ngg_class_graphs(
+    /// Every corpus document's N-Gram-Graph features against the class
+    /// graphs of each training set in `train_sets` (stage:
+    /// `ngg-features`), one fold per set. Fold `f`'s class graphs merge
+    /// a seeded random half of each class's documents in its set, built
+    /// with seed `base_seed ^ f`, the discipline every caller uses. One
+    /// thread per fold builds them, then one thread per fold over the
+    /// documents builds each document's n-gram graph once and scores it
+    /// against every fold; the threads run outside the [`Executor`] and
+    /// record no executor counters. The graphs and the joined texts are
+    /// dropped once the features are computed.
+    pub fn ngg_features(
         &self,
         subsample: Option<usize>,
         base_seed: u64,
-        fold: usize,
-        train_idx: &[usize],
-    ) -> Arc<NggFoldGraphs> {
-        let stage = Stage::NggClassGraphs;
+        train_sets: &[&[usize]],
+    ) -> Arc<NggFoldFeatures> {
+        let stage = Stage::NggFeatures;
         let key = self.key(
             stage,
             base_seed,
-            fold as u32,
+            NO_FOLD,
             encode_subsample(subsample),
-            indices_fingerprint(train_idx),
+            index_sets_fingerprint(train_sets),
         );
-        self.store.ngg_graphs.get_or_compute(
+        self.store.ngg_features.get_or_compute(
             key,
             self.store,
-            || self.ngg_texts(subsample, base_seed),
-            |texts| {
-                let legit: Vec<&str> = train_idx
-                    .iter()
-                    .filter(|&&i| self.corpus.labels[i])
-                    .map(|&i| texts[i].as_str())
-                    .collect();
-                let illegit: Vec<&str> = train_idx
-                    .iter()
-                    .filter(|&&i| !self.corpus.labels[i])
-                    .map(|&i| texts[i].as_str())
-                    .collect();
-                let graphs = NggClassGraphs::build(
-                    NGramGraphBuilder::default(),
-                    &legit,
-                    &illegit,
-                    base_seed ^ (fold as u64),
-                );
-                NggFoldGraphs {
-                    graphs,
-                    features: texts.iter().map(|_| OnceLock::new()).collect(),
-                    texts,
-                    filling: Mutex::new(()),
+            || self.subsampled_docs(subsample, base_seed),
+            |docs| {
+                let texts = ngg_document_texts(&docs);
+                let k = train_sets.len();
+                let graphs = run_indexed(k, k, |f| {
+                    let class = |legitimate: bool| -> Vec<&str> {
+                        train_sets[f]
+                            .iter()
+                            .filter(|&&i| self.corpus.labels[i] == legitimate)
+                            .map(|&i| texts[i].as_str())
+                            .collect()
+                    };
+                    NggClassGraphs::build(
+                        NGramGraphBuilder::default(),
+                        &class(true),
+                        &class(false),
+                        base_seed ^ (f as u64),
+                    )
+                });
+                // The class graphs' builder, so each feature vector is
+                // what `NggClassGraphs::features` computes from the text.
+                let by_document = run_indexed(k, texts.len(), |i| {
+                    let doc = NGramGraphBuilder::default().build(&texts[i]);
+                    let features = graphs.iter().map(|g| g.features_of_graph(&doc));
+                    features.collect::<Vec<_>>()
+                });
+                NggFoldFeatures {
+                    folds: (0..k)
+                        .map(|f| by_document.iter().map(|doc| doc[f]).collect())
+                        .collect(),
                 }
             },
         )
@@ -636,15 +634,13 @@ impl<'a> Pipeline<'a> {
 }
 
 /// A TF-IDF model fitted on one training-index set (the `fitted-tfidf`
-/// artifact) with the subsampled documents of its text set, and one
-/// raw-term-count slot per corpus document, filled on first request.
+/// artifact) with every corpus document's raw term counts over it.
 pub struct FittedTfIdf {
     model: TfIdfModel,
-    docs: Arc<Vec<Vec<String>>>,
-    /// A document's [`TfIdfModel::term_counts`] as `(term id, count)`
-    /// pairs: the slots live as long as the store, and whole-number
-    /// counts take half the room of the vector's `f64` values.
-    counts: Vec<OnceLock<Box<[(u32, u32)]>>>,
+    /// Each document's [`TfIdfModel::term_counts`] as `(term id, count)`
+    /// pairs: they live as long as the store, and whole-number counts
+    /// take half the room of the vector's `f64` values.
+    counts: Vec<Box<[(u32, u32)]>>,
 }
 
 impl FittedTfIdf {
@@ -660,19 +656,13 @@ impl FittedTfIdf {
     }
 
     /// Document `i`'s vector under `weighting`, bit-identical to
-    /// `weighting.vectorize(model, doc)`: its term counts are computed
-    /// on the first request and read from the slot after, and weighed
-    /// by idf for [`TermWeighting::TfIdf`].
+    /// `weighting.vectorize(model, doc)`: its term counts, weighed by
+    /// idf for [`TermWeighting::TfIdf`].
     ///
     /// # Panics
     /// Panics if `i` is not a document of the corpus.
     pub fn vector(&self, i: usize, weighting: TermWeighting) -> SparseVector {
-        let counts = self.counts[i].get_or_init(|| {
-            // Exact: a count is a whole number no larger than the document.
-            let counts = self.model.term_counts(&self.docs[i]);
-            counts.iter().map(|(id, n)| (id, n as u32)).collect()
-        });
-        let tf = counts.iter().map(|&(id, n)| (id, f64::from(n)));
+        let tf = self.counts[i].iter().map(|&(id, n)| (id, f64::from(n)));
         match weighting {
             TermWeighting::RawCounts => tf.collect(),
             TermWeighting::TfIdf => self.model.weigh(tf),
@@ -684,78 +674,26 @@ impl fmt::Debug for FittedTfIdf {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         f.debug_struct("FittedTfIdf")
             .field("vocabulary", &self.model.vocabulary().len())
-            .field("documents", &self.docs.len())
-            .field(
-                "vectorized",
-                &self.counts.iter().filter(|s| s.get().is_some()).count(),
-            )
+            .field("documents", &self.counts.len())
             .finish()
     }
 }
 
-/// One fold's class graphs (the `ngg-class-graphs` artifact) with the
-/// texts of the corpus they were built from, and one feature slot per
-/// corpus document, filled on first request.
-pub struct NggFoldGraphs {
-    graphs: NggClassGraphs,
-    texts: Arc<Vec<String>>,
-    features: Vec<OnceLock<NggFeatures>>,
-    /// Held by [`NggFoldGraphs::fill_all`] on the first of its folds.
-    filling: Mutex<()>,
+/// Every corpus document's N-Gram-Graph features against the class
+/// graphs of each fold (the `ngg-features` artifact).
+#[derive(Debug)]
+pub struct NggFoldFeatures {
+    folds: Vec<Vec<NggFeatures>>,
 }
 
-impl NggFoldGraphs {
-    /// Document `i`'s features against the class graphs: computed from
-    /// its text on the first request, read from the slot after.
+impl NggFoldFeatures {
+    /// Every document's features against fold `f`'s class graphs, in
+    /// corpus order.
     ///
     /// # Panics
-    /// Panics if `i` is not a document of the corpus.
-    pub fn features(&self, i: usize) -> NggFeatures {
-        *self.features[i].get_or_init(|| self.graphs.features(&self.texts[i]))
-    }
-
-    /// Fills every document's feature slot in each of `folds`, the class
-    /// graphs of several folds over one text set: each document's n-gram
-    /// graph is built once and scored against every fold's class graphs.
-    /// Runs one thread per fold over the documents. A fill over folds
-    /// that another fill with the same first fold is filling waits for
-    /// it, and then builds only what it left empty.
-    ///
-    /// # Panics
-    /// Panics if the folds were not built from one text set.
-    pub fn fill_all(folds: &[Arc<NggFoldGraphs>]) {
-        let Some(first) = folds.first() else {
-            return;
-        };
-        let texts = &first.texts;
-        assert!(
-            folds.iter().all(|f| f.texts == *texts),
-            "the folds' class graphs must share one text set"
-        );
-        let _filling = first.filling.lock().unwrap_or_else(PoisonError::into_inner);
-        run_indexed(folds.len(), texts.len(), |i| {
-            if folds.iter().any(|f| f.features[i].get().is_none()) {
-                // The builder `Pipeline::ngg_class_graphs` builds the
-                // class graphs with, so each slot is what
-                // `NggFoldGraphs::features` would compute.
-                let doc = NGramGraphBuilder::default().build(&texts[i]);
-                for f in folds {
-                    f.features[i].get_or_init(|| f.graphs.features_of_graph(&doc));
-                }
-            }
-        });
-    }
-}
-
-impl fmt::Debug for NggFoldGraphs {
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        f.debug_struct("NggFoldGraphs")
-            .field("documents", &self.texts.len())
-            .field(
-                "featurized",
-                &self.features.iter().filter(|s| s.get().is_some()).count(),
-            )
-            .finish()
+    /// Panics if `f` is not a fold of the artifact.
+    pub fn fold(&self, f: usize) -> &[NggFeatures] {
+        &self.folds[f]
     }
 }
 
@@ -905,7 +843,6 @@ mod tests {
     use crate::features::extract_corpus;
     use pharmaverify_corpus::{CorpusConfig, SyntheticWeb};
     use pharmaverify_crawl::CrawlConfig;
-    use pharmaverify_ngg::GraphSimilarities;
     use std::collections::HashSet;
 
     fn corpus() -> ExtractedCorpus {
@@ -930,16 +867,6 @@ mod tests {
         assert!(Arc::ptr_eq(&cached, &again));
         let stats = counters_for(&store, Stage::SubsampledDocs);
         assert_eq!((stats.hits, stats.misses), (1, 1));
-    }
-
-    #[test]
-    fn ngg_texts_artifact_matches_fresh_recomputation() {
-        let c = corpus();
-        let store = ArtifactStore::new();
-        let pipe = Pipeline::new(&store, &c);
-        let cached = pipe.ngg_texts(Some(250), 3);
-        let fresh = ngg_document_texts(&subsampled_documents(&c, Some(250), 3));
-        assert_eq!(*cached, fresh);
     }
 
     #[test]
@@ -979,10 +906,6 @@ mod tests {
         v.iter().map(|(i, x)| (i, x.to_bits())).collect()
     }
 
-    fn filled_slots(tfidf: &FittedTfIdf) -> usize {
-        tfidf.counts.iter().filter(|s| s.get().is_some()).count()
-    }
-
     #[test]
     fn tfidf_artifact_memoizes_every_documents_vector() {
         let c = corpus();
@@ -993,7 +916,6 @@ mod tests {
         let docs = subsampled_documents(&c, Some(250), 11);
         let model = tfidf.model();
         assert_eq!(tfidf.counts.len(), c.len());
-        assert_eq!(filled_slots(&tfidf), 0);
         for (i, doc) in docs.iter().enumerate() {
             let raw = vector_bits(&model.term_counts(doc));
             let weighted = vector_bits(&model.transform(doc));
@@ -1002,151 +924,95 @@ mod tests {
                 weighted
             );
             assert_eq!(vector_bits(&tfidf.vector(i, TermWeighting::RawCounts)), raw);
-            // Read from the filled slot.
-            assert_eq!(
-                vector_bits(&tfidf.vector(i, TermWeighting::TfIdf)),
-                weighted
-            );
             assert_eq!(
                 vector_bits(&TermWeighting::RawCounts.vectorize(model, doc)),
                 raw
             );
         }
-        // A second request returns the artifact with its slots filled.
         let again = pipe.fitted_tfidf(Some(250), 11, Some(1), split.train(1));
         assert!(Arc::ptr_eq(&tfidf, &again));
-        assert_eq!(filled_slots(&again), c.len());
-        assert!(format!("{again:?}").contains(&format!("vectorized: {}", c.len())));
-        // A value term counting never produces: reads must come from the
-        // slot, weighed by idf for TF-IDF.
-        let planted = SparseVector::from_pairs(vec![(0, 7.0)]);
-        let fresh = pipe.fitted_tfidf(Some(250), 11, Some(2), split.train(2));
-        assert!(fresh.counts[5].set(Box::new([(0, 7)])).is_ok());
-        assert_eq!(fresh.vector(5, TermWeighting::RawCounts), planted);
-        assert_eq!(
-            vector_bits(&fresh.vector(5, TermWeighting::TfIdf)),
-            vector_bits(&fresh.model().weigh(planted.iter()))
-        );
-    }
-
-    #[test]
-    fn ngg_class_graphs_artifact_matches_fresh_recomputation() {
-        let c = corpus();
-        let store = ArtifactStore::new();
-        let pipe = Pipeline::new(&store, &c);
-        let split = pipe.fold_split(3, 5);
-        let train_idx = split.train(1);
-        let cached = pipe.ngg_class_graphs(Some(100), 5, 1, train_idx);
-        let texts = ngg_document_texts(&subsampled_documents(&c, Some(100), 5));
-        let legit: Vec<&str> = train_idx
-            .iter()
-            .filter(|&&i| c.labels[i])
-            .map(|&i| texts[i].as_str())
-            .collect();
-        let illegit: Vec<&str> = train_idx
-            .iter()
-            .filter(|&&i| !c.labels[i])
-            .map(|&i| texts[i].as_str())
-            .collect();
-        let fresh = NggClassGraphs::build(NGramGraphBuilder::default(), &legit, &illegit, 5 ^ 1);
-        assert_eq!(
-            cached.features(0).to_vec(),
-            fresh.features(&texts[0]).to_vec()
-        );
+        assert!(format!("{again:?}").contains(&format!("documents: {}", c.len())));
     }
 
     fn feature_bits(features: NggFeatures) -> Vec<u64> {
         features.to_vec().iter().map(|v| v.to_bits()).collect()
     }
 
-    #[test]
-    fn ngg_class_graphs_memoize_every_documents_features() {
-        let c = corpus();
-        let store = ArtifactStore::new();
-        let pipe = Pipeline::new(&store, &c);
-        let split = pipe.fold_split(3, 5);
-        let fold = pipe.ngg_class_graphs(Some(100), 5, 0, split.train(0));
-        let texts = pipe.ngg_texts(Some(100), 5);
-        assert_eq!(fold.features.len(), c.len());
-        assert!(fold.features.iter().all(|slot| slot.get().is_none()));
-        for (i, text) in texts.iter().enumerate() {
-            assert_eq!(
-                feature_bits(fold.features(i)),
-                feature_bits(fold.graphs.features(text)),
-                "document {i}"
+    /// Checks every (fold, document) feature of the artifact over
+    /// `train_sets` bit for bit against class graphs built from scratch.
+    fn assert_ngg_features_match_fresh(pipe: Pipeline<'_>, train_sets: &[&[usize]]) {
+        let c = pipe.corpus();
+        let cached = pipe.ngg_features(Some(100), 5, train_sets);
+        let texts = ngg_document_texts(&subsampled_documents(c, Some(100), 5));
+        for (f, train_idx) in train_sets.iter().enumerate() {
+            let class = |legitimate: bool| -> Vec<&str> {
+                train_idx
+                    .iter()
+                    .filter(|&&i| c.labels[i] == legitimate)
+                    .map(|&i| texts[i].as_str())
+                    .collect()
+            };
+            let fresh = NggClassGraphs::build(
+                NGramGraphBuilder::default(),
+                &class(true),
+                &class(false),
+                5 ^ f as u64,
             );
-        }
-        // Every consumer of the fold gets the same artifact, filled.
-        let again = pipe.ngg_class_graphs(Some(100), 5, 0, split.train(0));
-        assert!(Arc::ptr_eq(&fold, &again));
-        assert!(again.features.iter().all(|slot| slot.get().is_some()));
-        assert!(format!("{again:?}").contains(&format!("featurized: {}", c.len())));
-    }
-
-    #[test]
-    fn filled_ngg_feature_slot_is_reused() {
-        let c = corpus();
-        let store = ArtifactStore::new();
-        let pipe = Pipeline::new(&store, &c);
-        let split = pipe.fold_split(3, 5);
-        let fold = pipe.ngg_class_graphs(Some(100), 5, 2, split.train(2));
-        let computed = fold.features(3);
-        assert_eq!(feature_bits(fold.features(3)), feature_bits(computed));
-        // A value the graphs never produce: a second request must read
-        // the slot instead of featurizing again.
-        let planted = GraphSimilarities {
-            cs: 7.0,
-            ss: 7.0,
-            vs: 7.0,
-            nvs: 7.0,
-        };
-        let planted = NggFeatures {
-            legitimate: planted,
-            illegitimate: planted,
-        };
-        assert!(fold.features[4].set(planted).is_ok());
-        assert_eq!(feature_bits(fold.features(4)), feature_bits(planted));
-    }
-
-    #[test]
-    fn fill_all_fills_every_fold_from_one_build_per_document() {
-        let c = corpus();
-        let store = ArtifactStore::new();
-        let pipe = Pipeline::new(&store, &c);
-        let split = pipe.fold_split(3, 5);
-        let folds: Vec<Arc<NggFoldGraphs>> = split
-            .iter()
-            .map(|(f, train, _)| pipe.ngg_class_graphs(Some(250), 5, f, train))
-            .collect();
-        // One slot filled beforehand, as another reader would leave it.
-        let early = folds[1].features(7);
-        NggFoldGraphs::fill_all(&folds);
-        assert_eq!(feature_bits(folds[1].features(7)), feature_bits(early));
-        let texts = pipe.ngg_texts(Some(250), 5);
-        for (f, fold) in folds.iter().enumerate() {
-            assert!(fold.features.iter().all(|slot| slot.get().is_some()));
+            assert_eq!(cached.fold(f).len(), c.len());
             for (i, text) in texts.iter().enumerate() {
                 assert_eq!(
-                    feature_bits(fold.features(i)),
-                    feature_bits(fold.graphs.features(text)),
+                    feature_bits(cached.fold(f)[i]),
+                    feature_bits(fresh.features(text)),
                     "fold {f}, document {i}"
                 );
             }
         }
-        NggFoldGraphs::fill_all(&[]);
     }
 
     #[test]
-    #[should_panic(expected = "share one text set")]
-    fn fill_all_rejects_folds_of_different_text_sets() {
+    fn ngg_features_artifact_matches_fresh_recomputation() {
         let c = corpus();
         let store = ArtifactStore::new();
         let pipe = Pipeline::new(&store, &c);
         let split = pipe.fold_split(3, 5);
-        NggFoldGraphs::fill_all(&[
-            pipe.ngg_class_graphs(Some(100), 5, 0, split.train(0)),
-            pipe.ngg_class_graphs(Some(250), 5, 1, split.train(1)),
-        ]);
+        let folds: Vec<&[usize]> = split.iter().map(|(_, train, _)| train).collect();
+        assert_ngg_features_match_fresh(pipe, &folds);
+        // Sub-training sets, as the ensemble passes them: every other
+        // training document of each fold.
+        let subsets: Vec<Vec<usize>> = folds
+            .iter()
+            .map(|train| train.iter().copied().step_by(2).collect())
+            .collect();
+        let subsets: Vec<&[usize]> = subsets.iter().map(Vec::as_slice).collect();
+        assert_ngg_features_match_fresh(pipe, &subsets);
+    }
+
+    #[test]
+    fn distinct_train_set_lists_get_distinct_ngg_features() {
+        let c = corpus();
+        let store = ArtifactStore::new();
+        let pipe = Pipeline::new(&store, &c);
+        let split = pipe.fold_split(3, 5);
+        let folds: Vec<&[usize]> = split.iter().map(|(_, train, _)| train).collect();
+        let reversed: Vec<&[usize]> = folds.iter().rev().copied().collect();
+        let features = pipe.ngg_features(Some(100), 5, &folds);
+        for other in [&folds[..2], &reversed[..]] {
+            assert!(!Arc::ptr_eq(
+                &features,
+                &pipe.ngg_features(Some(100), 5, other)
+            ));
+        }
+        assert!(Arc::ptr_eq(
+            &features,
+            &pipe.ngg_features(Some(100), 5, &folds)
+        ));
+        assert_eq!(counters_for(&store, Stage::NggFeatures).misses, 3);
+        // A different seed builds different class graphs from the same
+        // sets, and the fold order is part of the seed of each.
+        assert_ne!(
+            feature_bits(features.fold(0)[0]),
+            feature_bits(pipe.ngg_features(Some(100), 5, &reversed).fold(2)[0])
+        );
     }
 
     #[test]
@@ -1160,8 +1026,9 @@ mod tests {
         let train: Vec<usize> = (0..c.len()).step_by(2).collect();
         let config = TrustRankConfig::default();
         for _ in 0..2 {
+            pipe.fold_split(3, 3);
             pipe.fitted_tfidf(Some(100), 3, None, &train);
-            pipe.ngg_class_graphs(Some(100), 3, 0, &train);
+            pipe.ngg_features(Some(100), 3, &[train.as_slice()]);
             // No seeds: the scores are zero without a propagation run,
             // which would add to the process-wide executor counters.
             pipe.trust_scores(&config, &[]);
@@ -1172,13 +1039,15 @@ mod tests {
             let s = counters_for(&store, stage);
             (s.hits, s.misses)
         };
+        assert_eq!(lookups(Stage::FoldSplit), (1, 1));
         assert_eq!(lookups(Stage::FittedTfIdf), (1, 1));
-        assert_eq!(lookups(Stage::NggClassGraphs), (1, 1));
+        assert_eq!(lookups(Stage::NggFeatures), (1, 1));
         assert_eq!(lookups(Stage::TrustScores), (1, 1));
-        assert_eq!(lookups(Stage::NggTexts), (0, 1));
         assert_eq!(lookups(Stage::SubsampledDocs), (1, 1));
         assert_eq!(lookups(Stage::WebGraph), (0, 1));
         assert_eq!(obs.counter("pipeline/cache/subsampled-docs/hits"), 1);
+        assert_eq!(obs.counter("pipeline/cache/ngg-features/hits"), 1);
+        assert_eq!(obs.span_count("pipeline/stage/ngg-features"), 1);
     }
 
     #[test]

@@ -16,7 +16,7 @@
 
 use crate::classify::{CvConfig, TextLearnerKind};
 use crate::features::ExtractedCorpus;
-use crate::pipeline::{ArtifactStore, NggFoldGraphs, Pipeline};
+use crate::pipeline::{ArtifactStore, Pipeline};
 use pharmaverify_corpus::SiteProfile;
 use pharmaverify_ml::metrics::pairwise_orderedness;
 use pharmaverify_ml::{Dataset, Sampling};
@@ -139,19 +139,17 @@ fn evaluate_ranking_impl(
     let split = pipe.fold_split(cv.k, cv.seed);
     let mut text_rank = vec![0.0; corpus.len()];
     let mut network_rank = vec![0.0; corpus.len()];
-    // The NGG textRank reads the folds' class graphs, their feature
-    // slots filled together, one document graph each.
-    let ngg_folds = match method {
-        RankingMethod::NggEquation3 => {
-            let folds: Vec<_> = split
-                .iter()
-                .map(|(f, train_idx, _)| pipe.ngg_class_graphs(subsample, cv.seed, f, train_idx))
-                .collect();
-            NggFoldGraphs::fill_all(&folds);
-            folds
+    // The NGG textRank: Equation (3) over each test document's features
+    // against its fold's class graphs.
+    if let RankingMethod::NggEquation3 = method {
+        let train_sets: Vec<&[usize]> = split.iter().map(|(_, train, _)| train).collect();
+        let features = pipe.ngg_features(subsample, cv.seed, &train_sets);
+        for (f, _, test_idx) in split.iter() {
+            for &i in test_idx {
+                text_rank[i] = features.fold(f)[i].text_rank();
+            }
         }
-        RankingMethod::TfIdf { .. } => Vec::new(),
-    };
+    }
 
     for (f, train_idx, test_idx) in split.iter() {
         // networkRank: trust seeded by the training-fold legitimate sites.
@@ -182,36 +180,29 @@ fn evaluate_ranking_impl(
                 network_rank[i] = trust[i];
             }
         }
-        // textRank: per method.
-        match method {
-            RankingMethod::TfIdf { kind, sampling } => {
-                let weighting = kind.weighting();
-                let tfidf = pipe.fitted_tfidf(subsample, cv.seed, Some(f), train_idx);
-                let mut train = Dataset::new(tfidf.dim());
-                for &i in train_idx {
-                    train.push(tfidf.vector(i, weighting), corpus.labels[i]);
-                }
-                let train = sampling.apply(&train, cv.seed);
-                let model = kind.learner().fit(&train);
-                for &i in test_idx {
-                    let x = tfidf.vector(i, weighting);
-                    text_rank[i] = if model.is_probabilistic() {
-                        model.score(&x)
-                    } else {
-                        // §5: non-probabilistic classifiers contribute
-                        // their hard decision.
-                        if model.predict(&x) {
-                            1.0
-                        } else {
-                            0.0
-                        }
-                    };
-                }
+        // textRank of the TF-IDF methods: this fold's model.
+        if let RankingMethod::TfIdf { kind, sampling } = method {
+            let weighting = kind.weighting();
+            let tfidf = pipe.fitted_tfidf(subsample, cv.seed, Some(f), train_idx);
+            let mut train = Dataset::new(tfidf.dim());
+            for &i in train_idx {
+                train.push(tfidf.vector(i, weighting), corpus.labels[i]);
             }
-            RankingMethod::NggEquation3 => {
-                for &i in test_idx {
-                    text_rank[i] = ngg_folds[f].features(i).text_rank();
-                }
+            let train = sampling.apply(&train, cv.seed);
+            let model = kind.learner().fit(&train);
+            for &i in test_idx {
+                let x = tfidf.vector(i, weighting);
+                text_rank[i] = if model.is_probabilistic() {
+                    model.score(&x)
+                } else {
+                    // §5: non-probabilistic classifiers contribute
+                    // their hard decision.
+                    if model.predict(&x) {
+                        1.0
+                    } else {
+                        0.0
+                    }
+                };
             }
         }
     }

@@ -114,12 +114,6 @@ const REPRO_ARGS: &[&str] = &[
 /// The golden digest table, relative to the workspace root.
 const GOLDEN: &str = "crates/bench/tests/report_digests.tsv";
 
-/// Configuration of the plain run's rows in [`GOLDEN`].
-const PLAIN_CONFIG: &str = "repro --scale small";
-
-/// Section-title column of a trace-view row in [`GOLDEN`].
-const TRACE_VIEW_TITLE: &str = "deterministic view";
-
 /// One double-run beyond the plain one. Its serial and parallel
 /// outputs and deterministic trace views must match; its output must
 /// start with the plain output; its trace must differ from the plain
@@ -252,7 +246,7 @@ pub fn run(workspace_root: &Path) -> Result<AuditReport, String> {
     let (parallel, parallel_trace) = run_harness(workspace_root, "4", &[])?;
     compare(&plain, &parallel, "fault-free")?;
     let det = compare_trace_views(&plain_trace, &parallel_trace, "fault-free")?;
-    check_view_digest(&golden, PLAIN_CONFIG, &det)?;
+    check_view_digest(&golden, "repro --scale small", &det)?;
     let plain_text = String::from_utf8_lossy(&plain);
     let mut outputs = vec![("plain", plain.len())];
     for mode in MODES {
@@ -332,16 +326,15 @@ fn fnv1a64(bytes: &[u8]) -> u64 {
 }
 
 /// Checks the digest of `view`, a deterministic trace view of `config`,
-/// against its row in the `golden` table.
+/// against its `deterministic view` row in the `golden` table.
 fn check_view_digest(golden: &str, config: &str, view: &str) -> Result<(), String> {
     let row_config = format!("{config} --trace");
     let digest = format!("{:016x}", fnv1a64(view.as_bytes()));
     let want: Vec<&str> = golden
         .lines()
-        .filter(|line| !line.starts_with('#'))
         .filter_map(|line| {
             let cols: Vec<&str> = line.split('\t').collect();
-            (cols.len() > 2 && cols[0] == row_config && cols[2] == TRACE_VIEW_TITLE)
+            (cols.len() > 2 && cols[0] == row_config && cols[2] == "deterministic view")
                 .then(|| cols[1])
         })
         .collect();

@@ -50,10 +50,10 @@ fn collect_rs(dir: &Path, out: &mut Vec<PathBuf>) -> io::Result<()> {
     Ok(())
 }
 
-/// The workspace root of the current directory (see
-/// [`workspace_root_from`]). It is read at run time, not from where
-/// xtask was compiled, so a copied tree that kept its `target/` checks
-/// its own files; `cargo run` keeps the caller's directory.
+/// The workspace root of the current directory ([`workspace_root_from`]),
+/// read at run time rather than from where xtask was compiled, so a
+/// copied tree that kept its `target/` checks its own files. `cargo run`
+/// keeps the caller's directory.
 ///
 /// # Errors
 /// When the current directory cannot be read or lies in no workspace.
